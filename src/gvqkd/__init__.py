@@ -10,7 +10,7 @@ Modules
 -------
 optics     two-mode state algebra (preparation, phase, recombination)
 devices    stochastic source / detector models, picosecond timestamps
-protocol   session engine: prepare, transmit, receive, timing test, sift
+protocol   columnar session engine: transmit, receive, timing test, sift, CSV
 adversary  intercept-resend and store-and-forward attack models
 analysis   fringe scans and fits, QBER/visibility relations, verdicts
 config     flat key=value scenario files -> validated run configuration
@@ -26,13 +26,13 @@ from gvqkd.optics import (
     make_state,
 )
 from gvqkd.protocol import (
-    ReceiveRecord,
-    SendRecord,
+    Match,
     SessionConfig,
     SiftResult,
     Transcript,
     run_session,
     sift_and_qber,
+    sift_transcript,
     timing_test,
 )
 from gvqkd.adversary import NO_ATTACK, AttackStrategy, apply_attack, eve_information
@@ -57,13 +57,13 @@ __all__ = [
     "collapse_which_path",
     "SessionConfig",
     "SessionStreams",
-    "SendRecord",
-    "ReceiveRecord",
     "Transcript",
+    "Match",
     "SiftResult",
     "run_session",
     "timing_test",
     "sift_and_qber",
+    "sift_transcript",
     "AttackStrategy",
     "NO_ATTACK",
     "apply_attack",

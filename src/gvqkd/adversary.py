@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gvqkd.optics import PathState, beam_splitter, collapse_which_path, make_state
+from gvqkd.optics import STATE_MODE_A, STATE_MODE_B, beam_splitter, link_states
 
 KIND_NONE = "none"
 KIND_WHICH_PATH = "which-path"
@@ -46,77 +46,63 @@ class AttackStrategy:
 NO_ATTACK = AttackStrategy(KIND_NONE)
 
 
-@dataclass(frozen=True)
-class EveRecord:
-    """What Eve took from one photon: her bit guess, raw outcome, and added delay."""
-
-    guessed_bit: int | None = None
-    measurement_outcome: str | None = None
-    timing_perturbation_ps: float = 0.0
+# Eve's guess for a photon she took no guess on
+NO_GUESS = -1
 
 
 def apply_attack(
     strategy: AttackStrategy,
-    state: PathState,
-    launch_a_ps: float,
-    launch_b_ps: float,
+    state: np.ndarray,
+    launch_a_ps: np.ndarray,
+    launch_b_ps: np.ndarray,
     travel_time_ps: float,
     rng: np.random.Generator,
-) -> tuple[PathState, float, float, EveRecord]:
-    """Pass one photon through the channel under a strategy.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pass every photon of a session through the channel under a strategy.
 
-    Returns (state at the receiver, arrival_a, arrival_b, EveRecord).
+    state holds link-state indices (see optics.link_states). Returns
+    (state at the receiver, arrival_a, arrival_b, Eve's guess, Eve's delay),
+    one entry per photon; the guess is NO_GUESS where Eve took none.
     """
+    n = state.size
+    arrival_a = launch_a_ps + travel_time_ps
+    arrival_b = launch_b_ps + travel_time_ps
     if strategy.kind == KIND_NONE:
-        return (
-            state,
-            launch_a_ps + travel_time_ps,
-            launch_b_ps + travel_time_ps,
-            EveRecord(),
-        )
+        return state, arrival_a, arrival_b, np.full(n, NO_GUESS), np.zeros(n)
 
+    states = link_states()
     if strategy.kind == KIND_WHICH_PATH:
-        mode, collapsed = collapse_which_path(state, rng)
         # the localized packet is resent on schedule; nothing to learn,
         # the guess is a coin flip
-        guess = int(rng.integers(0, 2))
-        return (
-            collapsed,
-            launch_a_ps + travel_time_ps,
-            launch_b_ps + travel_time_ps,
-            EveRecord(guessed_bit=guess, measurement_outcome=mode),
-        )
+        p_a = np.array([abs(s.amp_a) ** 2 for s in states])
+        found_a = rng.random(n) < p_a[state]
+        guess = rng.integers(0, 2, size=n)
+        return np.where(found_a, STATE_MODE_A, STATE_MODE_B), arrival_a, arrival_b, guess, np.zeros(n)
 
     # store-forward: Eve reads the packet separation off the launch times
     # she observes, interferes the pair on her own ideal recombiner, and
     # forwards a fresh copy. Holding packet a until b exists costs the
     # separation itself; extra_delay is her processing overhead.
-    out = beam_splitter(state)
-    p0 = abs(out.amp_a) ** 2
-    learned = 0 if rng.random() < p0 else 1
+    p0 = np.array([abs(beam_splitter(s).amp_a) ** 2 for s in states])
+    learned = (rng.random(n) >= p0[state]).astype(np.int64)
     delay = (launch_b_ps - launch_a_ps) + strategy.extra_delay_ps
-    return (
-        make_state(learned),
-        launch_a_ps + travel_time_ps + delay,
-        launch_b_ps + travel_time_ps + delay,
-        EveRecord(guessed_bit=learned, timing_perturbation_ps=delay),
-    )
+    return learned, arrival_a + delay, arrival_b + delay, learned, delay
 
 
-def eve_information(eve_records: list[EveRecord], alice_bits: list[int]) -> float:
+def eve_information(guesses: np.ndarray, alice_bits: np.ndarray) -> float:
     """Empirical mutual information (bits) between Eve's guesses and the sent bits.
 
-    Records without a guess contribute nothing; if no record carries a
-    guess the information is 0. Raises on empty input (undefined).
+    Photons without a guess (NO_GUESS) contribute nothing; if none carries
+    a guess the information is 0. Raises on empty input (undefined).
     """
-    if len(eve_records) == 0:
-        raise ValueError("eve_information undefined on empty record list")
-    if len(eve_records) != len(alice_bits):
-        raise ValueError("eve_records and alice_bits must be aligned")
-    joint = np.zeros((2, 2), dtype=float)
-    for record, bit in zip(eve_records, alice_bits):
-        if record.guessed_bit is not None:
-            joint[record.guessed_bit, bit] += 1.0
+    guesses = np.asarray(guesses)
+    alice_bits = np.asarray(alice_bits)
+    if guesses.size == 0:
+        raise ValueError("eve_information undefined on empty input")
+    if guesses.shape != alice_bits.shape:
+        raise ValueError("guesses and alice_bits must be aligned")
+    guessed = guesses != NO_GUESS
+    joint = np.bincount(2 * guesses[guessed] + alice_bits[guessed], minlength=4).reshape(2, 2).astype(float)
     total = joint.sum()
     if total == 0:
         return 0.0

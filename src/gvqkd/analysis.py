@@ -176,7 +176,7 @@ def detect_eavesdropping(
     for name, threshold in (("anomaly_threshold", anomaly_threshold), ("qber_threshold", qber_threshold)):
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"{name} must be in (0, 1)")
-    total = sift.anomalies + len(sift.matched_pairs)
+    total = sift.anomalies + sift.matched
     if total == 0:
         raise ValueError("verdict undefined: no receives at all")
     anomaly_fraction = sift.anomalies / total

@@ -23,7 +23,7 @@ from gvqkd.analysis import (
     write_fringe_csv,
 )
 from gvqkd.config import ConfigError, ExperimentConfig, load_config
-from gvqkd.protocol import run_session, sift_and_qber, timing_test, write_transcript_csv
+from gvqkd.protocol import run_session, sift_transcript, write_transcript_csv
 from gvqkd.streams import SessionStreams, stream
 
 EXIT_OK = 0
@@ -53,19 +53,14 @@ def run_transmit(experiment: ExperimentConfig, out_dir: Path) -> dict:
         transcript = run_session(
             session, NO_ATTACK, streams, run_index=run_index, source_bit=experiment.source_bit
         )
-        matched, anomalies = timing_test(transcript.sends, transcript.receives, session)
-        sift = sift_and_qber(
-            matched, session.disclosure_fraction, streams.sift, anomalies=len(anomalies)
-        )
-        write_transcript_csv(
-            out_dir / f"transcript_run{run_index:03d}.csv", transcript.sends, sift, anomalies
-        )
+        match, sift = sift_transcript(transcript, session, streams.sift)
+        write_transcript_csv(out_dir / f"transcript_run{run_index:03d}.csv", transcript, match, sift)
         if sift.qber is not None:
             qbers.append(sift.qber)
             qber_sigmas.append(sift.qber_sigma)
-        matched_total += len(matched)
-        anomaly_total += len(anomalies)
-        receive_total += len(transcript.receives)
+        matched_total += sift.matched
+        anomaly_total += sift.anomalies
+        receive_total += transcript.t_r.size
         key_bits_total += len(sift.key_bits_alice)
 
     summary = {
@@ -112,22 +107,19 @@ def run_attack_demo(experiment: ExperimentConfig, attack_name: str, out_dir: Pat
     strategy = AttackStrategy(kind=attack_name, extra_delay_ps=experiment.extra_delay_ps)
     streams = SessionStreams(session.seed, 0)
     transcript = run_session(session, strategy, streams, source_bit=experiment.source_bit)
-    matched, anomalies = timing_test(transcript.sends, transcript.receives, session)
-    sift = sift_and_qber(
-        matched, session.disclosure_fraction, streams.sift, anomalies=len(anomalies)
-    )
-    write_transcript_csv(out_dir / "transcript.csv", transcript.sends, sift, anomalies)
+    match, sift = sift_transcript(transcript, session, streams.sift)
+    write_transcript_csv(out_dir / "transcript.csv", transcript, match, sift)
     verdict = detect_eavesdropping(
         sift, experiment.resolved_anomaly_threshold(), experiment.qber_threshold
     )
-    info = eve_information(transcript.eve_log, [s.bit for s in transcript.sends])
+    info = eve_information(transcript.eve_guess, transcript.bit)
     report = verdict_report(verdict)
     report.update(
         {
             "strategy": attack_name,
             "eve_information_bits": info,
-            "matched": len(matched),
-            "anomalies": len(anomalies),
+            "matched": sift.matched,
+            "anomalies": sift.anomalies,
             "key_bits": len(sift.key_bits_alice),
         }
     )

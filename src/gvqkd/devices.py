@@ -77,11 +77,17 @@ def herald(
     return t_true, t_stamped
 
 
-def detector_click(t_arrival_ps: float, params: DetectorParams, rng: np.random.Generator) -> float | None:
-    """Click time for a photon arriving at t_arrival_ps, or None if the detector misses it."""
-    if rng.random() >= params.efficiency:
-        return None
-    return t_arrival_ps + rng.normal(0.0, params.jitter_sigma_ps)
+def detector_click(
+    t_arrival_ps: np.ndarray, params: DetectorParams, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Detect photons arriving at t_arrival_ps; returns (hit mask, click times of the hits).
+
+    One efficiency draw per photon, then one jitter draw per hit.
+    """
+    t_arrival_ps = np.asarray(t_arrival_ps, dtype=float)
+    hit = rng.random(t_arrival_ps.size) < params.efficiency
+    t_hit = t_arrival_ps[hit]
+    return hit, t_hit + rng.normal(0.0, params.jitter_sigma_ps, size=t_hit.size)
 
 
 def dark_clicks(params: DetectorParams, duration_s: float, rng: np.random.Generator) -> np.ndarray:

@@ -58,6 +58,18 @@ def make_state(bit: int) -> PathState:
     return PathState(SQRT1_2, sign * SQRT1_2)
 
 
+# Index of each state a photon can carry through the link: the encodings of
+# bits 0 and 1 (so a bit is its own state index), then the two localized
+# states a which-path measurement leaves behind.
+STATE_MODE_A = 2
+STATE_MODE_B = 3
+
+
+def link_states() -> tuple[PathState, PathState, PathState, PathState]:
+    """Every state a photon can carry through the link, in state-index order."""
+    return make_state(0), make_state(1), PathState(1.0, 0.0), PathState(0.0, 1.0)
+
+
 def overlap(state_x: PathState, state_y: PathState) -> complex:
     """Inner product <x|y>."""
     return (

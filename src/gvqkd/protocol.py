@@ -19,7 +19,7 @@ matched bits must show a low error rate (QBER test).
 import csv
 import math
 from dataclasses import dataclass, field
-from bisect import bisect_left
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from gvqkd.devices import (
     generate_emissions,
     herald,
 )
-from gvqkd.optics import PathState, detection_probabilities, make_state
+from gvqkd.optics import detection_probabilities, link_states
 from gvqkd.streams import SessionStreams
 
 # Packets recombine only if their overlap mismatch is below this; beyond it
@@ -121,30 +121,30 @@ class SessionConfig:
         return self.tau_ps + self.travel_time_ps
 
 
-@dataclass(frozen=True)
-class SendRecord:
-    """Sender-side log entry: photon index, encoded bit, heralded timestamp."""
-
-    index: int
-    bit: int
-    t_s_ps: float
-
-
-@dataclass(frozen=True)
-class ReceiveRecord:
-    """Receiver-side log entry: click time and which detector fired (0 or 1)."""
-
-    t_r_ps: float
-    detector: int
-
-
 @dataclass
 class Transcript:
-    """Everything one session produced, before any public comparison."""
+    """Everything one session produced, before any public comparison, as columns.
 
-    sends: list[SendRecord]
-    receives: list[ReceiveRecord]
-    eve_log: list["adversary.EveRecord"]
+    Sends are indexed in the order of the sender's log (heralded stamps):
+    t_s, bit, and what Eve took from that photon, her guess (NO_GUESS for
+    none) and the delay she added. Receives are sorted by time: t_r and the
+    detector that fired (0 or 1).
+    """
+
+    t_s: np.ndarray
+    bit: np.ndarray
+    t_r: np.ndarray
+    detector: np.ndarray
+    eve_guess: np.ndarray
+    eve_delay: np.ndarray
+
+
+class Match(NamedTuple):
+    """Timing-test outcome as index arrays; matched pairs are listed in receive time order."""
+
+    send: np.ndarray
+    receive: np.ndarray
+    anomalies: np.ndarray
 
 
 @dataclass
@@ -155,61 +155,49 @@ class SiftResult:
     estimate); disclosed_mask marks which matched pairs were sacrificed.
     """
 
-    matched_pairs: list[tuple[SendRecord, ReceiveRecord]]
+    matched: int
     anomalies: int
     key_bits_alice: str
     key_bits_bob: str
     qber: float | None
     qber_sigma: float | None
-    disclosed_mask: list[bool]
+    disclosed_mask: np.ndarray
 
 
-def alice_prepare(
-    bit: int,
-    t_emit_ps: float,
-    tau_ps: float,
-    t_s_ps: float | None = None,
-    index: int = 0,
-) -> tuple[PathState, float, float, SendRecord]:
-    """Encode a bit and launch its two packets tau apart.
+def detection_table(visibility: float) -> np.ndarray:
+    """P(D0) for each link state (rows) at effective visibility V and at 0 (columns).
 
-    Returns (state, launch_a, launch_b, record). t_s_ps is the heralded
-    timestamp entering the sender's log; it defaults to the true emission
-    time for ideal heralding.
+    Built from the scalar optics so the engine carries no copy of the
+    detection rule.
     """
-    state = make_state(bit)
-    launch_a = t_emit_ps
-    launch_b = t_emit_ps + tau_ps
-    record = SendRecord(index=index, bit=bit, t_s_ps=t_emit_ps if t_s_ps is None else t_s_ps)
-    return state, launch_a, launch_b, record
+    return np.array([[detection_probabilities(s, v)[0] for v in (visibility, 0.0)] for s in link_states()])
 
 
 def bob_receive(
-    state: PathState,
-    arrival_a_ps: float,
-    arrival_b_ps: float,
+    state: np.ndarray,
+    arrival_a_ps: np.ndarray,
+    arrival_b_ps: np.ndarray,
     config: SessionConfig,
     rng: np.random.Generator,
-) -> ReceiveRecord | None:
-    """Recombine the two packets and report the click, if any.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recombine each photon's two packets; returns (detector, click time) of the photons that clicked.
 
     The receiver delays the leading packet by tau, so packet a is ready at
     arrival_a + tau. If that misses arrival_b by more than the coherence
     window the packets no longer interfere and the effective visibility
     drops to zero. The later packet sets the exit time; inside the
     coherence window the delayed-arm arrival is used so the clean-path
-    timestamp carries no fp ordering artifact.
+    timestamp carries no fp ordering artifact. Draws one detector choice
+    per photon, then the detector's efficiency and jitter draws.
     """
     a_ready = arrival_a_ps + config.tau_ps
     mismatch = a_ready - arrival_b_ps
-    v_eff = config.visibility if abs(mismatch) <= config.coherence_window_ps else 0.0
-    detection_ps = arrival_b_ps if mismatch <= config.coherence_window_ps else a_ready
-    p0, _ = detection_probabilities(state, v_eff)
-    detector = 0 if rng.random() < p0 else 1
-    t_click = detector_click(detection_ps, config.signal_detector, rng)
-    if t_click is None:
-        return None
-    return ReceiveRecord(t_r_ps=t_click, detector=detector)
+    incoherent = np.abs(mismatch) > config.coherence_window_ps
+    detection_ps = np.where(mismatch <= config.coherence_window_ps, arrival_b_ps, a_ready)
+    p0 = detection_table(config.visibility)[state, incoherent.astype(np.intp)]
+    detector = (rng.random(state.size) >= p0).astype(np.int64)
+    hit, t_click = detector_click(detection_ps, config.signal_detector, rng)
+    return detector[hit], t_click
 
 
 def run_session(
@@ -238,128 +226,118 @@ def run_session(
     order = np.argsort(t_stamped, kind="stable")
     t_true = t_true[order]
     t_stamped = t_stamped[order]
-    n = int(t_true.size)
+    n = t_true.size
     if source_bit is None:
         bits = streams.bits.integers(0, 2, size=n)
     else:
         bits = np.full(n, source_bit, dtype=np.int64)
 
-    sends: list[SendRecord] = []
-    receives: list[ReceiveRecord] = []
-    eve_log: list[adversary.EveRecord] = []
-    travel = config.travel_time_ps
-    for i in range(n):
-        state, launch_a, launch_b, record = alice_prepare(
-            int(bits[i]), float(t_true[i]), config.tau_ps, t_s_ps=float(t_stamped[i]), index=i
-        )
-        sends.append(record)
-        state, arrival_a, arrival_b, eve_record = adversary.apply_attack(
-            attack, state, launch_a, launch_b, travel, streams.attack
-        )
-        eve_log.append(eve_record)
-        click = bob_receive(state, arrival_a, arrival_b, config, streams.detector)
-        if click is not None:
-            receives.append(click)
+    # a bit is its own link-state index; packet b launches tau after packet a
+    state, arrival_a, arrival_b, guess, delay = adversary.apply_attack(
+        attack, bits, t_true, t_true + config.tau_ps, config.travel_time_ps, streams.attack
+    )
+    detector, t_r = bob_receive(state, arrival_a, arrival_b, config, streams.detector)
 
+    t_r_parts, detector_parts = [t_r], [detector]
     if config.signal_detector.dark_rate_hz > 0:
-        for detector in (0, 1):
-            for t in dark_clicks(config.signal_detector, config.session_duration_s, streams.dark):
-                receives.append(ReceiveRecord(t_r_ps=float(t), detector=detector))
+        for dark_detector in (0, 1):
+            darks = dark_clicks(config.signal_detector, config.session_duration_s, streams.dark)
+            t_r_parts.append(darks)
+            detector_parts.append(np.full(darks.size, dark_detector, dtype=np.int64))
+    t_r = np.concatenate(t_r_parts)
+    order = np.argsort(t_r, kind="stable")
+    return Transcript(
+        t_s=t_stamped,
+        bit=bits,
+        t_r=t_r[order],
+        detector=np.concatenate(detector_parts)[order],
+        eve_guess=guess,
+        eve_delay=delay,
+    )
 
-    receives.sort(key=lambda r: r.t_r_ps)
-    return Transcript(sends=sends, receives=receives, eve_log=eve_log)
 
-
-def timing_test(
-    sends: list[SendRecord],
-    receives: list[ReceiveRecord],
-    config: SessionConfig,
-) -> tuple[list[tuple[SendRecord, ReceiveRecord]], list[ReceiveRecord]]:
+def timing_test(t_s: np.ndarray, t_r: np.ndarray, config: SessionConfig) -> Match:
     """Match receives to sends at the nominal delay; the rest are anomalies.
 
-    Processing receives in time order, each is matched to the send
-    minimizing |t_r - (t_s + tau + T)| provided the deviation is within the
-    accept window and that send is still free; otherwise the receive is an
-    anomaly. Matching is one-to-one by construction.
+    t_s must be sorted. Taking receives in time order, each claims the send
+    nearest to t_r - (tau + T) among its two neighbours in t_s, the earlier
+    one on a tie. The claim matches when the deviation is within the accept
+    window and no earlier receive matched that send; otherwise the receive
+    is an anomaly and does not fall back to the other neighbour. Matching
+    is one-to-one by construction.
     """
-    offset = config.expected_offset_ps()
-    window = config.accept_window_ps
-    send_times = [s.t_s_ps for s in sends]
-    taken = [False] * len(sends)
-    matched: list[tuple[SendRecord, ReceiveRecord]] = []
-    anomalies: list[ReceiveRecord] = []
-    for receive in sorted(receives, key=lambda r: r.t_r_ps):
-        target = receive.t_r_ps - offset
-        pos = bisect_left(send_times, target)
-        best = None
-        best_dev = math.inf
-        for j in (pos - 1, pos):
-            if 0 <= j < len(send_times):
-                dev = abs(send_times[j] - target)
-                if dev < best_dev:
-                    best = j
-                    best_dev = dev
-        if best is None or best_dev > window or taken[best]:
-            anomalies.append(receive)
-        else:
-            taken[best] = True
-            matched.append((sends[best], receive))
-    return matched, anomalies
+    t_s = np.asarray(t_s, dtype=float)
+    t_r = np.asarray(t_r, dtype=float)
+    order = np.argsort(t_r, kind="stable")
+    target = t_r[order] - config.expected_offset_ps()
+    pos = np.searchsorted(t_s, target, side="left")
+    padded = np.concatenate(([-np.inf], t_s, [np.inf]))
+    dev_left = np.abs(padded[pos] - target)
+    dev_right = np.abs(padded[pos + 1] - target)
+    best = np.where(dev_right < dev_left, pos, pos - 1)
+    claims = np.flatnonzero(np.minimum(dev_left, dev_right) <= config.accept_window_ps)
+    _, first = np.unique(best[claims], return_index=True)
+    won = np.zeros(order.size, dtype=bool)
+    won[claims[first]] = True
+    return Match(send=best[won], receive=order[won], anomalies=order[~won])
+
+
+def _bit_string(bits: np.ndarray) -> str:
+    return (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def sift_and_qber(
-    matched_pairs: list[tuple[SendRecord, ReceiveRecord]],
+    alice_bits: np.ndarray,
+    bob_bits: np.ndarray,
     disclosure_fraction: float,
     rng: np.random.Generator,
     anomalies: int = 0,
 ) -> SiftResult:
     """Sacrifice a random fraction of the matched pairs to estimate the QBER.
 
-    Disclosed pairs are consumed: the key is built from the remainder only.
-    The QBER is wrong/(right + wrong) over the disclosed subset with a
-    binomial standard error; both are None if nothing was disclosed.
+    alice_bits and bob_bits are the sent bit and the firing detector of each
+    matched pair. Disclosed pairs are consumed: the key is built from the
+    remainder only. The QBER is wrong/(right + wrong) over the disclosed
+    subset with a binomial standard error; both are None if nothing was
+    disclosed.
     """
     if not 0.0 < disclosure_fraction < 1.0:
         raise ValueError("disclosure_fraction must be in (0, 1)")
-    n = len(matched_pairs)
+    alice_bits = np.asarray(alice_bits)
+    bob_bits = np.asarray(bob_bits)
+    n = alice_bits.size
     n_disclosed = int(round(n * disclosure_fraction))
-    disclosed_mask = [False] * n
+    disclosed_mask = np.zeros(n, dtype=bool)
+    qber = qber_sigma = None
     if n_disclosed > 0:
-        for idx in rng.choice(n, size=n_disclosed, replace=False):
-            disclosed_mask[int(idx)] = True
-
-    wrong = 0
-    key_alice: list[str] = []
-    key_bob: list[str] = []
-    for (send, receive), disclosed in zip(matched_pairs, disclosed_mask):
-        if disclosed:
-            if receive.detector != send.bit:
-                wrong += 1
-        else:
-            key_alice.append(str(send.bit))
-            key_bob.append(str(receive.detector))
-
-    if n_disclosed > 0:
-        qber = wrong / n_disclosed
+        disclosed_mask[rng.choice(n, size=n_disclosed, replace=False)] = True
+        qber = int(np.count_nonzero(alice_bits[disclosed_mask] != bob_bits[disclosed_mask])) / n_disclosed
         qber_sigma = math.sqrt(qber * (1.0 - qber) / n_disclosed)
-    else:
-        qber = None
-        qber_sigma = None
+    kept = ~disclosed_mask
     return SiftResult(
-        matched_pairs=matched_pairs,
+        matched=n,
         anomalies=anomalies,
-        key_bits_alice="".join(key_alice),
-        key_bits_bob="".join(key_bob),
+        key_bits_alice=_bit_string(alice_bits[kept]),
+        key_bits_bob=_bit_string(bob_bits[kept]),
         qber=qber,
         qber_sigma=qber_sigma,
         disclosed_mask=disclosed_mask,
     )
 
 
-def sift_transcript(transcript: Transcript, config: SessionConfig, rng: np.random.Generator) -> SiftResult:
+def sift_transcript(
+    transcript: Transcript, config: SessionConfig, rng: np.random.Generator
+) -> tuple[Match, SiftResult]:
     """Run the timing test then the QBER sift on one transcript."""
-    matched, anomalies = timing_test(transcript.sends, transcript.receives, config)
-    return sift_and_qber(matched, config.disclosure_fraction, rng, anomalies=len(anomalies))
+    match = timing_test(transcript.t_s, transcript.t_r, config)
+    sift = sift_and_qber(
+        transcript.bit[match.send],
+        transcript.detector[match.receive],
+        config.disclosure_fraction,
+        rng,
+        anomalies=match.anomalies.size,
+    )
+    return match, sift
 
 
 # --- transcript serialization ------------------------------------------------
@@ -368,57 +346,68 @@ def sift_transcript(transcript: Transcript, config: SessionConfig, rng: np.rando
 # (t_r_ps/detector empty when unmatched, error empty unless disclosed),
 # then one row per anomalous receive with empty index/bit/t_s_ps. This
 # keeps the full evaluated transcript in a single flat file that
-# round-trips exactly.
+# round-trips exactly. Rows are csv-module compatible: "\r\n" line ends,
+# floats as repr, and no field ever needs quoting.
 
 TRANSCRIPT_COLUMNS = ["index", "bit", "t_s_ps", "matched", "t_r_ps", "detector", "disclosed", "error"]
 
+# rows built per write, so transient memory does not grow with session size
+_CHUNK_ROWS = 1 << 16
+_UNMATCHED = "0,,,0,"
+# ",D{detector},{disclosed},{error}" indexed by detector + 2 (disclosed + error);
+# only a disclosed pair carries an error flag
+_MATCH_TAILS = (",D0,0,", ",D1,0,", ",D0,1,0", ",D1,1,0", ",D0,1,1", ",D1,1,1")
 
-def write_transcript_csv(
-    path,
-    sends: list[SendRecord],
-    sift: SiftResult,
-    anomalous_receives: list[ReceiveRecord] = (),
-) -> None:
-    by_index: dict[int, tuple[ReceiveRecord, bool]] = {}
-    for (send, receive), disclosed in zip(sift.matched_pairs, sift.disclosed_mask):
-        by_index[send.index] = (receive, disclosed)
+
+def write_transcript_csv(path, transcript: Transcript, match: Match, sift: SiftResult) -> None:
+    n = transcript.t_s.size
+    partner = np.full(n, -1, dtype=np.intp)
+    partner[match.send] = match.receive
+    tail_code = np.zeros(n, dtype=np.intp)
+    detector = transcript.detector[match.receive]
+    error = sift.disclosed_mask & (detector != transcript.bit[match.send])
+    tail_code[match.send] = detector + 2 * (sift.disclosed_mask.astype(np.intp) + error)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRANSCRIPT_COLUMNS)
-        for send in sends:
-            hit = by_index.get(send.index)
-            if hit is None:
-                writer.writerow([send.index, send.bit, repr(send.t_s_ps), 0, "", "", 0, ""])
-            else:
-                receive, disclosed = hit
-                error = "" if not disclosed else int(receive.detector != send.bit)
-                writer.writerow(
-                    [
-                        send.index,
-                        send.bit,
-                        repr(send.t_s_ps),
-                        1,
-                        repr(receive.t_r_ps),
-                        f"D{receive.detector}",
-                        int(disclosed),
-                        error,
-                    ]
-                )
-        for receive in anomalous_receives:
-            writer.writerow(["", "", "", 0, repr(receive.t_r_ps), f"D{receive.detector}", 0, ""])
+        fh.write(",".join(TRANSCRIPT_COLUMNS) + "\r\n")
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            tails = [_UNMATCHED] * (hi - lo)
+            rows = np.flatnonzero(partner[lo:hi] >= 0)
+            t_r = map(repr, transcript.t_r[partner[lo:hi][rows]].tolist())
+            for row, t, code in zip(rows.tolist(), t_r, tail_code[lo:hi][rows].tolist()):
+                tails[row] = "1," + t + _MATCH_TAILS[code]
+            lines = map(
+                ",".join,
+                zip(
+                    map(str, range(lo, hi)),
+                    map(str, transcript.bit[lo:hi].tolist()),
+                    map(repr, transcript.t_s[lo:hi].tolist()),
+                    tails,
+                ),
+            )
+            fh.write("\r\n".join(lines) + "\r\n")
+        for lo in range(0, match.anomalies.size, _CHUNK_ROWS):
+            chunk = match.anomalies[lo : lo + _CHUNK_ROWS]
+            lines = map(
+                ",,,0,{},D{},0,".format,
+                map(repr, transcript.t_r[chunk].tolist()),
+                transcript.detector[chunk].tolist(),
+            )
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_transcript_csv(path):
     """Parse a transcript CSV back into (sends, matches, disclosed, errors, anomalies).
 
-    matches maps send index -> ReceiveRecord; disclosed and errors are sets
-    of send indices; anomalies is a list of ReceiveRecord.
+    sends is a list of (index, bit, t_s_ps) in file order; matches maps
+    send index -> (t_r_ps, detector); disclosed and errors are sets of send
+    indices; anomalies is a list of (t_r_ps, detector).
     """
-    sends: list[SendRecord] = []
-    matches: dict[int, ReceiveRecord] = {}
+    sends: list[tuple[int, int, float]] = []
+    matches: dict[int, tuple[float, int]] = {}
     disclosed: set[int] = set()
     errors: set[int] = set()
-    anomalies: list[ReceiveRecord] = []
+    anomalies: list[tuple[float, int]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -427,12 +416,12 @@ def read_transcript_csv(path):
         for row in reader:
             idx_str, bit_str, t_s_str, matched_str, t_r_str, det_str, disc_str, err_str = row
             if idx_str == "":
-                anomalies.append(ReceiveRecord(t_r_ps=float(t_r_str), detector=int(det_str[1:])))
+                anomalies.append((float(t_r_str), int(det_str[1:])))
                 continue
             index = int(idx_str)
-            sends.append(SendRecord(index=index, bit=int(bit_str), t_s_ps=float(t_s_str)))
+            sends.append((index, int(bit_str), float(t_s_str)))
             if matched_str == "1":
-                matches[index] = ReceiveRecord(t_r_ps=float(t_r_str), detector=int(det_str[1:]))
+                matches[index] = (float(t_r_str), int(det_str[1:]))
                 if disc_str == "1":
                     disclosed.add(index)
                     if err_str == "1":

@@ -1,7 +1,7 @@
 """Shared builders for the test suite."""
 
 from gvqkd.devices import DetectorParams, SourceParams
-from gvqkd.protocol import SessionConfig, run_session, sift_and_qber, timing_test
+from gvqkd.protocol import SessionConfig, run_session, sift_transcript
 from gvqkd.streams import SessionStreams
 
 
@@ -34,10 +34,9 @@ def noisy_config(pair_rate_hz=1000.0, duration_s=5.0, seed=7, jitter_ps=300.0, *
 def run_and_sift(config, attack=None, run_index=0, source_bit=None):
     """One full session through the timing test and the sift.
 
-    Returns (transcript, matched, anomalies, sift).
+    Returns (transcript, match, sift).
     """
     streams = SessionStreams(config.seed, run_index)
     transcript = run_session(config, attack, streams, run_index=run_index, source_bit=source_bit)
-    matched, anomalies = timing_test(transcript.sends, transcript.receives, config)
-    sift = sift_and_qber(matched, config.disclosure_fraction, streams.sift, anomalies=len(anomalies))
-    return transcript, matched, anomalies, sift
+    match, sift = sift_transcript(transcript, config, streams.sift)
+    return transcript, match, sift

@@ -26,7 +26,7 @@ from gvqkd.analysis import (
 from gvqkd.cli import EXIT_OK, main
 from gvqkd.config import load_config
 from gvqkd.optics import beam_splitter
-from gvqkd.protocol import run_session, sift_and_qber, timing_test
+from gvqkd.protocol import run_session, sift_transcript
 from gvqkd.streams import SessionStreams, stream
 
 from helpers import ideal_config, noisy_config, run_and_sift
@@ -50,19 +50,19 @@ def test_01_ideal_link_is_deterministic():
     """Perfect devices: zero errors and exact arrival times over >= 1e4 photons."""
     started = time.perf_counter()
     config = ideal_config(seed=101)
-    transcript, matched, anomalies, sift = run_and_sift(config)
-    assert len(transcript.sends) >= 10_000
-    assert len(matched) == len(transcript.sends)
-    assert anomalies == []
+    transcript, match, sift = run_and_sift(config)
+    assert transcript.t_s.size >= 10_000
+    assert match.send.size == transcript.t_s.size
+    assert match.anomalies.size == 0
     offset = config.expected_offset_ps()
-    for send, receive in matched:
-        assert receive.t_r_ps == send.t_s_ps + offset  # bit-exact, no tolerance
-        assert receive.detector == send.bit
+    t_s, t_r = transcript.t_s[match.send], transcript.t_r[match.receive]
+    assert np.all(t_r == t_s + offset)  # bit-exact, no tolerance
+    assert np.all(transcript.detector[match.receive] == transcript.bit[match.send])
     assert sift.qber == 0.0
     assert sift.key_bits_alice == sift.key_bits_bob
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
-    print(f"PASS 1: {len(matched)} photons, QBER 0, exact timing, {elapsed:.2f} s")
+    print(f"PASS 1: {match.send.size} photons, QBER 0, exact timing, {elapsed:.2f} s")
 
 
 def test_02_two_source_error_rates_match_reported_values():
@@ -80,11 +80,8 @@ def test_02_two_source_error_rates_match_reported_values():
             transcript = run_session(
                 session, None, streams, run_index=run_index, source_bit=experiment.source_bit
             )
-            matched, anomalies = timing_test(transcript.sends, transcript.receives, session)
-            assert len(matched) >= 1000  # enough sifted bits per run
-            sift = sift_and_qber(
-                matched, session.disclosure_fraction, streams.sift, anomalies=len(anomalies)
-            )
+            match, sift = sift_transcript(transcript, session, streams.sift)
+            assert match.send.size >= 1000  # enough sifted bits per run
             qbers.append(sift.qber)
         mean = float(np.mean(qbers))
         assert low <= mean <= high, f"{name}: mean QBER {mean:.4f} outside [{low}, {high}]"
@@ -114,7 +111,7 @@ def test_04_sifted_error_rate_tracks_visibility():
     """QBER = (1 - V)/2 within 4 sigma of binomial noise at >= 1e4 disclosed bits."""
     for seed, visibility in ((201, 0.80), (202, 0.86), (203, 0.95)):
         config = ideal_config(pair_rate_hz=4100.0, seed=seed, visibility=visibility)
-        _, matched, _, sift = run_and_sift(config)
+        _, _, sift = run_and_sift(config)
         disclosed = sum(sift.disclosed_mask)
         assert disclosed >= 10_000
         expected = qber_from_visibility(visibility)
@@ -129,11 +126,11 @@ def test_05_which_path_attack_trips_the_error_test():
     """Intercept-resend: half the sifted bits flip, timing stays clean, Eve learns nothing."""
     config = ideal_config(seed=301)
     attack = AttackStrategy(kind="which-path")
-    transcript, matched, anomalies, sift = run_and_sift(config, attack=attack)
-    assert len(transcript.sends) >= 10_000
+    transcript, match, sift = run_and_sift(config, attack=attack)
+    assert transcript.t_s.size >= 10_000
     assert sift.qber == pytest.approx(0.50, abs=0.02)
-    assert len(anomalies) == 0  # same anomaly fraction as the jitter-free clean baseline
-    info = eve_information(transcript.eve_log, [s.bit for s in transcript.sends])
+    assert match.anomalies.size == 0  # same anomaly fraction as the jitter-free clean baseline
+    info = eve_information(transcript.eve_guess, transcript.bit)
     assert info < 0.01
     verdict = detect_eavesdropping(sift, 1e-3, 0.11)
     assert verdict.decision is Decision.QBER_ALARM
@@ -145,30 +142,29 @@ def test_06_store_and_forward_attack_trips_the_timing_test():
     window = 3.0 * math.hypot(300.0, 300.0)  # the window a jittery link would use
     config = ideal_config(seed=302, accept_window_ps=window)
     attack = AttackStrategy(kind="store-forward", extra_delay_ps=500.0)
-    transcript, matched, anomalies, sift = run_and_sift(config, attack=attack)
-    assert len(transcript.sends) >= 10_000
+    transcript, match, sift = run_and_sift(config, attack=attack)
+    assert transcript.t_s.size >= 10_000
 
     # every detection is late by tau + extra delay, well past the window
-    assert len(matched) == 0
-    assert len(anomalies) == len(transcript.sends)
+    assert match.send.size == 0
+    assert match.anomalies.size == transcript.t_s.size
     offset = config.expected_offset_ps()
-    for send, receive in zip(transcript.sends, transcript.receives):
-        lateness = receive.t_r_ps - (send.t_s_ps + offset)
-        assert lateness == 2500.0  # exact: tau 2000 + extra 500
-        assert lateness >= config.tau_ps
+    lateness = transcript.t_r - (transcript.t_s + offset)
+    assert np.all(lateness == 2500.0)  # exact: tau 2000 + extra 500
+    assert np.all(lateness >= config.tau_ps)
     verdict = detect_eavesdropping(sift, 1e-3, 0.11)
     assert verdict.anomaly_fraction == 1.0
     assert verdict.decision is Decision.TIMING_ALARM
 
     # Eve reads the bit perfectly, and the bits she forwards are unaltered:
     # a wide acceptance window shows zero errors among matched pairs
-    info = eve_information(transcript.eve_log, [s.bit for s in transcript.sends])
+    info = eve_information(transcript.eve_guess, transcript.bit)
     assert info == pytest.approx(1.0, abs=0.01)
     # low rate keeps neighbouring emissions from contesting the wide window
     wide = ideal_config(pair_rate_hz=400.0, seed=302, accept_window_ps=10_000.0)
-    _, matched_wide, anomalies_wide, sift_wide = run_and_sift(wide, attack=attack)
-    assert anomalies_wide == []
-    assert len(matched_wide) > 0
+    _, match_wide, sift_wide = run_and_sift(wide, attack=attack)
+    assert match_wide.anomalies.size == 0
+    assert match_wide.send.size > 0
     assert sift_wide.qber == 0.0
     print(f"PASS 6: anomaly fraction 1.0, Eve info {info:.4f} bits, verdict TimingAlarm")
 
@@ -179,10 +175,10 @@ def test_07_clean_link_false_anomaly_rate_matches_gaussian_tail():
     assert config.source.herald_jitter_sigma_ps == 300.0
     assert config.signal_detector.jitter_sigma_ps == 300.0
     assert config.accept_window_ps == pytest.approx(3.0 * math.hypot(300.0, 300.0))
-    transcript, matched, anomalies, _ = run_and_sift(config)
-    total = len(matched) + len(anomalies)
+    _, match, _ = run_and_sift(config)
+    total = match.send.size + match.anomalies.size
     assert total >= 100_000
-    fraction = len(anomalies) / total
+    fraction = match.anomalies.size / total
     assert fraction == pytest.approx(0.0027, abs=0.001)
     print(f"PASS 7: false-anomaly fraction {fraction:.5f} over {total} photons")
 
@@ -204,7 +200,8 @@ def test_08_property_suites_and_reproducibility(tmp_path):
 
     detector = DetectorParams(jitter_sigma_ps=300.0)
     det_rng = np.random.default_rng(503)
-    residuals = np.array([detector_click(0.0, detector, det_rng) for _ in range(20_000)])
+    hit, residuals = detector_click(np.zeros(20_000), detector, det_rng)
+    assert hit.all()
     assert abs(residuals.mean()) <= 4.0 * 300.0 / math.sqrt(len(residuals))
     assert residuals.std() == pytest.approx(300.0, rel=0.05)
 

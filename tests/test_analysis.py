@@ -21,7 +21,7 @@ from gvqkd.analysis import (
     visibility_from_extremes,
     write_fringe_csv,
 )
-from gvqkd.protocol import ReceiveRecord, SendRecord, SessionConfig, SiftResult
+from gvqkd.protocol import SessionConfig, SiftResult
 from gvqkd.streams import stream
 
 from helpers import ideal_config, run_and_sift
@@ -192,22 +192,21 @@ class TestQberFromVisibility:
         points = fringe_scan(config, 0, (0.0, 2.0 * WAVELENGTH), 41, 5000, rng)
         fit_d0, _ = fit_fringe(points, WAVELENGTH)
         predicted = qber_from_visibility(fit_d0.visibility)
-        _, _, _, sift = run_and_sift(config)
+        _, _, sift = run_and_sift(config)
         n = sum(sift.disclosed_mask)
         assert abs(sift.qber - predicted) <= 4.0 * binomial_sigma(predicted, n)
 
 
 class TestVerdicts:
     def _sift(self, n_matched=1000, qber=0.0, qber_sigma=0.001, anomalies=0):
-        pairs = [(SendRecord(i, 0, float(i)), ReceiveRecord(float(i) + 3000.0, 0)) for i in range(n_matched)]
         return SiftResult(
-            matched_pairs=pairs,
+            matched=n_matched,
             anomalies=anomalies,
             key_bits_alice="0" * (n_matched // 2),
             key_bits_bob="0" * (n_matched // 2),
             qber=qber,
             qber_sigma=qber_sigma,
-            disclosed_mask=[i % 2 == 0 for i in range(n_matched)],
+            disclosed_mask=np.arange(n_matched) % 2 == 0,
         )
 
     def test_clean(self):
@@ -279,13 +278,13 @@ class TestSerializationAndReports:
 
     def test_verdict_report_keys(self):
         sift = SiftResult(
-            matched_pairs=[(SendRecord(0, 0, 0.0), ReceiveRecord(3000.0, 0))],
+            matched=1,
             anomalies=0,
             key_bits_alice="",
             key_bits_bob="",
             qber=0.0,
             qber_sigma=0.0,
-            disclosed_mask=[True],
+            disclosed_mask=np.array([True]),
         )
         verdict = detect_eavesdropping(sift, 0.01, 0.11)
         report = verdict_report(verdict)

@@ -1,5 +1,6 @@
 """Scenario-file parsing, validation and the three CLI subcommands."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -32,6 +33,14 @@ def fast_config(tmp_path):
 
 def read_tree(root: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 over every file name and its bytes, in name order."""
+    h = hashlib.sha256()
+    for name, data in read_tree(root).items():
+        h.update(name.encode() + b"\0" + data)
+    return h.hexdigest()
 
 
 class TestDefaults:
@@ -290,3 +299,21 @@ class TestShippedScenarios:
         assert s1.source_bit == 1
         assert s1.session.visibility_d0 == 0.88
         assert s1.session.visibility_d1 == 0.85
+
+
+class TestGoldenOutputs:
+    """Pinned digests of FAST_SCENARIO's outputs: any change to an RNG draw
+    order, the engine's arithmetic or the file formats shows up here, and
+    must be a deliberate, documented break."""
+
+    GOLDEN = {
+        ("transmit",): "5b1d544ff8175fc857a37f9510af397dc97567221c23cc049a71acdc12a39409",
+        ("attack-demo", "--attack", "store-forward"): "cbe80f244f93b07fb2a24a1c0fff5384580a7bdc74622eb322e5d1f5b93a8dc8",
+    }
+
+    @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
+    def test_output_digest(self, fast_config, tmp_path, argv):
+        out_dir = tmp_path / "out"
+        assert main([*argv, "--config", str(fast_config), "--out", str(out_dir)]) == EXIT_OK
+        assert tree_digest(out_dir) == self.GOLDEN[argv]
+

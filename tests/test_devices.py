@@ -122,19 +122,25 @@ class TestDetectorClick:
     def test_unit_efficiency_always_clicks(self):
         rng = np.random.default_rng(60)
         params = DetectorParams(efficiency=1.0, jitter_sigma_ps=0.0)
-        for t in (0.0, 1e6, 5e12):
-            assert detector_click(t, params, rng) == t
+        t = np.array([0.0, 1e6, 5e12])
+        hit, t_click = detector_click(t, params, rng)
+        assert hit.all()
+        np.testing.assert_array_equal(t_click, t)
 
     def test_zero_efficiency_never_clicks(self):
         rng = np.random.default_rng(61)
         params = DetectorParams(efficiency=0.0)
-        assert all(detector_click(1e6, params, rng) is None for _ in range(100))
+        hit, t_click = detector_click(np.full(100, 1e6), params, rng)
+        assert not hit.any()
+        assert t_click.size == 0
 
     def test_click_fraction(self):
         rng = np.random.default_rng(62)
         params = DetectorParams(efficiency=0.7, jitter_sigma_ps=0.0)
         n = 20_000
-        clicks = sum(1 for _ in range(n) if detector_click(0.0, params, rng) is not None)
+        hit, t_click = detector_click(np.zeros(n), params, rng)
+        clicks = int(hit.sum())
+        assert t_click.size == clicks
         assert abs(clicks / n - 0.7) <= 4.0 * binomial_sigma(0.7, n)
 
     def test_jitter_moments(self):
@@ -142,9 +148,18 @@ class TestDetectorClick:
         sigma = 300.0
         params = DetectorParams(efficiency=1.0, jitter_sigma_ps=sigma)
         n = 20_000
-        offsets = np.array([detector_click(0.0, params, rng) for _ in range(n)])
+        _, offsets = detector_click(np.zeros(n), params, rng)
+        assert offsets.size == n
         assert abs(offsets.mean()) <= 4.0 * sigma / math.sqrt(n)
         assert abs(offsets.std() - sigma) <= 0.05 * sigma
+
+    def test_jitter_follows_its_own_photon(self):
+        # losses thin the arrivals without reordering them
+        rng = np.random.default_rng(64)
+        params = DetectorParams(efficiency=0.5, jitter_sigma_ps=1.0)
+        t = 1e6 * np.arange(1000.0)
+        hit, t_click = detector_click(t, params, rng)
+        assert np.all(np.abs(t_click - t[hit]) < 10.0)
 
 
 class TestDarkClicks:
