@@ -342,58 +342,117 @@ def sift_transcript(
 
 # --- transcript serialization ------------------------------------------------
 #
-# One row per send in index order, the matched receive joined in-row
-# (t_r_ps/detector empty when unmatched, error empty unless disclosed),
-# then one row per anomalous receive with empty index/bit/t_s_ps. This
-# keeps the full evaluated transcript in a single flat file that
-# round-trips exactly. Rows are csv-module compatible: "\r\n" line ends,
-# floats as repr, and no field ever needs quoting.
+# One flat csv file per session that round-trips exactly. A chunk of rows is built as
+# one uint8 matrix, each field in fixed columns padded with NUL bytes, dropped on output.
 
 TRANSCRIPT_COLUMNS = ["index", "bit", "t_s_ps", "matched", "t_r_ps", "detector", "disclosed", "error"]
 
 # rows built per write, so transient memory does not grow with session size
 _CHUNK_ROWS = 1 << 16
-_UNMATCHED = "0,,,0,"
-# ",D{detector},{disclosed},{error}" indexed by detector + 2 (disclosed + error);
-# only a disclosed pair carries an error flag
-_MATCH_TAILS = (",D0,0,", ",D1,0,", ",D0,1,0", ",D1,1,0", ",D0,1,1", ",D1,1,1")
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+# uint32 words of ASCII (small dtypes: int64 temporaries would add megabytes to peak
+# memory). _DIGITS4[g + 10000 * v], g = 0000..9999: v = 0 leading zeros NUL but "0",
+# 1 all digits, 2 trailing zeros NUL. _DOT3[g + 1000 * v]: ".000".."999", v = 1 as 2.
+_GROUPS = (np.arange(10000, dtype=np.int16)[:, None] // _POW10[3::-1].astype(np.int16) % 10).astype(np.uint8) + 48
+_LEAD = np.logical_or.accumulate(_GROUPS != 48, axis=1) | (np.arange(4) == 3)
+_TRAIL = np.logical_or.accumulate(_GROUPS[:, ::-1] != 48, axis=1)[:, ::-1]
+_DIGITS4 = np.concatenate([_GROUPS * _LEAD, _GROUPS, _GROUPS * _TRAIL]).view(np.uint32).ravel()
+_DOT3 = np.where(np.arange(4) == 0, np.uint8(ord(".")), _GROUPS[:1000])
+_DOT3 = np.concatenate([_DOT3, _DOT3 * (_TRAIL[:1000] | (np.arange(4) < 2))]).view(np.uint32).ravel()
+_FLOAT_WIDTH = 28
+
+
+def _digit_words(values: np.ndarray, words: int) -> np.ndarray:
+    """Decimal text of non-negative ints as uint32 words, right-aligned in 4 * words bytes, leading zeros NUL."""
+    out = np.empty((values.size, words), dtype=np.uint32)
+    for j in range(words - 1, -1, -1):
+        higher = values // 10000
+        out[:, j] = _DIGITS4[values - 10000 * higher + 10000 * (higher > 0)] * ((values > 0) | (j == words - 1))
+        values = higher
+    return out
+
+
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """repr of each float, as rows of _FLOAT_WIDTH bytes padded with NUL (no repr exceeds 24).
+
+    x in [2**24, 2**52) is I + F / 2**k, k = 1..28, and prints "I.f": f has
+    the fewest digits d whose nearest decimal (ties to even) is within half
+    an ulp; the ends need k + 1 digits, where x is exact, so never decide.
+    That holds for all d past the shortest and by d = 17 - digits(I) <= 9,
+    so d is bisected in 0..9 (int64 products stay below 2**58). f never
+    ends in 0, so it prints as 11 digits less trailing zeros, and as ".0"
+    with I rounded when d = 0. Other values take repr.
+    """
+    fast = (x >= 2.0**24) & (x < 2.0**52)
+    m, e = np.frexp(np.where(fast, x, 2.0**24))
+    mant, k = (m * 2.0**53).astype(np.int64), 53 - e.astype(np.int64)
+    whole, ulp = mant >> k, np.int64(1) << k
+    def nearest(d):
+        scaled = (mant & (ulp - 1)) * _POW10[d]
+        q, twice_rem = scaled >> k, 2 * (scaled & (ulp - 1))
+        cand = q + ((twice_rem > ulp) | ((twice_rem == ulp) & (q & 1 == 1)))
+        return cand, 2 * np.abs((cand << k) - scaled) < _POW10[d]
+    lo, hi = np.zeros(x.size, dtype=np.intp), np.full(x.size, 9)
+    while (lo < hi).any():
+        ok = nearest(mid := (lo + hi) // 2)[1]
+        lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
+    shortest, ok = nearest(lo)
+    assert ok.all()
+    high, low = np.divmod(shortest * (lo > 0) * _POW10[11 - lo], 10**8)
+    mid4, low4 = np.divmod(low, 10000)
+    words = np.empty((x.size, 7), dtype=np.uint32)
+    words[:, :4] = _digit_words(whole + shortest * (lo == 0), 4)
+    words[:, 4] = _DOT3[high + 1000 * (low == 0)]
+    words[:, 5] = _DIGITS4[mid4 + 10000 * (1 + (low4 == 0))]
+    words[:, 6] = _DIGITS4[low4 + 20000]
+    text = words.view(np.uint8)
+    for row in np.flatnonzero(~fast).tolist():
+        text[row] = np.frombuffer(repr(x.item(row)).encode("ascii").ljust(_FLOAT_WIDTH, b"\0"), dtype=np.uint8)
+    return text
+
+
+def _rows(n: int, *fields) -> bytes:
+    """n rows of fields (uint8 matrices, or bytes for every row) joined, NULs dropped."""
+    fields = [np.tile(np.frombuffer(f, np.uint8), (n, 1)) if isinstance(f, bytes) else f for f in fields]
+    table = np.concatenate(fields, axis=1)
+    return table[table != 0].tobytes()
 
 
 def write_transcript_csv(path, transcript: Transcript, match: Match, sift: SiftResult) -> None:
+    """Write one session's evaluated transcript as CSV.
+
+    Header TRANSCRIPT_COLUMNS, "\r\n" line ends. One row per send in index
+    order: index, bit, t_s_ps, matched 0/1, the matched receive's t_r_ps and
+    detector D0/D1 (else both empty), disclosed 0/1 and, for a disclosed pair
+    only, error 0/1. Then one row per anomalous receive in time order: ",,,0,"
+    t_r_ps, detector, disclosed 0, error empty. Floats are shortest round-trip repr.
+    """
     n = transcript.t_s.size
     partner = np.full(n, -1, dtype=np.intp)
     partner[match.send] = match.receive
-    tail_code = np.zeros(n, dtype=np.intp)
-    detector = transcript.detector[match.receive]
-    error = sift.disclosed_mask & (detector != transcript.bit[match.send])
-    tail_code[match.send] = detector + 2 * (sift.disclosed_mask.astype(np.intp) + error)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRANSCRIPT_COLUMNS) + "\r\n")
+    told = match.send[sift.disclosed_mask]
+    # each send row's "{matched}," and ",D{detector},{disclosed},{error}\r\n", NUL-padded
+    flags = np.tile(np.frombuffer(b"0,,\0\0,0,\0\r\n", dtype=np.uint8), (n, 1))
+    flags[match.send, 0] = ord("1")
+    flags[match.send, 3] = ord("D")
+    flags[match.send, 4] = transcript.detector[match.receive] + ord("0")
+    flags[told, 6] = ord("1")
+    flags[told, 8] = (flags[told, 4] != transcript.bit[told] + ord("0")) + ord("0")
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRANSCRIPT_COLUMNS) + "\r\n").encode("ascii"))
         for lo in range(0, n, _CHUNK_ROWS):
             hi = min(lo + _CHUNK_ROWS, n)
-            tails = [_UNMATCHED] * (hi - lo)
             rows = np.flatnonzero(partner[lo:hi] >= 0)
-            t_r = map(repr, transcript.t_r[partner[lo:hi][rows]].tolist())
-            for row, t, code in zip(rows.tolist(), t_r, tail_code[lo:hi][rows].tolist()):
-                tails[row] = "1," + t + _MATCH_TAILS[code]
-            lines = map(
-                ",".join,
-                zip(
-                    map(str, range(lo, hi)),
-                    map(str, transcript.bit[lo:hi].tolist()),
-                    map(repr, transcript.t_s[lo:hi].tolist()),
-                    tails,
-                ),
-            )
-            fh.write("\r\n".join(lines) + "\r\n")
+            t_r = np.zeros((hi - lo, _FLOAT_WIDTH), dtype=np.uint8)
+            t_r[rows] = _float_text(transcript.t_r[partner[lo + rows]])
+            index = _digit_words(np.arange(lo, hi), -(-len(str(n)) // 4)).view(np.uint8)
+            bit = (transcript.bit[lo:hi, None] + ord("0")).astype(np.uint8)
+            t_s, tails = _float_text(transcript.t_s[lo:hi]), flags[lo:hi]
+            fh.write(_rows(hi - lo, index, b",", bit, b",", t_s, b",", tails[:, :2], t_r, tails[:, 2:]))
         for lo in range(0, match.anomalies.size, _CHUNK_ROWS):
             chunk = match.anomalies[lo : lo + _CHUNK_ROWS]
-            lines = map(
-                ",,,0,{},D{},0,".format,
-                map(repr, transcript.t_r[chunk].tolist()),
-                transcript.detector[chunk].tolist(),
-            )
-            fh.write("\r\n".join(lines) + "\r\n")
+            detector = (transcript.detector[chunk, None] + ord("0")).astype(np.uint8)
+            fh.write(_rows(chunk.size, b",,,0,", _float_text(transcript.t_r[chunk]), b",D", detector, b",0,\r\n"))
 
 
 def read_transcript_csv(path):

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gvqkd.adversary import NO_ATTACK, AttackStrategy, apply_attack
 from gvqkd.devices import DetectorParams, SourceParams
 from gvqkd.optics import PathState, detection_probabilities, link_states, make_state
 from gvqkd.protocol import (
+    Match,
     SessionConfig,
+    SiftResult,
+    Transcript,
+    _float_text,
     bob_receive,
     combined_jitter_ps,
     detection_table,
@@ -459,6 +463,37 @@ class TestVisibilityQberRelation:
         assert abs(sift.qber - expected) <= 4.0 * binomial_sigma(expected, n)
 
 
+def fallback_session():
+    """Hand-built transcript whose times take the writer's repr fallback:
+    negative, zero, 5e-05, under 2**24 ps and at or above 2**52 ps, on
+    matched, unmatched and anomaly rows, next to ordinary times."""
+    odd = [-2500.125, -0.0, 0.0, 5e-05, 1234.5678, 2.0**24 - 0.25, 2.0**52, 2.0**52 + 2.0, 1e17, 3.25e9, 2.0**24]
+    t_s = np.array(sorted(odd))
+    t_r = np.array(sorted(odd + [-7.5, 1e-300, 2.0**24 - 1.0, 9e15, 4.0e12 + 0.1, 2.0**53, 17.0, 123456.75]))
+    send = np.array([0, 2, 3, 5, 6, 8, 10])
+    receive = np.array([1, 4, 5, 8, 9, 13, 18])
+    anomalies = np.setdiff1d(np.arange(t_r.size), receive)
+    transcript = Transcript(
+        t_s=t_s,
+        bit=np.arange(t_s.size) % 2,
+        t_r=t_r,
+        detector=(np.arange(t_r.size) // 3) % 2,
+        eve_guess=np.full(t_s.size, -1),
+        eve_delay=np.zeros(t_s.size),
+    )
+    disclosed = np.array([True, False, True, True, False, True, True])
+    sift = SiftResult(
+        matched=send.size,
+        anomalies=anomalies.size,
+        key_bits_alice="",
+        key_bits_bob="",
+        qber=None,
+        qber_sigma=None,
+        disclosed_mask=disclosed,
+    )
+    return transcript, Match(send=send, receive=receive, anomalies=anomalies), sift
+
+
 def lossy_session():
     """Jittered link whose transcript carries matched rows, unmatched sends
     (detector losses) and anomalous receives (dark counts)."""
@@ -509,6 +544,19 @@ class TestTranscriptRoundTrip:
         write_transcript_csv(path, transcript, match, sift)
         assert path.read_bytes() == reference_transcript_csv(transcript, match, sift)
 
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    def test_repr_fallback_rows_equal_row_by_row_csv_writer(self, tmp_path, monkeypatch, chunk_rows):
+        if chunk_rows:
+            monkeypatch.setattr("gvqkd.protocol._CHUNK_ROWS", chunk_rows)
+        transcript, match, sift = fallback_session()
+        assert match.anomalies.size > 7, "anomaly rows must span a chunk boundary"
+        path = tmp_path / "transcript.csv"
+        write_transcript_csv(path, transcript, match, sift)
+        assert path.read_bytes() == reference_transcript_csv(transcript, match, sift)
+        sends, _, _, _, anomalies = read_transcript_csv(path)
+        assert [t for _, _, t in sends] == transcript.t_s.tolist()
+        assert [t for t, _ in anomalies] == transcript.t_r[match.anomalies].tolist()
+
     def test_header_is_stable(self, tmp_path):
         config = ideal_config(pair_rate_hz=50.0, duration_s=0.5, seed=38)
         streams = SessionStreams(config.seed, 0)
@@ -518,3 +566,62 @@ class TestTranscriptRoundTrip:
         write_transcript_csv(path, transcript, match, sift)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "index,bit,t_s_ps,matched,t_r_ps,detector,disclosed,error"
+
+
+def float_texts(values):
+    text = _float_text(np.asarray(values, dtype=np.float64))
+    return [row[row != 0].tobytes().decode("ascii") for row in text]
+
+
+def assert_float_texts_are_repr(values):
+    values = np.asarray(values, dtype=np.float64)
+    for value, got in zip(values.tolist(), float_texts(values)):
+        assert got == repr(value), value
+
+
+# bit patterns of the writer's fast domain [2**24, 2**52): biased exponents 1047..1074
+FAST_BITS = st.integers(1047 << 52, (1075 << 52) - 1)
+# quiet and signalling NaN, +inf, -inf, +0.0, -0.0, the least, the greatest and a negative subnormal
+SPECIAL_BITS = [
+    0x7FF8000000000000, 0xFFF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
+    0, 1 << 63, 1, 0x000FFFFFFFFFFFFF, 0x8000000000000001,
+]
+
+
+class TestFloatText:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 2**64 - 1), FAST_BITS), min_size=1, max_size=40))
+    @example(SPECIAL_BITS)
+    def test_equals_repr_on_raw_bit_patterns(self, patterns):
+        # NaN, +-inf, +-0.0 and subnormals all take the fallback
+        assert_float_texts_are_repr(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+    def test_powers_of_two_and_their_neighbours(self):
+        powers = 2.0 ** np.arange(20, 54)
+        assert_float_texts_are_repr(np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)]))
+
+    def test_ties_and_binary_fractions(self):
+        # at 2**49..2**52 the ulp is 1/8..1/2, so k/8 and n + 0.5 land on ties
+        # between two shortest decimals, which go to the even one
+        for base in (2.0**24, 2.0**40, 2.0**49, 2.0**50, 2.0**51):
+            assert_float_texts_are_repr(base + np.arange(400) + 0.5)
+            assert_float_texts_are_repr(base + np.arange(800) / 8.0)
+
+    def test_neighbours_of_short_decimals(self):
+        x = np.random.default_rng(2025).uniform(2.0**24, 2.0**52, 300)
+        for j in range(10):
+            rounded = np.round(x, j)
+            assert_float_texts_are_repr(np.concatenate([rounded, np.nextafter(rounded, np.inf), np.nextafter(rounded, -np.inf)]))
+
+    def test_rounding_carries_into_a_new_digit(self):
+        tens = 10.0 ** np.arange(7, 17)
+        assert_float_texts_are_repr(np.concatenate([tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf)]))
+
+    def test_edges_of_the_fast_domain(self):
+        edges = np.array([2.0**24, 2.0**52])
+        assert_float_texts_are_repr(np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]))
+        # below 2**24 the shortest repr can need 10 fraction digits, past the bisection
+        assert_float_texts_are_repr(np.random.default_rng(2027).uniform(2.0**20, 2.0**24, 2000))
+
+    def test_session_times_including_negative_stamps(self):
+        assert_float_texts_are_repr(np.random.default_rng(2026).uniform(-1e4, 5e12, 20000))
