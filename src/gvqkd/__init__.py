@@ -21,7 +21,6 @@ from gvqkd.optics import (
     PathState,
     apply_phase,
     beam_splitter,
-    collapse_which_path,
     detection_probabilities,
     make_state,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "beam_splitter",
     "apply_phase",
     "detection_probabilities",
-    "collapse_which_path",
     "SessionConfig",
     "SessionStreams",
     "Transcript",

@@ -162,8 +162,6 @@ def main(argv=None) -> int:
     try:
         experiment = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("seed: must be >= 0")
             experiment = experiment.with_seed(args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

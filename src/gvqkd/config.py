@@ -3,39 +3,17 @@
 Format: UTF-8 text, one `key = value` per line, blank lines and `#`
 comments (full-line or trailing) ignored. Unknown keys, malformed lines,
 duplicate keys and out-of-range values are rejected with a message naming
-the offending key. Every key is optional; defaults describe a clean
-5-second session of the tabletop link.
+the offending key. Every key is optional.
 
-Keys (units)                      default
-----------------------------------------------------------------------
-seed                              0
-tau (ps)                          2000
-travel_time (ps)                  1000
-jitter (ps)                       300     sets both jitters below
-herald_jitter (ps)                = jitter
-signal_jitter (ps)                = jitter
-accept_window (ps)                3 * sqrt(herald^2 + signal^2)
-visibility                        1.0, or mean of the per-detector pair
-visibility_d0, visibility_d1      = visibility
-pair_rate (1/s)                   1000
-heralding_efficiency              1.0
-detector_efficiency               1.0
-dark_rate (1/s)                   0.0
-duration (s)                      5.0
-disclosure_fraction               0.5
-runs                              60
-source_bit (0 | 1 | random)       random
-wavelength (nm)                   812
-scan_span (nm)                    1624
-scan_steps                        41
-shots_per_step                    5000
-coherence_window (ps)             10
-extra_delay (ps)                  500
-qber_threshold                    0.11
-anomaly_threshold                 3 * analytic false-anomaly rate
+KEYS maps each key to its parser and to the dataclass field it sets; the
+README's "Scenario files" table documents the same keys in the same order.
+Defaults and range checks live only on the dataclasses that own the fields
+(SourceParams, DetectorParams, SessionConfig, ExperimentConfig), so library
+callers and scenario files get the same rules.
 """
 
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from gvqkd.analysis import DEFAULT_QBER_THRESHOLD, default_anomaly_threshold
@@ -61,13 +39,32 @@ class ExperimentConfig:
     qber_threshold: float = DEFAULT_QBER_THRESHOLD
     anomaly_threshold: float | None = None
 
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ValueError("runs must be >= 1")
+        if self.source_bit not in (None, 0, 1):
+            raise ValueError("source_bit must be 0, 1 or random")
+        if self.scan_span_nm <= 0:
+            raise ValueError("scan_span_nm must be positive")
+        if self.scan_steps < 2:
+            raise ValueError("scan_steps must be >= 2")
+        if self.shots_per_step < 1:
+            raise ValueError("shots_per_step must be >= 1")
+        if self.extra_delay_ps <= 0:
+            raise ValueError("extra_delay_ps must be positive")
+        if not 0.0 < self.qber_threshold < 1.0:
+            raise ValueError("qber_threshold must be in (0, 1)")
+        if self.anomaly_threshold is not None and not 0.0 < self.anomaly_threshold < 1.0:
+            raise ValueError("anomaly_threshold must be in (0, 1)")
+
     def resolved_anomaly_threshold(self) -> float:
         if self.anomaly_threshold is not None:
             return self.anomaly_threshold
         return default_anomaly_threshold(self.session)
 
     def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(self, session=replace(self.session, seed=seed))
+        with _reported_by_key():
+            return replace(self, session=replace(self.session, seed=seed))
 
 
 def parse_flat(text: str) -> dict[str, str]:
@@ -107,136 +104,90 @@ def _parse_int(key: str, raw: str) -> int:
         raise ConfigError(f"{key}: not an integer: {raw!r}") from None
 
 
-def _require(key: str, ok: bool, message: str) -> None:
-    if not ok:
-        raise ConfigError(f"{key}: {message}")
+def _parse_source_bit(key: str, raw: str) -> int | str | None:
+    # any other text is passed on for ExperimentConfig to reject
+    return {"0": 0, "1": 1, "random": None}.get(raw, raw)
 
 
-# validated in this order, so the first invalid key is the one reported
-_KNOWN_KEYS = (
-    "seed",
-    "tau",
-    "travel_time",
-    "jitter",
-    "herald_jitter",
-    "signal_jitter",
-    "accept_window",
-    "visibility",
-    "visibility_d0",
-    "visibility_d1",
-    "pair_rate",
-    "heralding_efficiency",
-    "detector_efficiency",
-    "dark_rate",
-    "duration",
-    "disclosure_fraction",
-    "runs",
-    "source_bit",
-    "wavelength",
-    "scan_span",
-    "scan_steps",
-    "shots_per_step",
-    "coherence_window",
-    "extra_delay",
-    "qber_threshold",
-    "anomaly_threshold",
+# (key, parser, dataclass field it sets); jitter sets both jitter fields
+KEYS = (
+    ("seed", _parse_int, "seed"),
+    ("tau", _parse_float, "tau_ps"),
+    ("travel_time", _parse_float, "travel_time_ps"),
+    ("jitter", _parse_float, None),
+    ("herald_jitter", _parse_float, "herald_jitter_sigma_ps"),
+    ("signal_jitter", _parse_float, "jitter_sigma_ps"),
+    ("accept_window", _parse_float, "accept_window_ps"),
+    ("visibility", _parse_float, "visibility"),
+    ("visibility_d0", _parse_float, "visibility_d0"),
+    ("visibility_d1", _parse_float, "visibility_d1"),
+    ("pair_rate", _parse_float, "pair_rate_hz"),
+    ("heralding_efficiency", _parse_float, "heralding_efficiency"),
+    ("detector_efficiency", _parse_float, "efficiency"),
+    ("dark_rate", _parse_float, "dark_rate_hz"),
+    ("duration", _parse_float, "session_duration_s"),
+    ("disclosure_fraction", _parse_float, "disclosure_fraction"),
+    ("runs", _parse_int, "runs"),
+    ("source_bit", _parse_source_bit, "source_bit"),
+    ("wavelength", _parse_float, "wavelength_nm"),
+    ("scan_span", _parse_float, "scan_span_nm"),
+    ("scan_steps", _parse_int, "scan_steps"),
+    ("shots_per_step", _parse_int, "shots_per_step"),
+    ("coherence_window", _parse_float, "coherence_window_ps"),
+    ("extra_delay", _parse_float, "extra_delay_ps"),
+    ("qber_threshold", _parse_float, "qber_threshold"),
+    ("anomaly_threshold", _parse_float, "anomaly_threshold"),
 )
+
+_KEY_OF_FIELD = {name: key for key, _, name in KEYS if name is not None}
+
+
+@contextmanager
+def _reported_by_key():
+    """Re-raise a dataclass's "<field> <rule>" ValueError as ConfigError("<key>: <rule>")."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, rule = str(exc).partition(" ")
+        raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)}: {rule}") from None
+
+
+def _build(cls, given: dict[str, object], **parts):
+    """cls built from the given values of its own fields, plus the parts."""
+    own = {f.name for f in fields(cls)}
+    return cls(**{name: value for name, value in given.items() if name in own}, **parts)
 
 
 def build_experiment(values: dict[str, str]) -> ExperimentConfig:
-    """Validate raw key strings and assemble a full ExperimentConfig."""
+    """Validate raw key strings and assemble a full ExperimentConfig.
+
+    Every value is parsed first, in KEYS order; ranges are then checked as
+    the dataclasses are built: source, detector, session, experiment.
+    """
+    known = {key for key, _, _ in KEYS}
     for key in values:
-        if key not in _KNOWN_KEYS:
+        if key not in known:
             raise ConfigError(f"unknown config key {key}")
+    given = {name or key: parse(key, values[key]) for key, parse, name in KEYS if key in values}
 
-    out: dict[str, object] = {}
-    for key in _KNOWN_KEYS:
-        if key not in values:
-            continue
-        raw = values[key]
-        if key in ("seed", "runs", "scan_steps", "shots_per_step"):
-            out[key] = _parse_int(key, raw)
-        elif key == "source_bit":
-            _require(key, raw in ("0", "1", "random"), "must be 0, 1 or random")
-            out[key] = None if raw == "random" else int(raw)
-        else:
-            out[key] = _parse_float(key, raw)
+    jitter = given.pop("jitter", None)
+    if jitter is not None:
+        # the one key that sets no field of its own is checked here
+        if jitter < 0:
+            raise ConfigError("jitter: must be >= 0")
+        given.setdefault("herald_jitter_sigma_ps", jitter)
+        given.setdefault("jitter_sigma_ps", jitter)
+    if "visibility" not in given and ("visibility_d0" in given or "visibility_d1" in given):
+        # the session visibility is the mean of the per-detector pair
+        vis_d0 = given.get("visibility_d0", SessionConfig.visibility)
+        vis_d1 = given.get("visibility_d1", SessionConfig.visibility)
+        given["visibility"] = (vis_d0 + vis_d1) / 2.0
 
-        if key == "seed":
-            _require(key, out[key] >= 0, "must be >= 0")
-        elif key in ("tau", "travel_time", "accept_window", "duration", "wavelength",
-                     "scan_span", "coherence_window", "extra_delay"):
-            _require(key, out[key] > 0, "must be positive")
-        elif key in ("jitter", "herald_jitter", "signal_jitter", "pair_rate", "dark_rate"):
-            _require(key, out[key] >= 0, "must be >= 0")
-        elif key in ("visibility", "visibility_d0", "visibility_d1",
-                     "heralding_efficiency", "detector_efficiency"):
-            _require(key, 0.0 <= out[key] <= 1.0, "must be in [0, 1]")
-        elif key in ("disclosure_fraction", "qber_threshold", "anomaly_threshold"):
-            _require(key, 0.0 < out[key] < 1.0, "must be in (0, 1)")
-        elif key == "runs":
-            _require(key, out[key] >= 1, "must be >= 1")
-        elif key == "scan_steps":
-            _require(key, out[key] >= 2, "must be >= 2")
-        elif key == "shots_per_step":
-            _require(key, out[key] >= 1, "must be >= 1")
-
-    jitter = out.get("jitter", 300.0)
-    herald_jitter = out.get("herald_jitter", jitter)
-    signal_jitter = out.get("signal_jitter", jitter)
-
-    # visibility resolution: an explicit session value wins; otherwise the
-    # mean of the per-detector pair; detectors default to the session value
-    vis = out.get("visibility")
-    vis_d0 = out.get("visibility_d0")
-    vis_d1 = out.get("visibility_d1")
-    if vis is None:
-        if vis_d0 is None and vis_d1 is None:
-            vis = 1.0
-        else:
-            vis = ((vis_d0 if vis_d0 is not None else 1.0) + (vis_d1 if vis_d1 is not None else 1.0)) / 2.0
-
-    source = SourceParams(
-        pair_rate_hz=out.get("pair_rate", 1000.0),
-        heralding_efficiency=out.get("heralding_efficiency", 1.0),
-        herald_jitter_sigma_ps=herald_jitter,
-    )
-    detector = DetectorParams(
-        efficiency=out.get("detector_efficiency", 1.0),
-        jitter_sigma_ps=signal_jitter,
-        dark_rate_hz=out.get("dark_rate", 0.0),
-    )
-    try:
-        session = SessionConfig(
-            tau_ps=out.get("tau", 2000.0),
-            travel_time_ps=out.get("travel_time", 1000.0),
-            accept_window_ps=out.get("accept_window"),
-            visibility=vis,
-            visibility_d0=vis_d0,
-            visibility_d1=vis_d1,
-            source=source,
-            signal_detector=detector,
-            session_duration_s=out.get("duration", 5.0),
-            disclosure_fraction=out.get("disclosure_fraction", 0.5),
-            seed=out.get("seed", 0),
-            coherence_window_ps=out.get("coherence_window", 10.0),
-            wavelength_nm=out.get("wavelength", 812.0),
-        )
-    except ValueError as exc:
-        # cross-field invariants (tau vs jitter) surface here
-        raise ConfigError(str(exc)) from None
-
-    return ExperimentConfig(
-        session=session,
-        runs=out.get("runs", 60),
-        source_bit=out.get("source_bit"),
-        scan_span_nm=out.get("scan_span", 1624.0),
-        scan_steps=out.get("scan_steps", 41),
-        shots_per_step=out.get("shots_per_step", 5000),
-        extra_delay_ps=out.get("extra_delay", 500.0),
-        qber_threshold=out.get("qber_threshold", DEFAULT_QBER_THRESHOLD),
-        anomaly_threshold=out.get("anomaly_threshold"),
-    )
+    with _reported_by_key():
+        source = _build(SourceParams, given)
+        detector = _build(DetectorParams, given)
+        session = _build(SessionConfig, given, source=source, signal_detector=detector)
+        return _build(ExperimentConfig, given, session=session)
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

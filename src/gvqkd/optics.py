@@ -15,16 +15,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 # Normalization slack for fp roundoff; chains of splitter/phase ops stay
 # well inside this.
 NORM_TOL = 1e-12
-
-MODE_A = "A"
-MODE_B = "B"
 
 
 @dataclass(frozen=True)
@@ -126,10 +121,3 @@ def detection_probabilities(state: PathState, visibility: float) -> tuple[float,
     p0 = min(1.0, max(0.0, p0))
     return p0, 1.0 - p0
 
-
-def collapse_which_path(state: PathState, rng: np.random.Generator) -> tuple[str, PathState]:
-    """Projective which-path measurement; returns the found mode and the localized state."""
-    p_a = abs(state.amp_a) ** 2
-    if rng.random() < p_a:
-        return MODE_A, PathState(1.0, 0.0)
-    return MODE_B, PathState(0.0, 1.0)

@@ -85,14 +85,15 @@ class SessionConfig:
             raise ValueError("tau_ps must be positive")
         if self.travel_time_ps <= 0:
             raise ValueError("travel_time_ps must be positive")
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must be in [0, 1]")
-        for name in ("visibility_d0", "visibility_d1"):
+        # the detector pair first: a session V derived from an invalid
+        # detector value must be reported under the detector's name
+        for name in ("visibility_d0", "visibility_d1", "visibility"):
             value = getattr(self, name)
-            if value is None:
-                object.__setattr__(self, name, self.visibility)
-            elif not 0.0 <= value <= 1.0:
+            if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("visibility_d0", "visibility_d1"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, self.visibility)
         if self.session_duration_s <= 0:
             raise ValueError("session_duration_s must be positive")
         if not 0.0 < self.disclosure_fraction < 1.0:
@@ -112,9 +113,7 @@ class SessionConfig:
         # the storage delay must dominate timing noise or the timing test
         # cannot separate held packets from jitter
         if self.tau_ps < 3.0 * sigma:
-            raise ValueError(
-                f"tau_ps = {self.tau_ps} violates tau >= 3*combined jitter = {3.0 * sigma:.1f} ps"
-            )
+            raise ValueError(f"tau_ps must be >= 3*combined jitter = {3.0 * sigma:.1f} ps, got {self.tau_ps}")
 
     def expected_offset_ps(self) -> float:
         """Nominal t_r - t_s of an untouched photon."""

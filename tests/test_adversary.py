@@ -84,6 +84,20 @@ class TestWhichPathInterceptResend:
         assert set(guess.tolist()) <= {0, 1}
         assert np.all(delay == 0.0)
 
+    def test_frequencies_follow_born_rule(self):
+        # 1e5 encoded photons of both bits: |a|^2 = 1/2 each, 4 sigma gate
+        rng = np.random.default_rng(11)
+        n = 100_000
+        out_state, *_ = apply_attack(AttackStrategy("which-path"), *photons(np.arange(n) % 2), 1000.0, rng)
+        hits_a = np.count_nonzero(out_state == STATE_MODE_A)
+        assert abs(hits_a / n - 0.5) <= 4.0 * binomial_sigma(0.5, n)
+
+    def test_localized_input_stays_in_its_mode(self):
+        rng = np.random.default_rng(4)
+        state = [STATE_MODE_A, STATE_MODE_B] * 50
+        out_state, *_ = apply_attack(AttackStrategy("which-path"), *photons(state), 1000.0, rng)
+        assert out_state.tolist() == state
+
     def test_qber_jumps_to_one_half(self):
         config = ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=42)
         _, match, sift = run_and_sift(config, AttackStrategy("which-path"))

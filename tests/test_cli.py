@@ -3,14 +3,19 @@
 import hashlib
 import json
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from gvqkd.cli import EXIT_ALARM, EXIT_CONFIG, EXIT_OK, main
-from gvqkd.config import ConfigError, build_experiment, load_config, parse_flat
+from gvqkd.config import KEYS, ConfigError, ExperimentConfig, build_experiment, load_config, parse_flat
+from gvqkd.devices import DetectorParams, SourceParams
+from gvqkd.protocol import SessionConfig
 
-CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO_DIR = Path(__file__).resolve().parent.parent
+CONFIGS_DIR = REPO_DIR / "configs"
 
 FAST_SCENARIO = """\
 # small, jitter-free link for quick end-to-end checks
@@ -100,7 +105,76 @@ class TestDefaults:
         assert experiment.session.tau_ps == 2000.0
 
 
+# one out-of-range or malformed value per scenario key and the rule it breaks
+BAD_VALUES = {
+    "seed": ("-1", "must be >= 0"),
+    "tau": ("0", "must be positive"),
+    "travel_time": ("-5", "must be positive"),
+    "jitter": ("-1", "must be >= 0"),
+    "herald_jitter": ("-1", "must be >= 0"),
+    "signal_jitter": ("-1", "must be >= 0"),
+    "accept_window": ("0", "must be positive"),
+    "visibility": ("1.5", "must be in [0, 1]"),
+    # alone, it makes the derived session visibility 1.5, a key never written
+    "visibility_d0": ("2", "must be in [0, 1]"),
+    "visibility_d1": ("-0.5", "must be in [0, 1]"),
+    "pair_rate": ("-1", "must be >= 0"),
+    "heralding_efficiency": ("1.5", "must be in [0, 1]"),
+    "detector_efficiency": ("-0.1", "must be in [0, 1]"),
+    "dark_rate": ("-1", "must be >= 0"),
+    "duration": ("0", "must be positive"),
+    "disclosure_fraction": ("1", "must be in (0, 1)"),
+    "runs": ("0", "must be >= 1"),
+    "source_bit": ("01", "must be 0, 1 or random"),
+    "wavelength": ("0", "must be positive"),
+    "scan_span": ("-1", "must be positive"),
+    "scan_steps": ("1", "must be >= 2"),
+    "shots_per_step": ("0", "must be >= 1"),
+    "coherence_window": ("0", "must be positive"),
+    "extra_delay": ("0", "must be positive"),
+    "qber_threshold": ("0", "must be in (0, 1)"),
+    "anomaly_threshold": ("1", "must be in (0, 1)"),
+}
+INT_KEYS = ("seed", "runs", "scan_steps", "shots_per_step")
+
+
+def rejection_message(values: dict[str, str]) -> str:
+    with pytest.raises(ConfigError) as info:
+        build_experiment(values)
+    return str(info.value)
+
+
 class TestRejection:
+    @pytest.mark.parametrize("key", [key for key, _, _ in KEYS])
+    def test_every_key_names_itself(self, key):
+        bad, rule = BAD_VALUES[key]
+        cases = {bad: f"{key}: {rule}"}
+        if key in INT_KEYS:
+            cases["2.5"] = f"{key}: not an integer: '2.5'"
+        elif key == "source_bit":
+            cases["2"] = f"{key}: {rule}"
+        else:
+            cases["fast"] = f"{key}: not a number: 'fast'"
+            cases.update({value: f"{key}: must be finite" for value in ("nan", "inf", "-inf")})
+        for value, message in cases.items():
+            assert rejection_message({key: value}) == message
+
+    def test_unused_shared_jitter_is_still_checked(self):
+        values = {"jitter": "-1", "herald_jitter": "100", "signal_jitter": "100"}
+        assert rejection_message(values) == "jitter: must be >= 0"
+
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"dark_rate": "-1", "pair_rate": "-1"}, "pair_rate"),  # source before detector
+            ({"tau": "0", "dark_rate": "-1"}, "dark_rate"),  # detector before session
+            ({"runs": "0", "dark_rate": "-1"}, "dark_rate"),  # detector before experiment
+            ({"scan_steps": "1", "pair_rate": "fast"}, "pair_rate"),  # parsing before ranges
+        ],
+    )
+    def test_first_invalid_key_in_construction_order(self, values, key):
+        assert rejection_message(values).startswith(f"{key}:")
+
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config key tilt"):
             build_experiment({"tilt": "3"})
@@ -141,6 +215,66 @@ class TestRejection:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/scenario.cfg")
+
+
+class TestLibraryConstruction:
+    @pytest.mark.parametrize(
+        "field, key, value",
+        [
+            ("runs", "runs", 0),
+            ("source_bit", "source_bit", 2),
+            ("scan_span_nm", "scan_span", 0.0),
+            ("scan_steps", "scan_steps", 1),
+            ("shots_per_step", "shots_per_step", 0),
+            ("extra_delay_ps", "extra_delay", -1.0),
+            ("qber_threshold", "qber_threshold", 1.0),
+            ("anomaly_threshold", "anomaly_threshold", 0.0),
+        ],
+    )
+    def test_rejects_what_a_scenario_file_rejects(self, field, key, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ExperimentConfig(SessionConfig(), **{field: value})
+        with pytest.raises(ConfigError, match=f"^{key}: must be"):
+            build_experiment({key: str(value)})
+
+    def test_defaults_are_the_scenario_defaults(self):
+        assert ExperimentConfig(SessionConfig()) == load_config(None)
+
+
+class TestKeyTable:
+    @staticmethod
+    def readme_rows() -> list[tuple[str, str]]:
+        """(key, default column) of each row of the README's scenario-key table."""
+        readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
+        return re.findall(r"^\| `(\w+)` \| (.+?) \|", section, flags=re.MULTILINE)
+
+    def test_every_key_sets_one_dataclass_field(self):
+        owned = [f.name for cls in (SourceParams, DetectorParams, SessionConfig, ExperimentConfig) for f in fields(cls)]
+        # unique field names let a field's error be reported under its key
+        assert len(owned) == len(set(owned))
+        assert all(name in owned for key, _, name in KEYS if key != "jitter")
+
+    def test_readme_lists_every_key_in_order(self):
+        assert [key for key, _ in self.readme_rows()] == [key for key, _, _ in KEYS]
+
+    def test_readme_numeric_defaults_are_the_resolved_ones(self):
+        experiment = load_config(None)
+        session = experiment.session
+        holders = (experiment, session, session.source, session.signal_detector)
+        field_of = {key: name for key, _, name in KEYS}
+        checked = []
+        for key, default in self.readme_rows():
+            number = re.fullmatch(r"`(-?[0-9.]+)`", default)
+            if number is None:
+                continue
+            # jitter sets no field of its own, only both jitters
+            names = [field_of[key]] if field_of[key] else ["herald_jitter_sigma_ps", "jitter_sigma_ps"]
+            for name in names:
+                holder = next(h for h in holders if hasattr(h, name))
+                assert getattr(holder, name) == float(number.group(1)), key
+            checked.append(key)
+        assert len(checked) >= 19
 
 
 class TestTransmitCommand:

@@ -1,4 +1,4 @@
-"""Core state algebra: preparation, recombination, phase, detection, collapse."""
+"""Core state algebra: preparation, recombination, phase, detection."""
 
 import cmath
 import math
@@ -7,20 +7,17 @@ import numpy as np
 import pytest
 
 from gvqkd.optics import (
-    MODE_A,
-    MODE_B,
     PathState,
     apply_phase,
     beam_splitter,
     canonical_phase,
-    collapse_which_path,
     detection_probabilities,
     make_state,
     overlap,
     phase_from_path_length,
 )
 
-from oracles import binomial_sigma, born_probabilities, hadamard_apply
+from oracles import born_probabilities, hadamard_apply
 
 TOL = 1e-12
 
@@ -198,35 +195,3 @@ class TestDetectionProbabilities:
             with pytest.raises(ValueError):
                 detection_probabilities(make_state(0), bad)
 
-
-class TestCollapse:
-    def test_outcome_states_are_localized(self):
-        rng = np.random.default_rng(3)
-        seen = set()
-        for _ in range(50):
-            mode, collapsed = collapse_which_path(make_state(0), rng)
-            seen.add(mode)
-            if mode == MODE_A:
-                assert collapsed == PathState(1.0, 0.0)
-            else:
-                assert collapsed == PathState(0.0, 1.0)
-        assert seen == {MODE_A, MODE_B}
-
-    def test_certain_outcomes(self):
-        rng = np.random.default_rng(4)
-        assert collapse_which_path(PathState(1.0, 0.0), rng)[0] == MODE_A
-        assert collapse_which_path(PathState(0.0, 1.0), rng)[0] == MODE_B
-
-    def test_frequencies_follow_born_rule(self):
-        # 1e5 collapses of an unbalanced state, 4 sigma gate
-        rng = np.random.default_rng(11)
-        state = PathState(0.6, 0.8)
-        n = 100_000
-        hits_a = sum(1 for _ in range(n) if collapse_which_path(state, rng)[0] == MODE_A)
-        p = abs(state.amp_a) ** 2
-        assert abs(hits_a / n - p) <= 4.0 * binomial_sigma(p, n)
-
-    def test_collapsed_state_shows_no_interference(self):
-        rng = np.random.default_rng(12)
-        _, collapsed = collapse_which_path(make_state(1), rng)
-        assert detection_probabilities(collapsed, 1.0) == pytest.approx((0.5, 0.5), abs=TOL)
