@@ -43,7 +43,6 @@ from gvqkd.analysis import (
     fit_fringe,
     fringe_scan,
 )
-from gvqkd.streams import SessionStreams
 
 __version__ = "0.1.0"
 
@@ -54,7 +53,6 @@ __all__ = [
     "apply_phase",
     "detection_probabilities",
     "SessionConfig",
-    "SessionStreams",
     "Transcript",
     "Match",
     "SiftResult",

@@ -24,7 +24,7 @@ from gvqkd.analysis import (
 )
 from gvqkd.config import ConfigError, ExperimentConfig, load_config
 from gvqkd.protocol import run_session, sift_transcript, write_transcript_csv
-from gvqkd.streams import SessionStreams, stream
+from gvqkd.streams import stream
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,11 +49,8 @@ def run_transmit(experiment: ExperimentConfig, out_dir: Path) -> dict:
     receive_total = 0
     key_bits_total = 0
     for run_index in range(experiment.runs):
-        streams = SessionStreams(session.seed, run_index)
-        transcript = run_session(
-            session, NO_ATTACK, streams, run_index=run_index, source_bit=experiment.source_bit
-        )
-        match, sift = sift_transcript(transcript, session, streams.sift)
+        transcript = run_session(session, NO_ATTACK, run_index, experiment.source_bit)
+        match, sift = sift_transcript(transcript, session, run_index)
         write_transcript_csv(out_dir / f"transcript_run{run_index:03d}.csv", transcript, match, sift)
         if sift.qber is not None:
             qbers.append(sift.qber)
@@ -105,9 +102,10 @@ def run_attack_demo(experiment: ExperimentConfig, attack_name: str, out_dir: Pat
     """One session under an attack, then both security tests and Eve's information."""
     session = experiment.session
     strategy = AttackStrategy(kind=attack_name, extra_delay_ps=experiment.extra_delay_ps)
-    streams = SessionStreams(session.seed, 0)
-    transcript = run_session(session, strategy, streams, source_bit=experiment.source_bit)
-    match, sift = sift_transcript(transcript, session, streams.sift)
+    transcript = run_session(session, strategy, source_bit=experiment.source_bit)
+    if transcript.t_r.size == 0:
+        raise ConfigError("attack-demo: no receives in the session, so no verdict (is pair_rate or an efficiency 0?)")
+    match, sift = sift_transcript(transcript, session)
     write_transcript_csv(out_dir / "transcript.csv", transcript, match, sift)
     verdict = detect_eavesdropping(
         sift, experiment.resolved_anomaly_threshold(), experiment.qber_threshold
@@ -163,42 +161,41 @@ def main(argv=None) -> int:
         experiment = load_config(args.config)
         if args.seed is not None:
             experiment = experiment.with_seed(args.seed)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+
+        if args.command == "transmit":
+            summary = run_transmit(experiment, out_dir)
+            qber = summary["qber_mean"]
+            print(
+                f"transmit: {summary['runs']} runs, "
+                f"mean QBER {qber if qber is None else format(qber, '.4f')}, "
+                f"anomaly fraction {summary['anomaly_fraction']}"
+            )
+            return EXIT_OK
+
+        if args.command == "fringe-scan":
+            reports = run_fringe_scan(experiment, out_dir)
+            for label, report in reports.items():
+                print(
+                    f"fringe {label}: V_D0 {report['visibility_d0']:.3f}, "
+                    f"V_D1 {report['visibility_d1']:.3f}, "
+                    f"phase offset {report['phase_offset_rad']:.3f} rad"
+                )
+            return EXIT_OK
+
+        report = run_attack_demo(experiment, args.attack, out_dir)
+        print(
+            f"attack-demo [{args.attack}]: decision {report['decision']}, "
+            f"QBER {report['qber']}, anomaly fraction {report['anomaly_fraction']:.4f}, "
+            f"Eve information {report['eve_information_bits']:.4f} bits"
+        )
+        if args.fail_on_alarm and report["decision"] != "Clean":
+            return EXIT_ALARM
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.command == "transmit":
-        summary = run_transmit(experiment, out_dir)
-        qber = summary["qber_mean"]
-        print(
-            f"transmit: {summary['runs']} runs, "
-            f"mean QBER {qber if qber is None else format(qber, '.4f')}, "
-            f"anomaly fraction {summary['anomaly_fraction']}"
-        )
-        return EXIT_OK
-
-    if args.command == "fringe-scan":
-        reports = run_fringe_scan(experiment, out_dir)
-        for label, report in reports.items():
-            print(
-                f"fringe {label}: V_D0 {report['visibility_d0']:.3f}, "
-                f"V_D1 {report['visibility_d1']:.3f}, "
-                f"phase offset {report['phase_offset_rad']:.3f} rad"
-            )
-        return EXIT_OK
-
-    report = run_attack_demo(experiment, args.attack, out_dir)
-    print(
-        f"attack-demo [{args.attack}]: decision {report['decision']}, "
-        f"QBER {report['qber']}, anomaly fraction {report['anomaly_fraction']:.4f}, "
-        f"Eve information {report['eve_information_bits']:.4f} bits"
-    )
-    if args.fail_on_alarm and report["decision"] != "Clean":
-        return EXIT_ALARM
-    return EXIT_OK
 
 
 def entry() -> None:

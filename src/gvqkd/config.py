@@ -44,10 +44,13 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.source_bit not in (None, 0, 1):
             raise ValueError("source_bit must be 0, 1 or random")
+        # the fringe fit needs four points over at least one period
         if self.scan_span_nm <= 0:
             raise ValueError("scan_span_nm must be positive")
-        if self.scan_steps < 2:
-            raise ValueError("scan_steps must be >= 2")
+        if self.scan_span_nm < self.session.wavelength_nm:
+            raise ValueError(f"scan_span_nm must be >= one wavelength = {self.session.wavelength_nm} nm")
+        if self.scan_steps < 4:
+            raise ValueError("scan_steps must be >= 4")
         if self.shots_per_step < 1:
             raise ValueError("shots_per_step must be >= 1")
         if self.extra_delay_ps <= 0:

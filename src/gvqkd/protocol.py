@@ -33,7 +33,7 @@ from gvqkd.devices import (
     herald,
 )
 from gvqkd.optics import detection_probabilities, link_states
-from gvqkd.streams import SessionStreams
+from gvqkd.streams import stream
 
 # Packets recombine only if their overlap mismatch is below this; beyond it
 # the interference term is dropped entirely (sharp threshold, no partial
@@ -85,6 +85,9 @@ class SessionConfig:
             raise ValueError("tau_ps must be positive")
         if self.travel_time_ps <= 0:
             raise ValueError("travel_time_ps must be positive")
+        # the scheme's premise: the two packets are never in the channel together
+        if self.tau_ps <= self.travel_time_ps:
+            raise ValueError(f"tau_ps must be > travel time T = {self.travel_time_ps} ps, got {self.tau_ps}")
         # the detector pair first: a session V derived from an invalid
         # detector value must be reported under the detector's name
         for name in ("visibility_d0", "visibility_d1", "visibility"):
@@ -201,8 +204,7 @@ def bob_receive(
 
 def run_session(
     config: SessionConfig,
-    attack: "adversary.AttackStrategy | None" = None,
-    streams: SessionStreams | None = None,
+    attack: adversary.AttackStrategy = adversary.NO_ATTACK,
     run_index: int = 0,
     source_bit: int | None = None,
 ) -> Transcript:
@@ -210,37 +212,40 @@ def run_session(
 
     source_bit = None draws a fresh uniform bit per photon (the keying
     mode); 0 or 1 sends that state only (the characterization mode).
-    Deterministic for a given (config.seed, run_index, attack).
+    Every role draws from its own stream keyed by (config.seed, run_index),
+    so the result is deterministic for a given (config.seed, run_index,
+    attack) and switching the attack on leaves the other roles' draws alone.
     """
-    if attack is None:
-        attack = adversary.NO_ATTACK
-    if streams is None:
-        streams = SessionStreams(config.seed, run_index)
     if source_bit not in (None, 0, 1):
         raise ValueError("source_bit must be None, 0 or 1")
 
-    emissions = generate_emissions(config.source, config.session_duration_s, streams.source)
-    t_true, t_stamped = herald(emissions, config.source, streams.herald)
+    def rng(role):
+        return stream(config.seed, role, run_index)
+
+    emissions = generate_emissions(config.source, config.session_duration_s, rng("source"))
+    t_true, t_stamped = herald(emissions, config.source, rng("herald"))
     # the sender's log is ordered by what it observes: the heralded stamps
     order = np.argsort(t_stamped, kind="stable")
     t_true = t_true[order]
     t_stamped = t_stamped[order]
     n = t_true.size
     if source_bit is None:
-        bits = streams.bits.integers(0, 2, size=n)
+        bits = rng("bits").integers(0, 2, size=n)
     else:
         bits = np.full(n, source_bit, dtype=np.int64)
 
     # a bit is its own link-state index; packet b launches tau after packet a
     state, arrival_a, arrival_b, guess, delay = adversary.apply_attack(
-        attack, bits, t_true, t_true + config.tau_ps, config.travel_time_ps, streams.attack
+        attack, bits, t_true, t_true + config.tau_ps, config.travel_time_ps, rng("attack")
     )
-    detector, t_r = bob_receive(state, arrival_a, arrival_b, config, streams.detector)
+    detector, t_r = bob_receive(state, arrival_a, arrival_b, config, rng("detector"))
 
     t_r_parts, detector_parts = [t_r], [detector]
     if config.signal_detector.dark_rate_hz > 0:
+        # one dark stream per session: detector 0 draws first, then detector 1
+        dark = rng("dark")
         for dark_detector in (0, 1):
-            darks = dark_clicks(config.signal_detector, config.session_duration_s, streams.dark)
+            darks = dark_clicks(config.signal_detector, config.session_duration_s, dark)
             t_r_parts.append(darks)
             detector_parts.append(np.full(darks.size, dark_detector, dtype=np.int64))
     t_r = np.concatenate(t_r_parts)
@@ -324,16 +329,17 @@ def sift_and_qber(
     )
 
 
-def sift_transcript(
-    transcript: Transcript, config: SessionConfig, rng: np.random.Generator
-) -> tuple[Match, SiftResult]:
-    """Run the timing test then the QBER sift on one transcript."""
+def sift_transcript(transcript: Transcript, config: SessionConfig, run_index: int = 0) -> tuple[Match, SiftResult]:
+    """Run the timing test then the QBER sift on one transcript of run run_index.
+
+    The disclosed subset is drawn from the run's own sift stream.
+    """
     match = timing_test(transcript.t_s, transcript.t_r, config)
     sift = sift_and_qber(
         transcript.bit[match.send],
         transcript.detector[match.receive],
         config.disclosure_fraction,
-        rng,
+        stream(config.seed, "sift", run_index),
         anomalies=match.anomalies.size,
     )
     return match, sift

@@ -4,6 +4,7 @@ Every source of randomness in a session draws from its own generator keyed
 by (role, run index, seed), so changing one ingredient (say, switching the
 attack on) never perturbs the others: the bit sequence, emission times and
 detector noise of run k are identical across scenarios that share a seed.
+protocol draws the session roles; the fringe scan draws "fringe".
 """
 
 import numpy as np
@@ -28,17 +29,3 @@ def stream(seed: int, name: str, run_index: int = 0) -> np.random.Generator:
         raise ValueError(f"unknown stream name {name!r}") from None
     return np.random.default_rng([stream_id, run_index, seed])
 
-
-class SessionStreams:
-    """Bundle of all per-role generators for a single session run."""
-
-    def __init__(self, seed: int, run_index: int = 0):
-        self.seed = seed
-        self.run_index = run_index
-        self.source = stream(seed, "source", run_index)
-        self.herald = stream(seed, "herald", run_index)
-        self.bits = stream(seed, "bits", run_index)
-        self.detector = stream(seed, "detector", run_index)
-        self.attack = stream(seed, "attack", run_index)
-        self.sift = stream(seed, "sift", run_index)
-        self.dark = stream(seed, "dark", run_index)

@@ -1,8 +1,8 @@
 """Shared builders for the test suite."""
 
+from gvqkd.adversary import NO_ATTACK
 from gvqkd.devices import DetectorParams, SourceParams
 from gvqkd.protocol import SessionConfig, run_session, sift_transcript
-from gvqkd.streams import SessionStreams
 
 
 def ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=7, **overrides) -> SessionConfig:
@@ -31,12 +31,11 @@ def noisy_config(pair_rate_hz=1000.0, duration_s=5.0, seed=7, jitter_ps=300.0, *
     return SessionConfig(**params)
 
 
-def run_and_sift(config, attack=None, run_index=0, source_bit=None):
+def run_and_sift(config, attack=NO_ATTACK, run_index=0, source_bit=None):
     """One full session through the timing test and the sift.
 
     Returns (transcript, match, sift).
     """
-    streams = SessionStreams(config.seed, run_index)
-    transcript = run_session(config, attack, streams, run_index=run_index, source_bit=source_bit)
-    match, sift = sift_transcript(transcript, config, streams.sift)
+    transcript = run_session(config, attack, run_index, source_bit)
+    match, sift = sift_transcript(transcript, config, run_index)
     return transcript, match, sift

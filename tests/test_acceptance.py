@@ -27,7 +27,7 @@ from gvqkd.cli import EXIT_OK, main
 from gvqkd.config import load_config
 from gvqkd.optics import beam_splitter
 from gvqkd.protocol import run_session, sift_transcript
-from gvqkd.streams import SessionStreams, stream
+from gvqkd.streams import stream
 
 from helpers import ideal_config, noisy_config, run_and_sift
 from oracles import binomial_sigma
@@ -76,11 +76,8 @@ def test_02_two_source_error_rates_match_reported_values():
         assert session.session_duration_s == 5.0
         qbers = []
         for run_index in range(experiment.runs):
-            streams = SessionStreams(session.seed, run_index)
-            transcript = run_session(
-                session, None, streams, run_index=run_index, source_bit=experiment.source_bit
-            )
-            match, sift = sift_transcript(transcript, session, streams.sift)
+            transcript = run_session(session, run_index=run_index, source_bit=experiment.source_bit)
+            match, sift = sift_transcript(transcript, session, run_index)
             assert match.send.size >= 1000  # enough sifted bits per run
             qbers.append(sift.qber)
         mean = float(np.mean(qbers))

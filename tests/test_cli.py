@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gvqkd.analysis import Decision
 from gvqkd.cli import EXIT_ALARM, EXIT_CONFIG, EXIT_OK, main
 from gvqkd.config import KEYS, ConfigError, ExperimentConfig, build_experiment, load_config, parse_flat
 from gvqkd.devices import DetectorParams, SourceParams
@@ -128,7 +129,7 @@ BAD_VALUES = {
     "source_bit": ("01", "must be 0, 1 or random"),
     "wavelength": ("0", "must be positive"),
     "scan_span": ("-1", "must be positive"),
-    "scan_steps": ("1", "must be >= 2"),
+    "scan_steps": ("1", "must be >= 4"),
     "shots_per_step": ("0", "must be >= 1"),
     "coherence_window": ("0", "must be positive"),
     "extra_delay": ("0", "must be positive"),
@@ -204,8 +205,30 @@ class TestRejection:
         with pytest.raises(ConfigError, match="tau"):
             build_experiment({"tau": "500"})
 
+    def test_cross_field_tau_versus_jitter_below_tau(self):
+        # with T below tau, the jitter rule is what rejects tau = 500 ps
+        message = rejection_message({"tau": "500", "travel_time": "400"})
+        assert message.startswith("tau: must be >= 3*combined jitter")
+
+    @pytest.mark.parametrize(
+        "values, got",
+        [
+            ({"tau": "1000"}, "T = 1000.0 ps, got 1000.0"),
+            ({"tau": "999"}, "T = 1000.0 ps, got 999.0"),
+            ({"travel_time": "2000"}, "T = 2000.0 ps, got 2000.0"),
+            ({"travel_time": "2500"}, "T = 2500.0 ps, got 2000.0"),
+        ],
+    )
+    def test_tau_not_above_travel_time(self, values, got):
+        # tau <= T breaks the scheme's premise, whatever the jitter
+        assert rejection_message({"jitter": "0", **values}) == f"tau: must be > travel time {got}"
+
+    def test_tau_just_above_travel_time_loads(self):
+        session = build_experiment({"jitter": "0", "tau": "1000.001"}).session
+        assert session.tau_ps > session.travel_time_ps == 1000.0
+
     def test_scan_steps_too_small(self):
-        with pytest.raises(ConfigError, match="scan_steps: must be >= 2"):
+        with pytest.raises(ConfigError, match="scan_steps: must be >= 4"):
             build_experiment({"scan_steps": "1"})
 
     def test_runs_too_small(self):
@@ -275,6 +298,18 @@ class TestKeyTable:
                 assert getattr(holder, name) == float(number.group(1)), key
             checked.append(key)
         assert len(checked) >= 19
+
+
+class TestReadme:
+    def test_library_example_runs(self, capsys):
+        readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library example\n", 1)[1]
+        (code,) = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+        namespace: dict = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert 0.4 <= namespace["sift"].qber <= 0.6
+        assert namespace["verdict"].decision == Decision.QBER_ALARM
+        assert "QBER_ALARM" in capsys.readouterr().out
 
 
 class TestTransmitCommand:
@@ -347,6 +382,32 @@ class TestFringeScanCommand:
         main(["fringe-scan", "--config", str(fast_config), "--out", str(out_b)])
         assert read_tree(out_a) == read_tree(out_b)
 
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("scan_steps = 3", "scan_steps"),
+            ("scan_steps = 2", "scan_steps"),
+            ("scan_span = 100", "scan_span"),
+            ("scan_span = 811.9", "scan_span"),
+            ("wavelength = 1000\nscan_span = 999", "scan_span"),
+        ],
+    )
+    def test_scan_the_fit_cannot_use_exits_2(self, tmp_path, capsys, lines, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_SCENARIO.replace("scan_steps = 9\n", "") + lines + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}: must be >= ")
+        assert not out_dir.exists()
+
+    def test_smallest_scan_the_fit_can_use(self, tmp_path):
+        cfg = tmp_path / "edge.cfg"
+        scenario = FAST_SCENARIO.replace("scan_steps = 9\n", "") + "scan_steps = 4\nscan_span = 812\n"
+        cfg.write_text(scenario, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "fringe_fit_s1.json").is_file()
+
 
 class TestAttackDemoCommand:
     def run(self, fast_config, out_dir, attack, *extra):
@@ -386,6 +447,17 @@ class TestAttackDemoCommand:
     def test_alarm_without_flag_still_exits_zero(self, fast_config, tmp_path):
         code = self.run(fast_config, tmp_path / "out", "store-forward")
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("line", ["pair_rate = 0", "detector_efficiency = 0", "heralding_efficiency = 0"])
+    def test_no_receives_exits_2_without_verdict(self, tmp_path, capsys, line):
+        cfg = tmp_path / "silent.cfg"
+        cfg.write_text(FAST_SCENARIO.replace("pair_rate = 400\n", "") + line + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert self.run(cfg, out_dir, "none") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: attack-demo: no receives")
+        assert not (out_dir / "verdict.json").exists()
 
     def test_unknown_attack_rejected_by_parser(self, fast_config, tmp_path):
         with pytest.raises(SystemExit):

@@ -27,7 +27,6 @@ from gvqkd.protocol import (
     timing_test,
     write_transcript_csv,
 )
-from gvqkd.streams import SessionStreams
 
 from helpers import ideal_config, noisy_config, run_and_sift
 from oracles import binomial_sigma, gaussian_two_sided_tail, reference_timing_test, reference_transcript_csv
@@ -61,7 +60,25 @@ class TestSessionConfig:
     def test_tau_invariant_scales_with_jitter(self):
         source = SourceParams(herald_jitter_sigma_ps=100.0)
         detector = DetectorParams(jitter_sigma_ps=100.0)
-        SessionConfig(tau_ps=500.0, source=source, signal_detector=detector)
+        SessionConfig(tau_ps=500.0, travel_time_ps=400.0, source=source, signal_detector=detector)
+
+    def test_jitter_rule_holds_with_travel_time_below_tau(self):
+        with pytest.raises(ValueError, match="combined jitter"):
+            SessionConfig(tau_ps=500.0, travel_time_ps=400.0)
+
+    @pytest.mark.parametrize("tau_ps", [1000.0, 999.0, 1.0])
+    def test_rejects_tau_not_above_travel_time(self, tau_ps):
+        # the GV premise tau > T: both packets of a pair would share the channel
+        source = SourceParams(herald_jitter_sigma_ps=0.0)
+        detector = DetectorParams(jitter_sigma_ps=0.0)
+        with pytest.raises(ValueError, match=rf"^tau_ps must be > travel time T = 1000.0 ps, got {tau_ps}$"):
+            SessionConfig(tau_ps=tau_ps, source=source, signal_detector=detector)
+
+    def test_tau_just_above_travel_time_is_accepted(self):
+        source = SourceParams(herald_jitter_sigma_ps=0.0)
+        detector = DetectorParams(jitter_sigma_ps=0.0)
+        tau_ps = math.nextafter(1000.0, math.inf)
+        assert SessionConfig(tau_ps=tau_ps, source=source, signal_detector=detector).tau_ps == tau_ps
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
@@ -223,6 +240,19 @@ class TestRunSession:
         transcript = run_session(config)
         assert transcript.t_r.size > transcript.t_s.size
         assert set(transcript.detector.tolist()) == {0, 1}
+
+    def test_detectors_draw_different_dark_counts(self):
+        # both detectors draw from one dark stream in turn, not from two equal ones
+        config = ideal_config(
+            pair_rate_hz=100.0,
+            duration_s=1.0,
+            seed=9,
+            signal_detector=DetectorParams(efficiency=0.0, jitter_sigma_ps=0.0, dark_rate_hz=500.0),
+        )
+        transcript = run_session(config)
+        d0, d1 = (transcript.t_r[transcript.detector == d] for d in (0, 1))
+        assert d0.size and d1.size
+        assert not np.array_equal(d0, d1)
 
     def test_rejects_bad_source_bit(self):
         with pytest.raises(ValueError):
@@ -559,9 +589,8 @@ class TestTranscriptRoundTrip:
 
     def test_header_is_stable(self, tmp_path):
         config = ideal_config(pair_rate_hz=50.0, duration_s=0.5, seed=38)
-        streams = SessionStreams(config.seed, 0)
-        transcript = run_session(config, streams=streams)
-        match, sift = sift_transcript(transcript, config, streams.sift)
+        transcript = run_session(config)
+        match, sift = sift_transcript(transcript, config)
         path = tmp_path / "t.csv"
         write_transcript_csv(path, transcript, match, sift)
         header = path.read_text(encoding="utf-8").splitlines()[0]
