@@ -137,15 +137,6 @@ def fit_fringe(points: list[FringePoint], wavelength_nm: float) -> tuple[FringeF
     )
 
 
-def visibility_from_extremes(n_max: float, n_min: float) -> float:
-    """Textbook fringe visibility (n_max - n_min) / (n_max + n_min)."""
-    if n_min < 0 or n_max < n_min:
-        raise ValueError("need n_max >= n_min >= 0")
-    if n_max == 0:
-        raise ValueError("visibility undefined for all-zero counts")
-    return (n_max - n_min) / (n_max + n_min)
-
-
 def qber_from_visibility(visibility: float) -> float:
     """Expected sifted error rate of an interferometer at visibility V: (1 - V) / 2."""
     if not 0.0 <= visibility <= 1.0:

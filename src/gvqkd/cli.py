@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gvqkd.adversary import NO_ATTACK, AttackStrategy, eve_information
+from gvqkd.adversary import KINDS, NO_ATTACK, AttackStrategy, eve_information
 from gvqkd.analysis import (
     detect_eavesdropping,
     fit_fringe,
@@ -30,8 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ALARM = 3
 
-ATTACK_CHOICES = ("none", "which-path", "store-forward")
-
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -46,7 +44,6 @@ def run_transmit(experiment: ExperimentConfig, out_dir: Path) -> dict:
     qber_sigmas: list[float] = []
     matched_total = 0
     anomaly_total = 0
-    receive_total = 0
     key_bits_total = 0
     for run_index in range(experiment.runs):
         transcript = run_session(session, NO_ATTACK, run_index, experiment.source_bit)
@@ -57,8 +54,7 @@ def run_transmit(experiment: ExperimentConfig, out_dir: Path) -> dict:
             qber_sigmas.append(sift.qber_sigma)
         matched_total += sift.matched
         anomaly_total += sift.anomalies
-        receive_total += transcript.t_r.size
-        key_bits_total += len(sift.key_bits_alice)
+        key_bits_total += sift.key_bits
 
     summary = {
         "runs": experiment.runs,
@@ -66,7 +62,7 @@ def run_transmit(experiment: ExperimentConfig, out_dir: Path) -> dict:
         "qber_mean": float(np.mean(qbers)) if qbers else None,
         "qber_std": float(np.std(qbers, ddof=1)) if len(qbers) > 1 else None,
         "qber_sigma_mean": float(np.mean(qber_sigmas)) if qber_sigmas else None,
-        "anomaly_fraction": (anomaly_total / receive_total) if receive_total else None,
+        "anomaly_fraction": anomaly_total / (matched_total + anomaly_total) if matched_total + anomaly_total else None,
         "matched_total": matched_total,
         "anomaly_total": anomaly_total,
         "key_bits_total": key_bits_total,
@@ -118,7 +114,7 @@ def run_attack_demo(experiment: ExperimentConfig, attack_name: str, out_dir: Pat
             "eve_information_bits": info,
             "matched": sift.matched,
             "anomalies": sift.anomalies,
-            "key_bits": len(sift.key_bits_alice),
+            "key_bits": sift.key_bits,
         }
     )
     _write_json(out_dir / "verdict.json", report)
@@ -145,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_attack = sub.add_parser("attack-demo", help="run one session under an eavesdropping strategy")
     add_common(p_attack)
-    p_attack.add_argument("--attack", required=True, choices=ATTACK_CHOICES)
+    p_attack.add_argument("--attack", required=True, choices=KINDS)
     p_attack.add_argument(
         "--fail-on-alarm",
         action="store_true",
@@ -162,7 +158,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             experiment = experiment.with_seed(args.seed)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create directory {args.out}: {exc.strerror}") from None
 
         if args.command == "transmit":
             summary = run_transmit(experiment, out_dir)

@@ -40,6 +40,11 @@ class ExperimentConfig:
     anomaly_threshold: float | None = None
 
     def __post_init__(self):
+        # a store-forward photon is at least tau late; a wider window would pass it
+        if self.session.accept_window_ps > self.session.tau_ps:
+            raise ValueError(
+                f"accept_window_ps must be <= tau = {self.session.tau_ps} ps, got {self.session.accept_window_ps}"
+            )
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.source_bit not in (None, 0, 1):
@@ -200,4 +205,8 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     file_path = Path(path)
     if not file_path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return build_experiment(parse_flat(file_path.read_text(encoding="utf-8")))
+    try:
+        text = file_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return build_experiment(parse_flat(text))

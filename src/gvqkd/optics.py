@@ -65,14 +65,6 @@ def link_states() -> tuple[PathState, PathState, PathState, PathState]:
     return make_state(0), make_state(1), PathState(1.0, 0.0), PathState(0.0, 1.0)
 
 
-def overlap(state_x: PathState, state_y: PathState) -> complex:
-    """Inner product <x|y>."""
-    return (
-        state_x.amp_a.conjugate() * state_y.amp_a
-        + state_x.amp_b.conjugate() * state_y.amp_b
-    )
-
-
 def beam_splitter(state: PathState) -> PathState:
     """Recombine the two modes on a balanced splitter (real Hadamard).
 

@@ -128,9 +128,8 @@ class Transcript:
     """Everything one session produced, before any public comparison, as columns.
 
     Sends are indexed in the order of the sender's log (heralded stamps):
-    t_s, bit, and what Eve took from that photon, her guess (NO_GUESS for
-    none) and the delay she added. Receives are sorted by time: t_r and the
-    detector that fired (0 or 1).
+    t_s, bit and Eve's guess of that photon's bit (NO_GUESS for none).
+    Receives are sorted by time: t_r and the detector that fired (0 or 1).
     """
 
     t_s: np.ndarray
@@ -138,7 +137,6 @@ class Transcript:
     t_r: np.ndarray
     detector: np.ndarray
     eve_guess: np.ndarray
-    eve_delay: np.ndarray
 
 
 class Match(NamedTuple):
@@ -159,11 +157,14 @@ class SiftResult:
 
     matched: int
     anomalies: int
-    key_bits_alice: str
-    key_bits_bob: str
     qber: float | None
     qber_sigma: float | None
     disclosed_mask: np.ndarray
+
+    @property
+    def key_bits(self) -> int:
+        """Length of the sifted key: the matched pairs that were not disclosed."""
+        return self.matched - int(np.count_nonzero(self.disclosed_mask))
 
 
 def detection_table(visibility: float) -> np.ndarray:
@@ -235,7 +236,7 @@ def run_session(
         bits = np.full(n, source_bit, dtype=np.int64)
 
     # a bit is its own link-state index; packet b launches tau after packet a
-    state, arrival_a, arrival_b, guess, delay = adversary.apply_attack(
+    state, arrival_a, arrival_b, guess = adversary.apply_attack(
         attack, bits, t_true, t_true + config.tau_ps, config.travel_time_ps, rng("attack")
     )
     detector, t_r = bob_receive(state, arrival_a, arrival_b, config, rng("detector"))
@@ -256,7 +257,6 @@ def run_session(
         t_r=t_r[order],
         detector=np.concatenate(detector_parts)[order],
         eve_guess=guess,
-        eve_delay=delay,
     )
 
 
@@ -286,10 +286,6 @@ def timing_test(t_s: np.ndarray, t_r: np.ndarray, config: SessionConfig) -> Matc
     return Match(send=best[won], receive=order[won], anomalies=order[~won])
 
 
-def _bit_string(bits: np.ndarray) -> str:
-    return (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
-
-
 def sift_and_qber(
     alice_bits: np.ndarray,
     bob_bits: np.ndarray,
@@ -317,12 +313,9 @@ def sift_and_qber(
         disclosed_mask[rng.choice(n, size=n_disclosed, replace=False)] = True
         qber = int(np.count_nonzero(alice_bits[disclosed_mask] != bob_bits[disclosed_mask])) / n_disclosed
         qber_sigma = math.sqrt(qber * (1.0 - qber) / n_disclosed)
-    kept = ~disclosed_mask
     return SiftResult(
         matched=n,
         anomalies=anomalies,
-        key_bits_alice=_bit_string(alice_bits[kept]),
-        key_bits_bob=_bit_string(bob_bits[kept]),
         qber=qber,
         qber_sigma=qber_sigma,
         disclosed_mask=disclosed_mask,

@@ -59,7 +59,8 @@ def test_01_ideal_link_is_deterministic():
     assert np.all(t_r == t_s + offset)  # bit-exact, no tolerance
     assert np.all(transcript.detector[match.receive] == transcript.bit[match.send])
     assert sift.qber == 0.0
-    assert sift.key_bits_alice == sift.key_bits_bob
+    kept = ~sift.disclosed_mask
+    assert np.array_equal(transcript.bit[match.send][kept], transcript.detector[match.receive][kept])
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     print(f"PASS 1: {match.send.size} photons, QBER 0, exact timing, {elapsed:.2f} s")

@@ -18,14 +18,13 @@ from gvqkd.analysis import (
     qber_from_visibility,
     read_fringe_csv,
     verdict_report,
-    visibility_from_extremes,
     write_fringe_csv,
 )
 from gvqkd.protocol import SessionConfig, SiftResult
 from gvqkd.streams import stream
 
 from helpers import ideal_config, run_and_sift
-from oracles import binomial_sigma
+from oracles import binomial_sigma, visibility_from_extremes
 
 WAVELENGTH = 812.0
 
@@ -202,8 +201,6 @@ class TestVerdicts:
         return SiftResult(
             matched=n_matched,
             anomalies=anomalies,
-            key_bits_alice="0" * (n_matched // 2),
-            key_bits_bob="0" * (n_matched // 2),
             qber=qber,
             qber_sigma=qber_sigma,
             disclosed_mask=np.arange(n_matched) % 2 == 0,
@@ -280,8 +277,6 @@ class TestSerializationAndReports:
         sift = SiftResult(
             matched=1,
             anomalies=0,
-            key_bits_alice="",
-            key_bits_bob="",
             qber=0.0,
             qber_sigma=0.0,
             disclosed_mask=np.array([True]),

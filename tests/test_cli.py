@@ -227,6 +227,30 @@ class TestRejection:
         session = build_experiment({"jitter": "0", "tau": "1000.001"}).session
         assert session.tau_ps > session.travel_time_ps == 1000.0
 
+    @pytest.mark.parametrize(
+        "values, got",
+        [
+            ({"accept_window": "2000.001"}, "2000.0 ps, got 2000.001"),
+            ({"accept_window": "5000", "jitter": "0"}, "2000.0 ps, got 5000.0"),
+            ({"tau": "1500", "accept_window": "1600"}, "1500.0 ps, got 1600.0"),
+        ],
+    )
+    def test_accept_window_wider_than_tau(self, values, got):
+        # a store-forward photon is at least tau late; a wider window passes it
+        assert rejection_message(values) == f"accept_window: must be <= tau = {got}"
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"accept_window": "2000"},
+            # tau = 3 sigma exactly: the derived window 3 sigma equals tau
+            {"herald_jitter": "300", "signal_jitter": "400", "tau": "1500"},
+        ],
+    )
+    def test_accept_window_equal_to_tau_loads(self, values):
+        session = build_experiment(values).session
+        assert session.accept_window_ps == session.tau_ps
+
     def test_scan_steps_too_small(self):
         with pytest.raises(ConfigError, match="scan_steps: must be >= 4"):
             build_experiment({"scan_steps": "1"})
@@ -238,6 +262,18 @@ class TestRejection:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/scenario.cfg")
+
+    def test_wide_accept_window_in_a_scenario_file(self, tmp_path):
+        path = tmp_path / "wide.cfg"
+        path.write_text(FAST_SCENARIO + "accept_window = 5000\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=r"^accept_window: must be <= tau = 2000.0 ps, got 5000.0$"):
+            load_config(path)
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# caf\u00e9\nseed = 5\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=f"^config file {re.escape(str(path))} is not UTF-8: "):
+            load_config(path)
 
 
 class TestLibraryConstruction:
@@ -259,6 +295,13 @@ class TestLibraryConstruction:
             ExperimentConfig(SessionConfig(), **{field: value})
         with pytest.raises(ConfigError, match=f"^{key}: must be"):
             build_experiment({key: str(value)})
+
+    def test_accept_window_is_bounded_by_tau_only_with_the_experiment(self):
+        # a bare SessionConfig may take a wide window (acceptance test_06
+        # builds one on purpose); a scenario, from a library or a file, may not
+        session = SessionConfig(accept_window_ps=2500.0)
+        with pytest.raises(ValueError, match=r"^accept_window_ps must be <= tau = 2000.0 ps, got 2500.0$"):
+            ExperimentConfig(session)
 
     def test_defaults_are_the_scenario_defaults(self):
         assert ExperimentConfig(SessionConfig()) == load_config(None)
@@ -482,6 +525,42 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
 
+    def test_accept_window_wider_than_tau_exits_2(self, tmp_path, capsys):
+        # the window that let store-forward pass as Clean with Eve at 1 bit
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(FAST_SCENARIO + "accept_window = 5000\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = ["attack-demo", "--config", str(cfg), "--out", str(out_dir), "--attack", "store-forward"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: accept_window: must be <= tau = 2000.0 ps, got 5000.0\n"
+        assert not out_dir.exists()
+
+    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# caf\u00e9\nseed = 5\n".encode("latin-1"))
+        out_dir = tmp_path / "out"
+        assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: config file {cfg} is not UTF-8: ")
+        assert not out_dir.exists()
+
+    def test_out_naming_a_file_exits_2(self, fast_config, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n", encoding="utf-8")
+        assert main(["transmit", "--config", str(fast_config), "--out", str(taken)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: --out: cannot create directory {taken}: ")
+        assert taken.read_text(encoding="utf-8") == "keep\n"
+
+    def test_write_failure_after_mkdir_is_not_a_usage_error(self, fast_config, tmp_path):
+        # only creating --out is a usage error; a failing write later propagates
+        out_dir = tmp_path / "out"
+        (out_dir / "summary.json").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            main(["transmit", "--config", str(fast_config), "--out", str(out_dir)])
+
     def test_missing_out_is_usage_error(self, fast_config):
         with pytest.raises(SystemExit):
             main(["transmit", "--config", str(fast_config)])
@@ -523,3 +602,34 @@ class TestGoldenOutputs:
         assert main([*argv, "--config", str(fast_config), "--out", str(out_dir)]) == EXIT_OK
         assert tree_digest(out_dir) == self.GOLDEN[argv]
 
+    # every shipped config under every command, pinned before a refactor
+    # that must keep the bytes
+    SHIPPED = {
+        ("ideal", "transmit"): "3690ce60236669e8995dbe93abb7611f3783f2f414698f95f04bf589580b89c1",
+        ("ideal", "fringe-scan"): "e42803db86102ddc8b600d0204030d9c17adbfd3506cb87db5beb72f92275899",
+        ("ideal", "attack-demo --attack none"): "9ff4b234b203bdf832e6753a9f70ec36643faf100d777fbb90fceea90fe22564",
+        ("ideal", "attack-demo --attack which-path"): "4be517b8c5bfb204277e35d8880afcc41a3785a68c440eef4138b13617078052",
+        ("ideal", "attack-demo --attack store-forward"): "d6abe8a3884ab5d89da81b627126b3af4ce369bd491ceab288251be454967de8",
+        ("measured_s0", "transmit"): "d688880f916e36b24455fb6d619f750b8028c7276a3255bb3bac2427b051aaf5",
+        ("measured_s0", "fringe-scan"): "28a2700387691accaf1c6fe0c1219af9f17854e63192b040936ead9c5827331c",
+        ("measured_s0", "attack-demo --attack none"): "041922334ccd39244ecb58c9f1acc2baceba02c6dbed2c15a1066ac737bf77bb",
+        ("measured_s0", "attack-demo --attack which-path"): "038d95409a04eeecabfb8fdfbb88a5e08de0eb2da421353e097ca3746a5388f6",
+        ("measured_s0", "attack-demo --attack store-forward"): "9112478ca8dff973dac841a2956a9565600c765e51a65a3db18c7c7898708ac0",
+        ("measured_s1", "transmit"): "6d04478464fb877f85bd9ea21d974787ee267c8ca7cd902e9d053a001d39a4d5",
+        ("measured_s1", "fringe-scan"): "64454f93917ce1d020980decbc585bdcbceba0ccac95fe55c0910e39233934d7",
+        ("measured_s1", "attack-demo --attack none"): "e31cd06b1f3da183995076e73fedb67ad399ded3101d08a6d12c9c42b0623f39",
+        ("measured_s1", "attack-demo --attack which-path"): "9ddbffab5e3d1a9c0a05d70a08af5736dd44fe7d2652a9d2634ee4727fc8397d",
+        ("measured_s1", "attack-demo --attack store-forward"): "47a4bad06d2e0a6e5918c96b6bc0ce98f07f6ada8d3cb3ac7347fd7af405ae95",
+        ("attack_demo", "transmit"): "f37f172541c7174c9ee88c5a8d51d91e517dce95530fbeec424ed6251a5f6ba5",
+        ("attack_demo", "fringe-scan"): "230b516ba569d44a0b2449033804cefcb6d0ed7dc7ddce99c74b2e303a878503",
+        ("attack_demo", "attack-demo --attack none"): "06d0caf5bd5699f506eeaba096ed070d42998facc7d9d6c215ef15e030c7d4b6",
+        ("attack_demo", "attack-demo --attack which-path"): "5adf206c8fc2ee44abeb8dc75e9c1ff160f0da44ee16e660712c014292f2901c",
+        ("attack_demo", "attack-demo --attack store-forward"): "9e3a4069d0724f0631f6896ddcf5fcf1996fd0260c5aba33b2cc9d7623b0430b",
+    }
+
+    @pytest.mark.parametrize("config, command", list(SHIPPED))
+    def test_shipped_config_digest(self, tmp_path, config, command):
+        out_dir = tmp_path / "out"
+        argv = [*command.split(), "--config", str(CONFIGS_DIR / f"{config}.cfg"), "--out", str(out_dir)]
+        assert main(argv) == EXIT_OK
+        assert tree_digest(out_dir) == self.SHIPPED[config, command]

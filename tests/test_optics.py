@@ -13,11 +13,10 @@ from gvqkd.optics import (
     canonical_phase,
     detection_probabilities,
     make_state,
-    overlap,
     phase_from_path_length,
 )
 
-from oracles import born_probabilities, hadamard_apply
+from oracles import born_probabilities, hadamard_apply, overlap
 
 TOL = 1e-12
 

@@ -31,7 +31,7 @@ from gvqkd.protocol import (
 from helpers import ideal_config, noisy_config, run_and_sift
 from oracles import binomial_sigma, gaussian_two_sided_tail, reference_timing_test, reference_transcript_csv
 
-TRANSCRIPT_COLUMNS = ("t_s", "bit", "t_r", "detector", "eve_guess", "eve_delay")
+TRANSCRIPT_COLUMNS = ("t_s", "bit", "t_r", "detector", "eve_guess")
 
 
 def assert_same_transcript(first, second):
@@ -97,11 +97,14 @@ class TestSessionConfig:
 class TestAlicePrepare:
     def test_launches_are_tau_apart(self):
         # store-forward Eve holds packet a exactly until packet b launches,
-        # and her ideal recombiner reads each photon's prepared state
+        # so every click is late by tau plus her overhead, and her ideal
+        # recombiner reads each photon's prepared state
         config = ideal_config(pair_rate_hz=200.0, duration_s=1.0, seed=10)
         transcript = run_session(config, AttackStrategy("store-forward", extra_delay_ps=500.0))
         assert transcript.t_s.size
-        assert np.all(transcript.eve_delay - 500.0 == config.tau_ps)
+        assert transcript.t_r.size == transcript.t_s.size
+        lateness = transcript.t_r - (transcript.t_s + config.expected_offset_ps())
+        assert np.all(lateness - 500.0 == config.tau_ps)
         np.testing.assert_array_equal(transcript.eve_guess, transcript.bit)
 
     def test_heralded_stamp_overrides_true_time(self):
@@ -124,7 +127,7 @@ class TestAlicePrepare:
         tau, travel = 2000.0, 1000.0
         t_emit = np.array([0.0, 123.4, 9.9e11])
         launch_b = t_emit + tau
-        _, arrival_a, _, _, _ = apply_attack(
+        _, arrival_a, _, _ = apply_attack(
             NO_ATTACK, np.zeros(3, dtype=np.int64), t_emit, launch_b, travel, np.random.default_rng(0)
         )
         assert np.all(arrival_a < launch_b)
@@ -209,7 +212,7 @@ class TestRunSession:
         transcript = run_session(config)
         assert transcript.t_r.size <= transcript.t_s.size
         assert transcript.detector.size == transcript.t_r.size
-        for name in ("bit", "eve_guess", "eve_delay"):
+        for name in ("bit", "eve_guess"):
             assert getattr(transcript, name).size == transcript.t_s.size
 
     def test_send_log_ordered_by_stamp(self):
@@ -422,22 +425,24 @@ class TestSiftAndQber:
         sift = sift_and_qber(*self._pairs(100), 0.5, rng)
         assert sift.matched == 100
         assert sum(sift.disclosed_mask) == 50
-        assert len(sift.key_bits_alice) == 50
-        assert len(sift.key_bits_bob) == 50
+        assert sift.key_bits == 50
 
     def test_error_free_pairs_give_zero_qber(self):
         rng = np.random.default_rng(21)
         sift = sift_and_qber(*self._pairs(100), 0.5, rng)
         assert sift.qber == 0.0
         assert sift.qber_sigma == 0.0
-        assert sift.key_bits_alice == sift.key_bits_bob
 
-    def test_key_keeps_undisclosed_pairs_in_order(self):
+    def test_key_keeps_the_undisclosed_pairs(self):
         alice, bob = self._pairs(60, wrong_indices=(3, 10, 41))
         sift = sift_and_qber(alice, bob, 0.5, np.random.default_rng(26))
-        kept = ~sift.disclosed_mask
-        assert sift.key_bits_alice == "".join(str(b) for b in alice[kept].tolist())
-        assert sift.key_bits_bob == "".join(str(b) for b in bob[kept].tolist())
+        assert sift.key_bits == np.count_nonzero(~sift.disclosed_mask) == 30
+
+    def test_key_bits_of_an_all_disclosed_sift_is_zero(self):
+        # round(2 * 0.75) discloses both pairs
+        sift = sift_and_qber(*self._pairs(2), 0.75, np.random.default_rng(28))
+        assert sift.disclosed_mask.tolist() == [True, True]
+        assert sift.key_bits == 0
 
     def test_qber_counts_disclosed_errors_only(self):
         rng = np.random.default_rng(22)
@@ -459,7 +464,7 @@ class TestSiftAndQber:
         assert sift.qber_sigma is None
         assert sift.anomalies == 7
         assert sift.matched == 0
-        assert sift.key_bits_alice == ""
+        assert sift.key_bits == 0
 
     def test_rejects_bad_fraction(self):
         rng = np.random.default_rng(24)
@@ -472,7 +477,7 @@ class TestSiftAndQber:
         a = sift_and_qber(alice, bob, 0.5, np.random.default_rng(25))
         b = sift_and_qber(alice, bob, 0.5, np.random.default_rng(25))
         np.testing.assert_array_equal(a.disclosed_mask, b.disclosed_mask)
-        assert a.key_bits_alice == b.key_bits_alice
+        assert a.key_bits == b.key_bits
 
     def test_one_choice_call_on_the_sift_stream(self):
         # the disclosed subset is exactly one rng.choice(n, round(n f)) draw
@@ -509,14 +514,11 @@ def fallback_session():
         t_r=t_r,
         detector=(np.arange(t_r.size) // 3) % 2,
         eve_guess=np.full(t_s.size, -1),
-        eve_delay=np.zeros(t_s.size),
     )
     disclosed = np.array([True, False, True, True, False, True, True])
     sift = SiftResult(
         matched=send.size,
         anomalies=anomalies.size,
-        key_bits_alice="",
-        key_bits_bob="",
         qber=None,
         qber_sigma=None,
         disclosed_mask=disclosed,
