@@ -109,7 +109,9 @@ class SessionConfig:
             raise ValueError("wavelength_nm must be positive")
         sigma = combined_jitter_ps(self.source, self.signal_detector)
         if self.accept_window_ps is None:
-            # degenerate jitter-free configs still need a usable window
+            # degenerate jitter-free configs still need a usable window, and tau must admit it
+            if sigma == 0 and self.tau_ps < 1.0:
+                raise ValueError(f"tau_ps must be >= the jitter-free default accept window = 1.0 ps, got {self.tau_ps}")
             object.__setattr__(self, "accept_window_ps", 3.0 * sigma if sigma > 0 else 1.0)
         elif self.accept_window_ps <= 0:
             raise ValueError("accept_window_ps must be positive")
@@ -280,9 +282,9 @@ def timing_test(t_s: np.ndarray, t_r: np.ndarray, config: SessionConfig) -> Matc
     dev_right = np.abs(padded[pos + 1] - target)
     best = np.where(dev_right < dev_left, pos, pos - 1)
     claims = np.flatnonzero(np.minimum(dev_left, dev_right) <= config.accept_window_ps)
-    _, first = np.unique(best[claims], return_index=True)
+    # best never decreases over sorted targets: a send's first claimant heads its run of claims
     won = np.zeros(order.size, dtype=bool)
-    won[claims[first]] = True
+    won[claims[np.diff(best[claims], prepend=-1) != 0]] = True
     return Match(send=best[won], receive=order[won], anomalies=order[~won])
 
 
@@ -346,7 +348,7 @@ def sift_transcript(transcript: Transcript, config: SessionConfig, run_index: in
 TRANSCRIPT_COLUMNS = ["index", "bit", "t_s_ps", "matched", "t_r_ps", "detector", "disclosed", "error"]
 
 # rows built per write, so transient memory does not grow with session size
-_CHUNK_ROWS = 1 << 16
+_CHUNK_ROWS = 1 << 13
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 # uint32 words of ASCII (small dtypes: int64 temporaries would add megabytes to peak
 # memory). _DIGITS4[g + 10000 * v], g = 0000..9999: v = 0 leading zeros NUL but "0",
@@ -376,30 +378,30 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     x in [2**24, 2**52) is I + F / 2**k, k = 1..28, and prints "I.f": f has
     the fewest digits d whose nearest decimal (ties to even) is within half
     an ulp; the ends need k + 1 digits, where x is exact, so never decide.
-    That holds for all d past the shortest and by d = 17 - digits(I) <= 9,
-    so d is bisected in 0..9 (int64 products stay below 2**58). f never
-    ends in 0, so it prints as 11 digits less trailing zeros, and as ".0"
-    with I rounded when d = 0. Other values take repr.
+    That holds for all d past the shortest and at the first d with 10**d >=
+    2**k (<= 9, so int64 products stay below 2**58): d descends from there.
+    f never ends in 0, so it prints as 11 digits less trailing zeros; only
+    F = 0 fits d = 0, so it starts there and prints "I.0". Other values take repr.
     """
     fast = (x >= 2.0**24) & (x < 2.0**52)
     m, e = np.frexp(np.where(fast, x, 2.0**24))
     mant, k = (m * 2.0**53).astype(np.int64), 53 - e.astype(np.int64)
     whole, ulp = mant >> k, np.int64(1) << k
-    def nearest(d):
-        scaled = (mant & (ulp - 1)) * _POW10[d]
-        q, twice_rem = scaled >> k, 2 * (scaled & (ulp - 1))
-        cand = q + ((twice_rem > ulp) | ((twice_rem == ulp) & (q & 1 == 1)))
-        return cand, 2 * np.abs((cand << k) - scaled) < _POW10[d]
-    lo, hi = np.zeros(x.size, dtype=np.intp), np.full(x.size, 9)
-    while (lo < hi).any():
-        ok = nearest(mid := (lo + hi) // 2)[1]
-        lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
-    shortest, ok = nearest(lo)
-    assert ok.all()
-    high, low = np.divmod(shortest * (lo > 0) * _POW10[11 - lo], 10**8)
+    frac = mant & (ulp - 1)
+    d = np.searchsorted(_POW10, ulp) * (frac > 0)
+    while True:
+        rem = (frac * _POW10[d - 1]) & (ulp - 1)
+        shorter = (d > 0) & (2 * np.minimum(rem, ulp - rem) < _POW10[d - 1])
+        if not shorter.any():
+            break
+        d -= shorter
+    scaled = frac * _POW10[d]
+    q, twice_rem = scaled >> k, 2 * (scaled & (ulp - 1))
+    shortest = q + ((twice_rem > ulp) | ((twice_rem == ulp) & (q & 1 == 1)))
+    high, low = np.divmod(shortest * _POW10[11 - d], 10**8)
     mid4, low4 = np.divmod(low, 10000)
     words = np.empty((x.size, 7), dtype=np.uint32)
-    words[:, :4] = _digit_words(whole + shortest * (lo == 0), 4)
+    words[:, :4] = _digit_words(whole, 4)
     words[:, 4] = _DOT3[high + 1000 * (low == 0)]
     words[:, 5] = _DIGITS4[mid4 + 10000 * (1 + (low4 == 0))]
     words[:, 6] = _DIGITS4[low4 + 20000]
@@ -407,13 +409,6 @@ def _float_text(x: np.ndarray) -> np.ndarray:
     for row in np.flatnonzero(~fast).tolist():
         text[row] = np.frombuffer(repr(x.item(row)).encode("ascii").ljust(_FLOAT_WIDTH, b"\0"), dtype=np.uint8)
     return text
-
-
-def _rows(n: int, *fields) -> bytes:
-    """n rows of fields (uint8 matrices, or bytes for every row) joined, NULs dropped."""
-    fields = [np.tile(np.frombuffer(f, np.uint8), (n, 1)) if isinstance(f, bytes) else f for f in fields]
-    table = np.concatenate(fields, axis=1)
-    return table[table != 0].tobytes()
 
 
 def write_transcript_csv(path, transcript: Transcript, match: Match, sift: SiftResult) -> None:
@@ -426,31 +421,35 @@ def write_transcript_csv(path, transcript: Transcript, match: Match, sift: SiftR
     t_r_ps, detector, disclosed 0, error empty. Floats are shortest round-trip repr.
     """
     n = transcript.t_s.size
-    partner = np.full(n, -1, dtype=np.intp)
-    partner[match.send] = match.receive
-    told = match.send[sift.disclosed_mask]
-    # each send row's "{matched}," and ",D{detector},{disclosed},{error}\r\n", NUL-padded
-    flags = np.tile(np.frombuffer(b"0,,\0\0,0,\0\r\n", dtype=np.uint8), (n, 1))
-    flags[match.send, 0] = ord("1")
-    flags[match.send, 3] = ord("D")
-    flags[match.send, 4] = transcript.detector[match.receive] + ord("0")
-    flags[told, 6] = ord("1")
-    flags[told, 8] = (flags[told, 4] != transcript.bit[told] + ord("0")) + ord("0")
+    # rows 0..n-1 are the sends, n.. the anomalies; each row's receive, or -1
+    receive = np.concatenate([np.full(n, -1, dtype=np.intp), match.anomalies])
+    receive[match.send] = match.receive
+    told = np.zeros(n, dtype=bool)
+    told[match.send[sift.disclosed_mask]] = True
+    # an empty row, matched and disclosed 0, in fixed byte columns; "D", detector, disclosed, error at tail + 0, 1, 3, 5
+    w = 4 * -(-len(str(n)) // 4)
+    bit, t_s, matched, t_r, tail = w + 1, w + 3, w + _FLOAT_WIDTH + 4, w + _FLOAT_WIDTH + 6, w + 2 * _FLOAT_WIDTH + 7
+    empty = b"\0" * w + b",\0," + b"\0" * _FLOAT_WIDTH + b",0," + b"\0" * _FLOAT_WIDTH + b",\0\0,0,\0\r\n"
+    empty = np.frombuffer(empty, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(TRANSCRIPT_COLUMNS) + "\r\n").encode("ascii"))
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, n)
-            rows = np.flatnonzero(partner[lo:hi] >= 0)
-            t_r = np.zeros((hi - lo, _FLOAT_WIDTH), dtype=np.uint8)
-            t_r[rows] = _float_text(transcript.t_r[partner[lo + rows]])
-            index = _digit_words(np.arange(lo, hi), -(-len(str(n)) // 4)).view(np.uint8)
-            bit = (transcript.bit[lo:hi, None] + ord("0")).astype(np.uint8)
-            t_s, tails = _float_text(transcript.t_s[lo:hi]), flags[lo:hi]
-            fh.write(_rows(hi - lo, index, b",", bit, b",", t_s, b",", tails[:, :2], t_r, tails[:, 2:]))
-        for lo in range(0, match.anomalies.size, _CHUNK_ROWS):
-            chunk = match.anomalies[lo : lo + _CHUNK_ROWS]
-            detector = (transcript.detector[chunk, None] + ord("0")).astype(np.uint8)
-            fh.write(_rows(chunk.size, b",,,0,", _float_text(transcript.t_r[chunk]), b",D", detector, b",0,\r\n"))
+        for lo in range(0, receive.size, _CHUNK_ROWS):
+            chunk = receive[lo : lo + _CHUNK_ROWS]
+            sends = np.arange(lo, min(lo + chunk.size, n))
+            s, rows = sends.size, np.flatnonzero(chunk >= 0)
+            text = _float_text(np.concatenate([transcript.t_s[sends], transcript.t_r[chunk[rows]]]))
+            table = np.tile(empty, (chunk.size, 1))
+            table[:s, :w] = _digit_words(sends, w // 4).view(np.uint8)
+            table[:s, bit] = transcript.bit[sends] + ord("0")
+            table[:s, t_s : t_s + _FLOAT_WIDTH] = text[:s]
+            table[rows, t_r : t_r + _FLOAT_WIDTH] = text[s:]
+            table[rows[rows < s], matched] = ord("1")
+            table[rows, tail] = ord("D")
+            table[rows, tail + 1] = transcript.detector[chunk[rows]] + ord("0")
+            disclosed = np.flatnonzero(told[sends])
+            table[disclosed, tail + 3] = ord("1")
+            table[disclosed, tail + 5] = (table[disclosed, tail + 1] != table[disclosed, bit]) + ord("0")
+            fh.write(table[table != 0].tobytes())
 
 
 def read_transcript_csv(path):

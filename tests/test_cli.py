@@ -139,6 +139,11 @@ BAD_VALUES = {
 INT_KEYS = ("seed", "runs", "scan_steps", "shots_per_step")
 
 
+# jitter-free, so the derived accept window is 1.0 ps, wider than tau
+SUB_PICOSECOND_TAU = FAST_SCENARIO + "travel_time = 0.5\ntau = 0.9\n"
+SUB_PICOSECOND_TAU_ERROR = "tau: must be >= the jitter-free default accept window = 1.0 ps, got 0.9"
+
+
 def rejection_message(values: dict[str, str]) -> str:
     with pytest.raises(ConfigError) as info:
         build_experiment(values)
@@ -268,6 +273,16 @@ class TestRejection:
         path.write_text(FAST_SCENARIO + "accept_window = 5000\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=r"^accept_window: must be <= tau = 2000.0 ps, got 5000.0$"):
             load_config(path)
+
+    def test_tau_below_the_jitter_free_default_window(self, tmp_path):
+        # the derived window is 1.0 ps: the message names tau, not the accept_window nobody set
+        path = tmp_path / "short.cfg"
+        path.write_text(SUB_PICOSECOND_TAU, encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(SUB_PICOSECOND_TAU_ERROR)}$"):
+            load_config(path)
+        path.write_text(SUB_PICOSECOND_TAU + "accept_window = 0.5\n", encoding="utf-8")
+        session = load_config(path).session
+        assert (session.tau_ps, session.accept_window_ps) == (0.9, 0.5)
 
     def test_file_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.cfg"
@@ -534,6 +549,17 @@ class TestExitCodes:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: accept_window: must be <= tau = 2000.0 ps, got 5000.0\n"
         assert not out_dir.exists()
+
+    def test_tau_below_the_jitter_free_default_window_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text(SUB_PICOSECOND_TAU, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_TAU_ERROR}\n"
+        assert not out_dir.exists()
+        cfg.write_text(SUB_PICOSECOND_TAU + "accept_window = 0.5\n", encoding="utf-8")
+        assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
+        assert (out_dir / "summary.json").is_file()
 
     def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"

@@ -1,6 +1,7 @@
 """Session engine: reception, timing test, sift, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,8 +350,10 @@ def matcher_cases(draw):
     clicks = [t + OFFSET + draw(st.sampled_from((-150.0, -100.0, -12.5, 0.0, 6.25, 100.0, 112.5))) for t in send_times
               if draw(st.booleans())]
     darks = [t + OFFSET for t in draw(grid_times)]
-    receive_times = draw(st.permutations(clicks + darks))
-    return send_times, receive_times
+    # in time order, as run_session emits them, or in any order
+    if draw(st.booleans()):
+        return send_times, sorted(clicks + darks)
+    return send_times, draw(st.permutations(clicks + darks))
 
 
 class TestTimingTestAgainstReference:
@@ -526,6 +529,24 @@ def fallback_session():
     return transcript, Match(send=send, receive=receive, anomalies=anomalies), sift
 
 
+def mixed_chunk_session():
+    """Ten sends and five anomalies. In 7-row chunks, rows 7..13 hold sends 7, 8 and 9
+    (disclosed without an error, disclosed with one, unmatched) and the first four anomalies."""
+    t_s = 4.0e9 + 1000.25 * np.arange(10)
+    t_r = 4.0e9 + 3000.0 + 1000.5 * np.arange(9)
+    send, receive = np.array([1, 3, 7, 8]), np.array([0, 2, 4, 5])
+    transcript = Transcript(
+        t_s=t_s,
+        bit=np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1]),
+        t_r=t_r,
+        detector=np.array([0, 0, 1, 0, 1, 1, 0, 1, 1]),
+        eve_guess=np.full(t_s.size, -1),
+    )
+    disclosed = np.array([False, True, True, True])
+    sift = SiftResult(matched=4, anomalies=5, qber=None, qber_sigma=None, disclosed_mask=disclosed)
+    return transcript, Match(send=send, receive=receive, anomalies=np.array([1, 3, 6, 7, 8])), sift
+
+
 def lossy_session():
     """Jittered link whose transcript carries matched rows, unmatched sends
     (detector losses) and anomalous receives (dark counts)."""
@@ -576,6 +597,23 @@ class TestTranscriptRoundTrip:
         write_transcript_csv(path, transcript, match, sift)
         assert path.read_bytes() == reference_transcript_csv(transcript, match, sift)
 
+    def test_chunk_holding_the_last_sends_and_the_first_anomalies(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("gvqkd.protocol._CHUNK_ROWS", 7)
+        transcript, match, sift = mixed_chunk_session()
+        path = tmp_path / "transcript.csv"
+        write_transcript_csv(path, transcript, match, sift)
+        assert path.read_bytes() == reference_transcript_csv(transcript, match, sift)
+        # the header, then rows 0..6, then the chunk of rows 7..13
+        assert path.read_bytes().split(b"\r\n")[8:15] == [
+            b"7,1,4000007001.75,1,4000007002.0,D1,1,0",
+            b"8,0,4000008002.0,1,4000008002.5,D1,1,1",
+            b"9,1,4000009002.25,0,,,0,",
+            b",,,0,4000004000.5,D0,0,",
+            b",,,0,4000006001.5,D0,0,",
+            b",,,0,4000009003.0,D0,0,",
+            b",,,0,4000010003.5,D1,0,",
+        ]
+
     @pytest.mark.parametrize("chunk_rows", [None, 7])
     def test_repr_fallback_rows_equal_row_by_row_csv_writer(self, tmp_path, monkeypatch, chunk_rows):
         if chunk_rows:
@@ -597,6 +635,20 @@ class TestTranscriptRoundTrip:
         write_transcript_csv(path, transcript, match, sift)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "index,bit,t_s_ps,matched,t_r_ps,detector,disclosed,error"
+
+
+class TestWriterMemory:
+    def test_peak_does_not_grow_with_the_session(self, tmp_path):
+        # about 160k rows, many chunks: the writer holds one chunk, not a copy of the session
+        transcript, match, sift = run_and_sift(ideal_config(pair_rate_hz=32000.0))
+        assert transcript.t_s.size + match.anomalies.size > 150_000
+        tracemalloc.start()
+        try:
+            write_transcript_csv(tmp_path / "transcript.csv", transcript, match, sift)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 def float_texts(values):
