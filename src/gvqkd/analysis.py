@@ -33,19 +33,6 @@ class Decision(str, Enum):
 
 
 @dataclass(frozen=True)
-class FringePoint:
-    """One scan step: path-length difference (nm) and both detectors' count rates (1/s)."""
-
-    delta_l_nm: float
-    counts_d0: float
-    counts_d1: float
-
-    def __post_init__(self):
-        if self.counts_d0 < 0 or self.counts_d1 < 0:
-            raise ValueError("counts must be non-negative")
-
-
-@dataclass(frozen=True)
 class FringeFit:
     """Fitted fringe A (1 + V cos(2 pi dl / lambda + phi0)) for one detector."""
 
@@ -72,11 +59,12 @@ def fringe_scan(
     n_steps: int,
     shots_per_step: int,
     rng: np.random.Generator,
-) -> list[FringePoint]:
-    """Sweep the path-length difference and record both detectors' counts.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep the path-length difference; returns (delta_l_nm, counts).
 
-    Each detector samples its own fringe, at its own configured visibility,
-    as a binomial over shots_per_step photons per step.
+    counts[step] holds detector 0's and detector 1's counts. Each detector
+    samples its own fringe, at its own configured visibility, as a binomial
+    over shots_per_step photons per step; the draws run in row order.
     """
     lo, hi = delta_l_range_nm
     if not hi > lo:
@@ -86,16 +74,11 @@ def fringe_scan(
     if shots_per_step < 1:
         raise ValueError("shots_per_step must be >= 1")
     state0 = make_state(source_bit)
-    points = []
-    for delta_l in np.linspace(lo, hi, n_steps):
-        phi = phase_from_path_length(float(delta_l), config.wavelength_nm)
-        state = apply_phase(state0, phi)
-        p_d0, _ = detection_probabilities(state, config.visibility_d0)
-        _, p_d1 = detection_probabilities(state, config.visibility_d1)
-        counts_d0 = int(rng.binomial(shots_per_step, p_d0))
-        counts_d1 = int(rng.binomial(shots_per_step, p_d1))
-        points.append(FringePoint(delta_l_nm=float(delta_l), counts_d0=counts_d0, counts_d1=counts_d1))
-    return points
+    delta_l_nm = np.linspace(lo, hi, n_steps)
+    states = [apply_phase(state0, phase_from_path_length(dl, config.wavelength_nm)) for dl in delta_l_nm.tolist()]
+    vis_d0, vis_d1 = config.visibility_d0, config.visibility_d1
+    p = [(detection_probabilities(s, vis_d0)[0], detection_probabilities(s, vis_d1)[1]) for s in states]
+    return delta_l_nm, rng.binomial(shots_per_step, p)
 
 
 def _fit_single(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float) -> FringeFit:
@@ -122,19 +105,15 @@ def _fit_single(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float
     )
 
 
-def fit_fringe(points: list[FringePoint], wavelength_nm: float) -> tuple[FringeFit, FringeFit]:
-    """Fit both detectors' fringes; requires >= 4 points spanning >= one period."""
-    if len(points) < 4:
+def fit_fringe(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float) -> tuple[FringeFit, FringeFit]:
+    """Fit both detectors' fringes (the columns of counts); requires >= 4 steps spanning >= one period."""
+    delta_l = np.asarray(delta_l_nm, dtype=float)
+    if delta_l.size < 4:
         raise ValueError("fringe fit needs at least 4 points")
-    delta_l = np.array([p.delta_l_nm for p in points], dtype=float)
     if delta_l.max() - delta_l.min() < wavelength_nm:
         raise ValueError("fringe fit needs a scan spanning at least one period")
-    d0 = np.array([p.counts_d0 for p in points], dtype=float)
-    d1 = np.array([p.counts_d1 for p in points], dtype=float)
-    return (
-        _fit_single(delta_l, d0, wavelength_nm),
-        _fit_single(delta_l, d1, wavelength_nm),
-    )
+    counts_d0, counts_d1 = np.asarray(counts, dtype=float).T
+    return _fit_single(delta_l, counts_d0, wavelength_nm), _fit_single(delta_l, counts_d1, wavelength_nm)
 
 
 def qber_from_visibility(visibility: float) -> float:
@@ -194,26 +173,25 @@ def detect_eavesdropping(
 FRINGE_COLUMNS = ["delta_l_nm", "counts_d0", "counts_d1"]
 
 
-def write_fringe_csv(path, points: list[FringePoint]) -> None:
+def write_fringe_csv(path, delta_l_nm: np.ndarray, counts: np.ndarray) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FRINGE_COLUMNS)
-        for p in points:
-            writer.writerow([repr(p.delta_l_nm), repr(p.counts_d0), repr(p.counts_d1)])
+        # tolist() yields Python numbers, which csv writes as their repr: 2412, not np.int64(2412)
+        writer.writerows([delta_l, *row] for delta_l, row in zip(delta_l_nm.tolist(), counts.tolist()))
 
 
-def read_fringe_csv(path) -> list[FringePoint]:
-    points = []
+def read_fringe_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a fringe CSV back into (delta_l_nm, counts), counts as floats."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != FRINGE_COLUMNS:
             raise ValueError(f"unexpected fringe header: {header!r}")
-        for row in reader:
-            points.append(
-                FringePoint(delta_l_nm=float(row[0]), counts_d0=float(row[1]), counts_d1=float(row[2]))
-            )
-    return points
+        table = np.array([[float(value) for value in row] for row in reader]).reshape(-1, 3)
+    if np.any(table[:, 1:] < 0):
+        raise ValueError("counts must be non-negative")
+    return table[:, 0], table[:, 1:]
 
 
 def fit_report(fit_d0: FringeFit, fit_d1: FringeFit) -> dict:

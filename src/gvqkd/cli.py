@@ -78,7 +78,7 @@ def run_fringe_scan(experiment: ExperimentConfig, out_dir: Path) -> dict:
     reports: dict[str, dict] = {}
     for source_bit in source_bits:
         rng = stream(session.seed, "fringe", run_index=source_bit)
-        points = fringe_scan(
+        delta_l_nm, counts = fringe_scan(
             session,
             source_bit,
             (0.0, experiment.scan_span_nm),
@@ -86,8 +86,8 @@ def run_fringe_scan(experiment: ExperimentConfig, out_dir: Path) -> dict:
             experiment.shots_per_step,
             rng,
         )
-        write_fringe_csv(out_dir / f"fringe_s{source_bit}.csv", points)
-        fit_d0, fit_d1 = fit_fringe(points, session.wavelength_nm)
+        write_fringe_csv(out_dir / f"fringe_s{source_bit}.csv", delta_l_nm, counts)
+        fit_d0, fit_d1 = fit_fringe(delta_l_nm, counts, session.wavelength_nm)
         report = fit_report(fit_d0, fit_d1)
         _write_json(out_dir / f"fringe_fit_s{source_bit}.json", report)
         reports[f"s{source_bit}"] = report

@@ -185,11 +185,6 @@ def build_experiment(values: dict[str, str]) -> ExperimentConfig:
             raise ConfigError("jitter: must be >= 0")
         given.setdefault("herald_jitter_sigma_ps", jitter)
         given.setdefault("jitter_sigma_ps", jitter)
-    if "visibility" not in given and ("visibility_d0" in given or "visibility_d1" in given):
-        # the session visibility is the mean of the per-detector pair
-        vis_d0 = given.get("visibility_d0", SessionConfig.visibility)
-        vis_d1 = given.get("visibility_d1", SessionConfig.visibility)
-        given["visibility"] = (vis_d0 + vis_d1) / 2.0
 
     with _reported_by_key():
         source = _build(SourceParams, given)

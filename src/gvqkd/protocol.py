@@ -61,15 +61,16 @@ def false_anomaly_rate(accept_window_ps: float, sigma_ps: float) -> float:
 class SessionConfig:
     """Physical and protocol parameters of one transmission session.
 
-    accept_window_ps, visibility_d0 and visibility_d1 may be left None to
-    take their derived defaults: 3x the combined timing jitter, and the
-    session visibility, respectively.
+    accept_window_ps, visibility, visibility_d0 and visibility_d1 may be
+    left None to take their derived defaults: 3x the combined timing
+    jitter; the mean of the detector pair, a missing member counting as
+    1.0; and the session visibility, respectively.
     """
 
     tau_ps: float = 2000.0
     travel_time_ps: float = 1000.0
     accept_window_ps: float | None = None
-    visibility: float = 1.0
+    visibility: float | None = None
     visibility_d0: float | None = None
     visibility_d1: float | None = None
     source: SourceParams = field(default_factory=SourceParams)
@@ -94,6 +95,10 @@ class SessionConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        if self.visibility is None:
+            # the session V is the mean of the detector pair, a missing member counting as 1.0
+            vis_d0, vis_d1 = (1.0 if v is None else v for v in (self.visibility_d0, self.visibility_d1))
+            object.__setattr__(self, "visibility", (vis_d0 + vis_d1) / 2.0)
         for name in ("visibility_d0", "visibility_d1"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, self.visibility)
@@ -293,7 +298,8 @@ def sift_and_qber(
     bob_bits: np.ndarray,
     disclosure_fraction: float,
     rng: np.random.Generator,
-    anomalies: int = 0,
+    *,
+    anomalies: int,
 ) -> SiftResult:
     """Sacrifice a random fraction of the matched pairs to estimate the QBER.
 
@@ -301,7 +307,8 @@ def sift_and_qber(
     matched pair. Disclosed pairs are consumed: the key is built from the
     remainder only. The QBER is wrong/(right + wrong) over the disclosed
     subset with a binomial standard error; both are None if nothing was
-    disclosed.
+    disclosed. anomalies is the timing test's count of unmatched receives;
+    it has no default, because a count left out would read as a clean link.
     """
     if not 0.0 < disclosure_fraction < 1.0:
         raise ValueError("disclosure_fraction must be in (0, 1)")

@@ -5,10 +5,11 @@ probabilities via explicit 2x2 density matrices instead of the scalar
 cross-term formula, the splitter via a literal Hadamard matrix product,
 the false-anomaly rate via numerical quadrature of the Gaussian density
 instead of erfc, the timing test as a scalar loop over receives instead of
-array searches, and the transcript CSV through csv.writer one row at a time
-instead of joined column chunks. The inner product of two states and the
-textbook visibility from fringe extremes are kept here as spec: the
-simulator itself never needs them.
+array searches, the transcript CSV through csv.writer one row at a time
+instead of joined column chunks, and the fringe scan as one scalar binomial
+draw per detector per step instead of one draw over the whole table. The
+inner product of two states and the textbook visibility from fringe
+extremes are kept here as spec: the simulator itself never needs them.
 """
 
 import csv
@@ -18,6 +19,8 @@ from bisect import bisect_left
 
 import numpy as np
 from scipy import integrate
+
+from gvqkd.optics import apply_phase, detection_probabilities, make_state, phase_from_path_length
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -124,3 +127,22 @@ def reference_transcript_csv(transcript, match, sift) -> bytes:
         t_r = float(transcript.t_r[receive])
         writer.writerow(["", "", "", 0, repr(t_r), f"D{int(transcript.detector[receive])}", 0, ""])
     return fh.getvalue().encode("utf-8")
+
+
+def reference_fringe_scan(config, source_bit, delta_l_range_nm, n_steps, shots_per_step, rng):
+    """The fringe scan step by step: detector 0's draw, then detector 1's, at each delta_l.
+
+    Returns (delta_l_nm, counts) as lists: floats, and (count_d0, count_d1) pairs of ints.
+    """
+    state0 = make_state(source_bit)
+    delta_l_nm, counts = [], []
+    for delta_l in np.linspace(delta_l_range_nm[0], delta_l_range_nm[1], n_steps):
+        phi = phase_from_path_length(float(delta_l), config.wavelength_nm)
+        state = apply_phase(state0, phi)
+        p_d0, _ = detection_probabilities(state, config.visibility_d0)
+        _, p_d1 = detection_probabilities(state, config.visibility_d1)
+        counts_d0 = int(rng.binomial(shots_per_step, p_d0))
+        counts_d1 = int(rng.binomial(shots_per_step, p_d1))
+        delta_l_nm.append(float(delta_l))
+        counts.append((counts_d0, counts_d1))
+    return delta_l_nm, counts

@@ -96,8 +96,8 @@ def test_03_fringe_scan_recovers_visibilities_and_phase_offset():
         session = load_config(CONFIGS_DIR / f"{name}.cfg").session
         rng = stream(session.seed, "fringe", run_index=source_bit)
         span = 2.0 * session.wavelength_nm
-        points = fringe_scan(session, source_bit, (0.0, span), 41, 5000, rng)
-        fit_d0, fit_d1 = fit_fringe(points, session.wavelength_nm)
+        delta_l_nm, counts = fringe_scan(session, source_bit, (0.0, span), 41, 5000, rng)
+        fit_d0, fit_d1 = fit_fringe(delta_l_nm, counts, session.wavelength_nm)
         assert fit_d0.visibility == pytest.approx(expected_d0, abs=0.02)
         assert fit_d1.visibility == pytest.approx(expected_d1, abs=0.02)
         diff = (fit_d1.phase_offset_rad - fit_d0.phase_offset_rad) % (2.0 * math.pi)

@@ -8,7 +8,6 @@ import pytest
 from gvqkd.analysis import (
     Decision,
     FringeFit,
-    FringePoint,
     canonical_phase,
     default_anomaly_threshold,
     detect_eavesdropping,
@@ -24,24 +23,17 @@ from gvqkd.protocol import SessionConfig, SiftResult
 from gvqkd.streams import stream
 
 from helpers import ideal_config, run_and_sift
-from oracles import binomial_sigma, visibility_from_extremes
+from oracles import binomial_sigma, reference_fringe_scan, visibility_from_extremes
 
 WAVELENGTH = 812.0
 
 
-def synthetic_points(amplitude, visibility_d0, visibility_d1, phase_offset, n_steps=33, span=(0.0, 2.0 * WAVELENGTH)):
-    """Noiseless fringes for both detectors; D1 rides the complementary fringe."""
-    points = []
-    for delta_l in np.linspace(span[0], span[1], n_steps):
-        x = 2.0 * math.pi * delta_l / WAVELENGTH + phase_offset
-        points.append(
-            FringePoint(
-                delta_l_nm=float(delta_l),
-                counts_d0=amplitude * (1.0 + visibility_d0 * math.cos(x)),
-                counts_d1=amplitude * (1.0 - visibility_d1 * math.cos(x)),
-            )
-        )
-    return points
+def synthetic_scan(amplitude, visibility_d0, visibility_d1, phase_offset, n_steps=33, span=(0.0, 2.0 * WAVELENGTH)):
+    """Noiseless fringes as (delta_l_nm, counts); D1 rides the complementary fringe."""
+    delta_l = np.linspace(span[0], span[1], n_steps)
+    cos_x = np.cos(2.0 * math.pi * delta_l / WAVELENGTH + phase_offset)
+    counts = amplitude * np.column_stack([1.0 + visibility_d0 * cos_x, 1.0 - visibility_d1 * cos_x])
+    return delta_l, counts
 
 
 def table_config(**overrides):
@@ -54,38 +46,54 @@ class TestFringeScan:
     def test_ideal_contrast_at_zero_path_difference(self):
         config = ideal_config()
         rng = np.random.default_rng(1)
-        points = fringe_scan(config, 0, (0.0, 2.0 * WAVELENGTH), 9, 1000, rng)
+        delta_l, counts = fringe_scan(config, 0, (0.0, 2.0 * WAVELENGTH), 9, 1000, rng)
         # step 0 sits at delta_l = 0: all counts on D0
-        assert points[0].counts_d0 == 1000
-        assert points[0].counts_d1 == 0
+        assert delta_l[0] == 0.0
+        assert counts[0].tolist() == [1000, 0]
 
     def test_half_wave_shift_swaps_detectors(self):
         config = ideal_config()
         rng = np.random.default_rng(2)
-        points = fringe_scan(config, 0, (0.0, WAVELENGTH), 3, 1000, rng)
+        delta_l, counts = fringe_scan(config, 0, (0.0, WAVELENGTH), 3, 1000, rng)
         # middle step is delta_l = lambda/2: the pi phase turns bit 0 into bit 1
-        assert points[1].counts_d0 == 0
-        assert points[1].counts_d1 == 1000
+        assert delta_l[1] == WAVELENGTH / 2.0
+        assert counts[1].tolist() == [0, 1000]
 
     def test_source_bit_one_is_antiphase(self):
         config = ideal_config()
         rng = np.random.default_rng(3)
-        points = fringe_scan(config, 1, (0.0, WAVELENGTH), 3, 1000, rng)
-        assert points[0].counts_d0 == 0
-        assert points[0].counts_d1 == 1000
+        _, counts = fringe_scan(config, 1, (0.0, WAVELENGTH), 3, 1000, rng)
+        assert counts[0].tolist() == [0, 1000]
 
     def test_counts_bounded_by_shots(self):
         config = table_config()
         rng = np.random.default_rng(4)
-        for p in fringe_scan(config, 0, (0.0, 1624.0), 21, 500, rng):
-            assert 0 <= p.counts_d0 <= 500
-            assert 0 <= p.counts_d1 <= 500
+        delta_l, counts = fringe_scan(config, 0, (0.0, 1624.0), 21, 500, rng)
+        assert delta_l.shape == (21,)
+        assert counts.shape == (21, 2)
+        assert np.issubdtype(counts.dtype, np.integer)
+        assert ((0 <= counts) & (counts <= 500)).all()
 
     def test_deterministic_for_seed(self):
         config = table_config()
         a = fringe_scan(config, 0, (0.0, 1624.0), 11, 200, np.random.default_rng(5))
         b = fringe_scan(config, 0, (0.0, 1624.0), 11, 200, np.random.default_rng(5))
-        assert a == b
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
+
+    def test_one_binomial_call(self):
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng = rng
+                self.calls = 0
+
+            def binomial(self, n, p):
+                self.calls += 1
+                return self.rng.binomial(n, p)
+
+        rng = CountingRng(np.random.default_rng(9))
+        fringe_scan(table_config(), 0, (0.0, 1624.0), 41, 5000, rng)
+        assert rng.calls == 1
 
     def test_rejects_bad_arguments(self):
         config = ideal_config()
@@ -98,12 +106,27 @@ class TestFringeScan:
             fringe_scan(config, 0, (0.0, 1624.0), 5, 0, rng)
 
 
+class TestFringeScanAgainstReference:
+    @pytest.mark.parametrize("source_bit", [0, 1])
+    @pytest.mark.parametrize("pair", [(0.89, 0.82), (1.0, 1.0)])
+    @pytest.mark.parametrize("seed", [0, 5, 61, 2010])
+    def test_equals_the_per_step_loop(self, source_bit, pair, seed):
+        # same steps, same counts, and the generator left in the same state
+        config = SessionConfig(visibility_d0=pair[0], visibility_d1=pair[1])
+        scan_rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        delta_l, counts = fringe_scan(config, source_bit, (0.0, 1624.0), 41, 5000, scan_rng)
+        ref_delta_l, ref_counts = reference_fringe_scan(config, source_bit, (0.0, 1624.0), 41, 5000, reference_rng)
+        assert delta_l.tolist() == ref_delta_l
+        assert [tuple(row) for row in counts.tolist()] == ref_counts
+        assert scan_rng.random() == reference_rng.random()
+
+
 class TestFitFringe:
     def test_exact_recovery_on_noiseless_data(self):
         for visibility in (0.3, 0.82, 1.0):
             for phase in (0.0, 0.8, math.pi, 4.0):
-                points = synthetic_points(1000.0, visibility, visibility, phase)
-                fit_d0, fit_d1 = fit_fringe(points, WAVELENGTH)
+                fit_d0, fit_d1 = fit_fringe(*synthetic_scan(1000.0, visibility, visibility, phase), WAVELENGTH)
                 assert fit_d0.visibility == pytest.approx(visibility, abs=1e-10)
                 assert fit_d0.mean_rate == pytest.approx(1000.0, rel=1e-10)
                 assert canonical_phase(fit_d0.phase_offset_rad - phase) == pytest.approx(0.0, abs=1e-9) or (
@@ -115,34 +138,30 @@ class TestFitFringe:
                 assert diff == pytest.approx(math.pi, abs=1e-9)
 
     def test_visibility_clamped_to_unit_interval(self):
-        fit_d0, _ = fit_fringe(synthetic_points(1000.0, 1.0, 1.0, 0.0), WAVELENGTH)
+        fit_d0, _ = fit_fringe(*synthetic_scan(1000.0, 1.0, 1.0, 0.0), WAVELENGTH)
         assert 0.0 <= fit_d0.visibility <= 1.0
 
     def test_noisy_recovery_within_two_percent(self):
         config = table_config()
         rng = np.random.default_rng(7)
-        points = fringe_scan(config, 0, (0.0, 2.0 * WAVELENGTH), 41, 5000, rng)
-        fit_d0, fit_d1 = fit_fringe(points, WAVELENGTH)
+        delta_l, counts = fringe_scan(config, 0, (0.0, 2.0 * WAVELENGTH), 41, 5000, rng)
+        fit_d0, fit_d1 = fit_fringe(delta_l, counts, WAVELENGTH)
         assert fit_d0.visibility == pytest.approx(0.89, abs=0.02)
         assert fit_d1.visibility == pytest.approx(0.82, abs=0.02)
 
     def test_rejects_too_few_points(self):
-        points = synthetic_points(100.0, 0.9, 0.9, 0.0)[:3]
+        delta_l, counts = synthetic_scan(100.0, 0.9, 0.9, 0.0)
         with pytest.raises(ValueError, match="4 points"):
-            fit_fringe(points, WAVELENGTH)
+            fit_fringe(delta_l[:3], counts[:3], WAVELENGTH)
 
     def test_rejects_short_span(self):
-        points = synthetic_points(100.0, 0.9, 0.9, 0.0, n_steps=10, span=(0.0, 400.0))
         with pytest.raises(ValueError, match="period"):
-            fit_fringe(points, WAVELENGTH)
+            fit_fringe(*synthetic_scan(100.0, 0.9, 0.9, 0.0, n_steps=10, span=(0.0, 400.0)), WAVELENGTH)
 
     def test_rejects_rank_deficient_design(self):
         # only full-wavelength steps: cos is constant, sin is zero
-        points = [
-            FringePoint(delta_l_nm=k * WAVELENGTH, counts_d0=100.0, counts_d1=100.0) for k in range(4)
-        ]
         with pytest.raises(ValueError, match="degenerate"):
-            fit_fringe(points, WAVELENGTH)
+            fit_fringe(np.arange(4) * WAVELENGTH, np.full((4, 2), 100.0), WAVELENGTH)
 
 
 class TestVisibilityFromExtremes:
@@ -165,10 +184,9 @@ class TestVisibilityFromExtremes:
 
     def test_agrees_with_fit_on_noiseless_scan(self):
         # grid hits the exact extremes: steps of lambda/8 over two periods
-        points = synthetic_points(1000.0, 0.86, 0.86, 0.0, n_steps=17)
-        fit_d0, _ = fit_fringe(points, WAVELENGTH)
-        rates = [p.counts_d0 for p in points]
-        extremes = visibility_from_extremes(max(rates), min(rates))
+        delta_l, counts = synthetic_scan(1000.0, 0.86, 0.86, 0.0, n_steps=17)
+        fit_d0, _ = fit_fringe(delta_l, counts, WAVELENGTH)
+        extremes = visibility_from_extremes(counts[:, 0].max(), counts[:, 0].min())
         assert abs(extremes - fit_d0.visibility) < 0.01
 
 
@@ -188,8 +206,8 @@ class TestQberFromVisibility:
         # sifted session at the same configured visibility
         config = ideal_config(pair_rate_hz=4000.0, duration_s=5.0, seed=63, visibility=0.86)
         rng = stream(63, "fringe")
-        points = fringe_scan(config, 0, (0.0, 2.0 * WAVELENGTH), 41, 5000, rng)
-        fit_d0, _ = fit_fringe(points, WAVELENGTH)
+        delta_l, counts = fringe_scan(config, 0, (0.0, 2.0 * WAVELENGTH), 41, 5000, rng)
+        fit_d0, _ = fit_fringe(delta_l, counts, WAVELENGTH)
         predicted = qber_from_visibility(fit_d0.visibility)
         _, _, sift = run_and_sift(config)
         n = sum(sift.disclosed_mask)
@@ -258,12 +276,32 @@ class TestSerializationAndReports:
     def test_fringe_csv_round_trip(self, tmp_path):
         config = table_config()
         rng = np.random.default_rng(8)
-        points = fringe_scan(config, 0, (0.0, 1624.0), 21, 500, rng)
+        delta_l, counts = fringe_scan(config, 0, (0.0, 1624.0), 21, 500, rng)
         path = tmp_path / "fringe.csv"
-        write_fringe_csv(path, points)
-        assert read_fringe_csv(path) == points
+        write_fringe_csv(path, delta_l, counts)
+        read_delta_l, read_counts = read_fringe_csv(path)
+        assert read_delta_l.tolist() == delta_l.tolist()
+        assert read_counts.tolist() == counts.tolist()
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "delta_l_nm,counts_d0,counts_d1"
+
+    def test_fringe_csv_encodings(self, tmp_path):
+        # CRLF line ends, delta_l as its shortest repr, counts as decimal integers
+        path = tmp_path / "fringe.csv"
+        write_fringe_csv(path, np.array([0.0, 81.2, 1e-05]), np.array([[2412, 0], [7, 5000], [1, 2]]))
+        assert path.read_bytes() == b"delta_l_nm,counts_d0,counts_d1\r\n0.0,2412,0\r\n81.2,7,5000\r\n1e-05,1,2\r\n"
+
+    def test_negative_count_in_a_file_is_rejected(self, tmp_path):
+        path = tmp_path / "fringe.csv"
+        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,12,5\r\n81.2,-1,5\r\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="non-negative"):
+            read_fringe_csv(path)
+
+    def test_unexpected_header_is_rejected(self, tmp_path):
+        path = tmp_path / "fringe.csv"
+        path.write_text("delta_l,d0,d1\r\n0.0,1,1\r\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="header"):
+            read_fringe_csv(path)
 
     def test_fit_report_keys(self):
         fit = FringeFit(visibility=0.89, phase_offset_rad=0.0, mean_rate=1000.0, residual_rms=1.0)

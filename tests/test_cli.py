@@ -322,6 +322,39 @@ class TestLibraryConstruction:
         assert ExperimentConfig(SessionConfig()) == load_config(None)
 
 
+class TestDetectorPairRule:
+    @pytest.mark.parametrize(
+        "kwargs, values",
+        [
+            ({"visibility_d0": 0.89, "visibility_d1": 0.82}, {"visibility_d0": "0.89", "visibility_d1": "0.82"}),
+            ({"visibility_d0": 0.7}, {"visibility_d0": "0.7"}),
+            ({"visibility": 0.9}, {"visibility": "0.9"}),
+            (
+                {"visibility": 0.9, "visibility_d0": 0.89, "visibility_d1": 0.82},
+                {"visibility": "0.9", "visibility_d0": "0.89", "visibility_d1": "0.82"},
+            ),
+        ],
+    )
+    def test_library_and_scenario_sessions_are_equal(self, kwargs, values):
+        assert SessionConfig(**kwargs) == build_experiment(values).session
+
+    def test_session_v_of_the_pair_is_the_scenario_files(self):
+        session = SessionConfig(visibility_d0=0.89, visibility_d1=0.82)
+        assert session.visibility == 0.855
+        assert session.visibility == load_config(CONFIGS_DIR / "measured_s0.cfg").session.visibility
+
+    def test_a_missing_member_counts_as_one(self):
+        session = SessionConfig(visibility_d1=0.8)
+        assert session.visibility == 0.9
+        # the missing detector then takes the session value
+        assert (session.visibility_d0, session.visibility_d1) == (0.9, 0.8)
+
+    def test_an_invalid_member_is_reported_under_its_own_name(self):
+        # checked before the mean, so the bad value is not reported as visibility
+        with pytest.raises(ValueError, match=r"^visibility_d0 must be in \[0, 1\]$"):
+            SessionConfig(visibility_d0=2.0)
+
+
 class TestKeyTable:
     @staticmethod
     def readme_rows() -> list[tuple[str, str]]:

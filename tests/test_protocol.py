@@ -425,32 +425,32 @@ class TestSiftAndQber:
 
     def test_disclosure_consumes_pairs(self):
         rng = np.random.default_rng(20)
-        sift = sift_and_qber(*self._pairs(100), 0.5, rng)
+        sift = sift_and_qber(*self._pairs(100), 0.5, rng, anomalies=0)
         assert sift.matched == 100
         assert sum(sift.disclosed_mask) == 50
         assert sift.key_bits == 50
 
     def test_error_free_pairs_give_zero_qber(self):
         rng = np.random.default_rng(21)
-        sift = sift_and_qber(*self._pairs(100), 0.5, rng)
+        sift = sift_and_qber(*self._pairs(100), 0.5, rng, anomalies=0)
         assert sift.qber == 0.0
         assert sift.qber_sigma == 0.0
 
     def test_key_keeps_the_undisclosed_pairs(self):
         alice, bob = self._pairs(60, wrong_indices=(3, 10, 41))
-        sift = sift_and_qber(alice, bob, 0.5, np.random.default_rng(26))
+        sift = sift_and_qber(alice, bob, 0.5, np.random.default_rng(26), anomalies=0)
         assert sift.key_bits == np.count_nonzero(~sift.disclosed_mask) == 30
 
     def test_key_bits_of_an_all_disclosed_sift_is_zero(self):
         # round(2 * 0.75) discloses both pairs
-        sift = sift_and_qber(*self._pairs(2), 0.75, np.random.default_rng(28))
+        sift = sift_and_qber(*self._pairs(2), 0.75, np.random.default_rng(28), anomalies=0)
         assert sift.disclosed_mask.tolist() == [True, True]
         assert sift.key_bits == 0
 
     def test_qber_counts_disclosed_errors_only(self):
         rng = np.random.default_rng(22)
         alice, bob = self._pairs(200, wrong_indices=set(range(0, 200, 4)))
-        sift = sift_and_qber(alice, bob, 0.5, rng)
+        sift = sift_and_qber(alice, bob, 0.5, rng, anomalies=0)
         disclosed_wrong = sum(
             1 for a, b, disclosed in zip(alice, bob, sift.disclosed_mask) if disclosed and a != b
         )
@@ -469,23 +469,31 @@ class TestSiftAndQber:
         assert sift.matched == 0
         assert sift.key_bits == 0
 
+    def test_anomaly_count_must_be_named(self):
+        # a left-out count would read as a clean link and silence the timing alarm
+        rng = np.random.default_rng(29)
+        with pytest.raises(TypeError, match="anomalies"):
+            sift_and_qber(*self._pairs(10), 0.5, rng)
+        with pytest.raises(TypeError):
+            sift_and_qber(*self._pairs(10), 0.5, rng, 3)
+
     def test_rejects_bad_fraction(self):
         rng = np.random.default_rng(24)
         for bad in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
-                sift_and_qber(*self._pairs(10), bad, rng)
+                sift_and_qber(*self._pairs(10), bad, rng, anomalies=0)
 
     def test_deterministic_for_seed(self):
         alice, bob = self._pairs(100)
-        a = sift_and_qber(alice, bob, 0.5, np.random.default_rng(25))
-        b = sift_and_qber(alice, bob, 0.5, np.random.default_rng(25))
+        a = sift_and_qber(alice, bob, 0.5, np.random.default_rng(25), anomalies=0)
+        b = sift_and_qber(alice, bob, 0.5, np.random.default_rng(25), anomalies=0)
         np.testing.assert_array_equal(a.disclosed_mask, b.disclosed_mask)
         assert a.key_bits == b.key_bits
 
     def test_one_choice_call_on_the_sift_stream(self):
         # the disclosed subset is exactly one rng.choice(n, round(n f)) draw
         alice, bob = self._pairs(101)
-        sift = sift_and_qber(alice, bob, 0.3, np.random.default_rng(27))
+        sift = sift_and_qber(alice, bob, 0.3, np.random.default_rng(27), anomalies=0)
         expected = np.random.default_rng(27).choice(101, size=30, replace=False)
         assert np.flatnonzero(sift.disclosed_mask).tolist() == sorted(expected.tolist())
 
