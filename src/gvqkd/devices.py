@@ -2,7 +2,9 @@
 
 All timestamps are picoseconds (float64); durations of whole sessions are
 seconds. Documented timing resolution is 1 ps: no physics in this package
-depends on structure below that scale.
+depends on structure below that scale. The times here are not rounded;
+protocol.run_session rounds the heralded stamps and the click times of its
+transcript to whole ps.
 """
 
 from dataclasses import dataclass

@@ -63,8 +63,9 @@ class SessionConfig:
 
     accept_window_ps, visibility, visibility_d0 and visibility_d1 may be
     left None to take their derived defaults: 3x the combined timing
-    jitter; the mean of the detector pair, a missing member counting as
-    1.0; and the session visibility, respectively.
+    jitter but at least the 1 ps stamp resolution; the mean of the detector
+    pair, a missing member counting as 1.0; and the session visibility,
+    respectively.
     """
 
     tau_ps: float = 2000.0
@@ -114,12 +115,14 @@ class SessionConfig:
             raise ValueError("wavelength_nm must be positive")
         sigma = combined_jitter_ps(self.source, self.signal_detector)
         if self.accept_window_ps is None:
-            # degenerate jitter-free configs still need a usable window, and tau must admit it
-            if sigma == 0 and self.tau_ps < 1.0:
+            # whole-ps stamps put a deviation up to 1 ps off, so w >= 1 ps; tau must admit it (below 3 sigma: see below)
+            if 3.0 * sigma <= self.tau_ps < 1.0:
                 raise ValueError(f"tau_ps must be >= the jitter-free default accept window = 1.0 ps, got {self.tau_ps}")
-            object.__setattr__(self, "accept_window_ps", 3.0 * sigma if sigma > 0 else 1.0)
+            object.__setattr__(self, "accept_window_ps", max(3.0 * sigma, 1.0))
         elif self.accept_window_ps <= 0:
             raise ValueError("accept_window_ps must be positive")
+        elif self.accept_window_ps < 1.0:
+            raise ValueError(f"accept_window_ps must be >= the 1 ps stamp resolution, got {self.accept_window_ps}")
         # the storage delay must dominate timing noise or the timing test
         # cannot separate held packets from jitter
         if self.tau_ps < 3.0 * sigma:
@@ -137,6 +140,8 @@ class Transcript:
     Sends are indexed in the order of the sender's log (heralded stamps):
     t_s, bit and Eve's guess of that photon's bit (NO_GUESS for none).
     Receives are sorted by time: t_r and the detector that fired (0 or 1).
+    run_session rounds t_s and t_r to whole ps after sorting them; the true
+    emission and arrival times behind them are not rounded.
     """
 
     t_s: np.ndarray
@@ -235,7 +240,8 @@ def run_session(
     # the sender's log is ordered by what it observes: the heralded stamps
     order = np.argsort(t_stamped, kind="stable")
     t_true = t_true[order]
-    t_stamped = t_stamped[order]
+    # stamps are kept at the 1 ps timing resolution; rounding after the sort keeps the order
+    t_stamped = np.rint(t_stamped[order])
     n = t_true.size
     if source_bit is None:
         bits = rng("bits").integers(0, 2, size=n)
@@ -261,7 +267,7 @@ def run_session(
     return Transcript(
         t_s=t_stamped,
         bit=bits,
-        t_r=t_r[order],
+        t_r=np.rint(t_r[order]),
         detector=np.concatenate(detector_parts)[order],
         eve_guess=guess,
     )
@@ -356,17 +362,12 @@ TRANSCRIPT_COLUMNS = ["index", "bit", "t_s_ps", "matched", "t_r_ps", "detector",
 
 # rows built per write, so transient memory does not grow with session size
 _CHUNK_ROWS = 1 << 13
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
 # uint32 words of ASCII (small dtypes: int64 temporaries would add megabytes to peak
-# memory). _DIGITS4[g + 10000 * v], g = 0000..9999: v = 0 leading zeros NUL but "0",
-# 1 all digits, 2 trailing zeros NUL. _DOT3[g + 1000 * v]: ".000".."999", v = 1 as 2.
-_GROUPS = (np.arange(10000, dtype=np.int16)[:, None] // _POW10[3::-1].astype(np.int16) % 10).astype(np.uint8) + 48
+# memory). _DIGITS4[g + 10000 * v], g = 0000..9999: v = 0 leading zeros NUL but "0", 1 all digits.
+_GROUPS = (np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10).astype(np.uint8) + 48
 _LEAD = np.logical_or.accumulate(_GROUPS != 48, axis=1) | (np.arange(4) == 3)
-_TRAIL = np.logical_or.accumulate(_GROUPS[:, ::-1] != 48, axis=1)[:, ::-1]
-_DIGITS4 = np.concatenate([_GROUPS * _LEAD, _GROUPS, _GROUPS * _TRAIL]).view(np.uint32).ravel()
-_DOT3 = np.where(np.arange(4) == 0, np.uint8(ord(".")), _GROUPS[:1000])
-_DOT3 = np.concatenate([_DOT3, _DOT3 * (_TRAIL[:1000] | (np.arange(4) < 2))]).view(np.uint32).ravel()
-_FLOAT_WIDTH = 28
+_DIGITS4 = np.concatenate([_GROUPS * _LEAD, _GROUPS]).view(np.uint32).ravel()
+_FLOAT_WIDTH = 24
 
 
 def _digit_words(values: np.ndarray, words: int) -> np.ndarray:
@@ -380,38 +381,18 @@ def _digit_words(values: np.ndarray, words: int) -> np.ndarray:
 
 
 def _float_text(x: np.ndarray) -> np.ndarray:
-    """repr of each float, as rows of _FLOAT_WIDTH bytes padded with NUL (no repr exceeds 24).
+    """repr of each float, as rows of _FLOAT_WIDTH bytes padded with NUL (no repr is longer).
 
-    x in [2**24, 2**52) is I + F / 2**k, k = 1..28, and prints "I.f": f has
-    the fewest digits d whose nearest decimal (ties to even) is within half
-    an ulp; the ends need k + 1 digits, where x is exact, so never decide.
-    That holds for all d past the shortest and at the first d with 10**d >=
-    2**k (<= 9, so int64 products stay below 2**58): d descends from there.
-    f never ends in 0, so it prints as 11 digits less trailing zeros; only
-    F = 0 fits d = 0, so it starts there and prints "I.0". Other values take repr.
+    A whole number in [0, 2**53) with its sign bit clear, such as a time
+    stamp rounded to the picosecond, prints as its digits and ".0"; other
+    values take repr.
     """
-    fast = (x >= 2.0**24) & (x < 2.0**52)
-    m, e = np.frexp(np.where(fast, x, 2.0**24))
-    mant, k = (m * 2.0**53).astype(np.int64), 53 - e.astype(np.int64)
-    whole, ulp = mant >> k, np.int64(1) << k
-    frac = mant & (ulp - 1)
-    d = np.searchsorted(_POW10, ulp) * (frac > 0)
-    while True:
-        rem = (frac * _POW10[d - 1]) & (ulp - 1)
-        shorter = (d > 0) & (2 * np.minimum(rem, ulp - rem) < _POW10[d - 1])
-        if not shorter.any():
-            break
-        d -= shorter
-    scaled = frac * _POW10[d]
-    q, twice_rem = scaled >> k, 2 * (scaled & (ulp - 1))
-    shortest = q + ((twice_rem > ulp) | ((twice_rem == ulp) & (q & 1 == 1)))
-    high, low = np.divmod(shortest * _POW10[11 - d], 10**8)
-    mid4, low4 = np.divmod(low, 10000)
-    words = np.empty((x.size, 7), dtype=np.uint32)
+    fast = ~np.signbit(x) & (x < 2.0**53)
+    whole = np.where(fast, x, 0.0).astype(np.int64)
+    fast &= whole == x
+    words = np.zeros((x.size, _FLOAT_WIDTH // 4), dtype=np.uint32)
     words[:, :4] = _digit_words(whole, 4)
-    words[:, 4] = _DOT3[high + 1000 * (low == 0)]
-    words[:, 5] = _DIGITS4[mid4 + 10000 * (1 + (low4 == 0))]
-    words[:, 6] = _DIGITS4[low4 + 20000]
+    words[:, 4] = np.frombuffer(b".0\0\0", dtype=np.uint32)
     text = words.view(np.uint8)
     for row in np.flatnonzero(~fast).tolist():
         text[row] = np.frombuffer(repr(x.item(row)).encode("ascii").ljust(_FLOAT_WIDTH, b"\0"), dtype=np.uint8)

@@ -13,7 +13,8 @@ from gvqkd.analysis import Decision
 from gvqkd.cli import EXIT_ALARM, EXIT_CONFIG, EXIT_OK, main
 from gvqkd.config import KEYS, ConfigError, ExperimentConfig, build_experiment, load_config, parse_flat
 from gvqkd.devices import DetectorParams, SourceParams
-from gvqkd.protocol import SessionConfig
+from gvqkd.adversary import AttackStrategy
+from gvqkd.protocol import SessionConfig, read_transcript_csv, run_session, sift_transcript, write_transcript_csv
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 CONFIGS_DIR = REPO_DIR / "configs"
@@ -142,6 +143,7 @@ INT_KEYS = ("seed", "runs", "scan_steps", "shots_per_step")
 # jitter-free, so the derived accept window is 1.0 ps, wider than tau
 SUB_PICOSECOND_TAU = FAST_SCENARIO + "travel_time = 0.5\ntau = 0.9\n"
 SUB_PICOSECOND_TAU_ERROR = "tau: must be >= the jitter-free default accept window = 1.0 ps, got 0.9"
+SUB_PICOSECOND_WINDOW_ERROR = "accept_window: must be >= the 1 ps stamp resolution, got 0.5"
 
 
 def rejection_message(values: dict[str, str]) -> str:
@@ -280,9 +282,10 @@ class TestRejection:
         path.write_text(SUB_PICOSECOND_TAU, encoding="utf-8")
         with pytest.raises(ConfigError, match=rf"^{re.escape(SUB_PICOSECOND_TAU_ERROR)}$"):
             load_config(path)
+        # an explicit window below the 1 ps stamp resolution is rejected too
         path.write_text(SUB_PICOSECOND_TAU + "accept_window = 0.5\n", encoding="utf-8")
-        session = load_config(path).session
-        assert (session.tau_ps, session.accept_window_ps) == (0.9, 0.5)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(SUB_PICOSECOND_WINDOW_ERROR)}$"):
+            load_config(path)
 
     def test_file_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.cfg"
@@ -591,8 +594,9 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_TAU_ERROR}\n"
         assert not out_dir.exists()
         cfg.write_text(SUB_PICOSECOND_TAU + "accept_window = 0.5\n", encoding="utf-8")
-        assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
-        assert (out_dir / "summary.json").is_file()
+        assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_WINDOW_ERROR}\n"
+        assert not out_dir.exists()
 
     def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
@@ -645,14 +649,53 @@ class TestShippedScenarios:
         assert s1.session.visibility_d1 == 0.85
 
 
+class TestWholePicosecondStamps:
+    @pytest.mark.parametrize("attack", ["none", "store-forward"])
+    @pytest.mark.parametrize("config", ["ideal", "measured_s0", "measured_s1", "attack_demo"])
+    def test_shipped_transcripts_print_whole_picoseconds(self, tmp_path, config, attack):
+        experiment = load_config(CONFIGS_DIR / f"{config}.cfg")
+        session = experiment.session
+        strategy = AttackStrategy(kind=attack, extra_delay_ps=experiment.extra_delay_ps)
+        transcript = run_session(session, strategy, source_bit=experiment.source_bit)
+        match, sift = sift_transcript(transcript, session)
+        path = tmp_path / "transcript.csv"
+        write_transcript_csv(path, transcript, match, sift)
+        rows = [line.split(",") for line in path.read_bytes().decode("ascii").split("\r\n")[1:-1]]
+        times = [row[column] for row in rows for column in (2, 4) if row[column]]
+        assert len(times) == transcript.t_s.size + transcript.t_r.size
+        assert all(text.endswith(".0") for text in times)
+        sends, matches, _, _, anomalies = read_transcript_csv(path)
+        assert sends == list(zip(range(transcript.t_s.size), transcript.bit.tolist(), transcript.t_s.tolist()))
+        t_r, detector = transcript.t_r.tolist(), transcript.detector.tolist()
+        assert matches == {s: (t_r[r], detector[r]) for s, r in zip(match.send.tolist(), match.receive.tolist())}
+        assert anomalies == [(t_r[r], detector[r]) for r in match.anomalies.tolist()]
+
+    def test_fractional_offset_on_a_jitter_free_link_is_clean(self, tmp_path):
+        # tau + T = 3000.7 ps: whole-ps stamps put each deviation at -0.7 or +0.3 ps, inside the 1 ps window
+        cfg = tmp_path / "fractional.cfg"
+        cfg.write_text(FAST_SCENARIO + "tau = 2000.3\ntravel_time = 1000.4\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        argv = ["attack-demo", "--config", str(cfg), "--out", str(out_dir), "--attack", "none", "--fail-on-alarm"]
+        assert main(argv) == EXIT_OK
+        report = json.loads((out_dir / "verdict.json").read_text(encoding="utf-8"))
+        assert (report["decision"], report["anomalies"]) == ("Clean", 0)
+        assert report["matched"] > 0
+
+    def test_sub_picosecond_jitter_derives_the_1_ps_window(self):
+        # 3 sigma = 0.42 ps would be narrower than the stamp resolution
+        session = build_experiment({"jitter": "0.1"}).session
+        assert 3.0 * math.hypot(0.1, 0.1) < 1.0
+        assert session.accept_window_ps == 1.0
+
+
 class TestGoldenOutputs:
     """Pinned digests of FAST_SCENARIO's outputs: any change to an RNG draw
     order, the engine's arithmetic or the file formats shows up here, and
     must be a deliberate, documented break."""
 
     GOLDEN = {
-        ("transmit",): "5b1d544ff8175fc857a37f9510af397dc97567221c23cc049a71acdc12a39409",
-        ("attack-demo", "--attack", "store-forward"): "cbe80f244f93b07fb2a24a1c0fff5384580a7bdc74622eb322e5d1f5b93a8dc8",
+        ("transmit",): "e8e2dc85c897554a66f7e227f6ea2515868db555354c5a860b25ecba51c1e1c3",
+        ("attack-demo", "--attack", "store-forward"): "d55283720b606674aa192da4ee08310aa54c1f24e78c260077795c4ee2df175e",
     }
 
     @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
@@ -664,26 +707,26 @@ class TestGoldenOutputs:
     # every shipped config under every command, pinned before a refactor
     # that must keep the bytes
     SHIPPED = {
-        ("ideal", "transmit"): "3690ce60236669e8995dbe93abb7611f3783f2f414698f95f04bf589580b89c1",
+        ("ideal", "transmit"): "fb84abfceb4a7a47a7612692c628fe1ee302235e1c978193fa27db8c4d62b559",
         ("ideal", "fringe-scan"): "e42803db86102ddc8b600d0204030d9c17adbfd3506cb87db5beb72f92275899",
-        ("ideal", "attack-demo --attack none"): "9ff4b234b203bdf832e6753a9f70ec36643faf100d777fbb90fceea90fe22564",
-        ("ideal", "attack-demo --attack which-path"): "4be517b8c5bfb204277e35d8880afcc41a3785a68c440eef4138b13617078052",
-        ("ideal", "attack-demo --attack store-forward"): "d6abe8a3884ab5d89da81b627126b3af4ce369bd491ceab288251be454967de8",
-        ("measured_s0", "transmit"): "d688880f916e36b24455fb6d619f750b8028c7276a3255bb3bac2427b051aaf5",
+        ("ideal", "attack-demo --attack none"): "633aa1b8c9bec644cae98fc8be52fa1e6e0ee0eba855bb8b81c8862aa9f7148d",
+        ("ideal", "attack-demo --attack which-path"): "d18ecd00d600f217dc3daf445ac1045ca98a6416d2486eba1d96d75e4957bc8a",
+        ("ideal", "attack-demo --attack store-forward"): "f75579c69688afa5ea6c807bf2b7ee3fc99415e1583ce8776622bbbaa85898d3",
+        ("measured_s0", "transmit"): "4a52a5c22e30aca9ce453439f78a05e6cbf5b919399bb5c9ef715a2df5a13ac9",
         ("measured_s0", "fringe-scan"): "28a2700387691accaf1c6fe0c1219af9f17854e63192b040936ead9c5827331c",
-        ("measured_s0", "attack-demo --attack none"): "041922334ccd39244ecb58c9f1acc2baceba02c6dbed2c15a1066ac737bf77bb",
-        ("measured_s0", "attack-demo --attack which-path"): "038d95409a04eeecabfb8fdfbb88a5e08de0eb2da421353e097ca3746a5388f6",
-        ("measured_s0", "attack-demo --attack store-forward"): "9112478ca8dff973dac841a2956a9565600c765e51a65a3db18c7c7898708ac0",
-        ("measured_s1", "transmit"): "6d04478464fb877f85bd9ea21d974787ee267c8ca7cd902e9d053a001d39a4d5",
+        ("measured_s0", "attack-demo --attack none"): "890d4140c14aca7a39c344684e1266f309c5b52b2b22cd29c46c88836631ee76",
+        ("measured_s0", "attack-demo --attack which-path"): "9286284e8495116f107ee2029a0b377f703786df5ec67ec1ec380f14e6f04b42",
+        ("measured_s0", "attack-demo --attack store-forward"): "1e433e20968763eb1ef1e9e64662473f3a1ac591eb64e697e99de3e8c054a024",
+        ("measured_s1", "transmit"): "ead0d1bbad5928cde6771c7a30187da6bb7ac7b2bbf4c16acce4416cd4793c1a",
         ("measured_s1", "fringe-scan"): "64454f93917ce1d020980decbc585bdcbceba0ccac95fe55c0910e39233934d7",
-        ("measured_s1", "attack-demo --attack none"): "e31cd06b1f3da183995076e73fedb67ad399ded3101d08a6d12c9c42b0623f39",
-        ("measured_s1", "attack-demo --attack which-path"): "9ddbffab5e3d1a9c0a05d70a08af5736dd44fe7d2652a9d2634ee4727fc8397d",
-        ("measured_s1", "attack-demo --attack store-forward"): "47a4bad06d2e0a6e5918c96b6bc0ce98f07f6ada8d3cb3ac7347fd7af405ae95",
-        ("attack_demo", "transmit"): "f37f172541c7174c9ee88c5a8d51d91e517dce95530fbeec424ed6251a5f6ba5",
+        ("measured_s1", "attack-demo --attack none"): "4e552ccc621a15318b47bc836a5b0615be5886cd29016740bd66c5690d11c3d7",
+        ("measured_s1", "attack-demo --attack which-path"): "ebf0c1e47ef4d790761138f92f5cea757e5ffaf8ca7b5ddb134bbbce953047c9",
+        ("measured_s1", "attack-demo --attack store-forward"): "f02612b7de48f7c85bef7119ae420de3b2f23c6f5a69f1bb2231142c1bda8726",
+        ("attack_demo", "transmit"): "574e32455c9fec7143b7475bbd9cb9223c6ad53e030a576a3f3d390cbbd78793",
         ("attack_demo", "fringe-scan"): "230b516ba569d44a0b2449033804cefcb6d0ed7dc7ddce99c74b2e303a878503",
-        ("attack_demo", "attack-demo --attack none"): "06d0caf5bd5699f506eeaba096ed070d42998facc7d9d6c215ef15e030c7d4b6",
-        ("attack_demo", "attack-demo --attack which-path"): "5adf206c8fc2ee44abeb8dc75e9c1ff160f0da44ee16e660712c014292f2901c",
-        ("attack_demo", "attack-demo --attack store-forward"): "9e3a4069d0724f0631f6896ddcf5fcf1996fd0260c5aba33b2cc9d7623b0430b",
+        ("attack_demo", "attack-demo --attack none"): "245f541fbf347ecf15ac717d53941c62a3f16e8e4a4595c1f80229b66f9c8292",
+        ("attack_demo", "attack-demo --attack which-path"): "8a12f9b459cd1d8bd216cda201428ba0e2b0cb54507b7b0076616c97bf5e3539",
+        ("attack_demo", "attack-demo --attack store-forward"): "0efb7744b2f918dc18791f3767551a38643ac4ffc314d2b27eda28777b58498b",
     }
 
     @pytest.mark.parametrize("config, command", list(SHIPPED))
