@@ -57,18 +57,19 @@ def apply_attack(
     launch_b_ps: np.ndarray,
     travel_time_ps: float,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pass every photon of a session through the channel under a strategy.
 
     state holds link-state indices (see optics.link_states). Returns
-    (state at the receiver, arrival_a, arrival_b, Eve's guess), one entry
-    per photon; the guess is NO_GUESS where Eve took none.
+    (state at the receiver, arrival, Eve's guess), one entry per photon.
+    arrival is when packet b reaches the receiver, where it recombines with
+    packet a: every strategy delays both packets or neither. The guess is
+    NO_GUESS where Eve took none.
     """
     n = state.size
-    arrival_a = launch_a_ps + travel_time_ps
-    arrival_b = launch_b_ps + travel_time_ps
+    arrival = launch_b_ps + travel_time_ps
     if strategy.kind == KIND_NONE:
-        return state, arrival_a, arrival_b, np.full(n, NO_GUESS)
+        return state, arrival, np.full(n, NO_GUESS)
 
     states = link_states()
     if strategy.kind == KIND_WHICH_PATH:
@@ -77,7 +78,7 @@ def apply_attack(
         p_a = np.array([abs(s.amp_a) ** 2 for s in states])
         found_a = rng.random(n) < p_a[state]
         guess = rng.integers(0, 2, size=n)
-        return np.where(found_a, STATE_MODE_A, STATE_MODE_B), arrival_a, arrival_b, guess
+        return np.where(found_a, STATE_MODE_A, STATE_MODE_B), arrival, guess
 
     # store-forward: Eve reads the packet separation off the launch times
     # she observes, interferes the pair on her own ideal recombiner, and
@@ -86,7 +87,7 @@ def apply_attack(
     p0 = np.array([abs(beam_splitter(s).amp_a) ** 2 for s in states])
     learned = (rng.random(n) >= p0[state]).astype(np.int64)
     delay = (launch_b_ps - launch_a_ps) + strategy.extra_delay_ps
-    return learned, arrival_a + delay, arrival_b + delay, learned
+    return learned, arrival + delay, learned
 
 
 def eve_information(guesses: np.ndarray, alice_bits: np.ndarray) -> float:

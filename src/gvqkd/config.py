@@ -141,7 +141,6 @@ KEYS = (
     ("scan_span", _parse_float, "scan_span_nm"),
     ("scan_steps", _parse_int, "scan_steps"),
     ("shots_per_step", _parse_int, "shots_per_step"),
-    ("coherence_window", _parse_float, "coherence_window_ps"),
     ("extra_delay", _parse_float, "extra_delay_ps"),
     ("qber_threshold", _parse_float, "qber_threshold"),
     ("anomaly_threshold", _parse_float, "anomaly_threshold"),

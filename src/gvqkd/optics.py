@@ -8,7 +8,7 @@ toward detector i with certainty.
 
 Imperfect interference is modeled by a single effective visibility V in
 [0, 1] that scales the cross term of the detection probabilities. V = 1 is
-the ideal interferometer, V = 0 a fully incoherent (which-path) mixture.
+the ideal interferometer, V = 0 a which-path mixture with no cross term.
 """
 
 import cmath

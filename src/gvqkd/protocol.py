@@ -5,8 +5,9 @@ Timeline of one photon, all times in ps:
     t_emit                photon pair born; herald stamps t_s ~ t_emit
     t_emit                leading packet (mode a) enters the channel
     t_emit + tau          delayed packet (mode b) enters the channel
-    launch + T            each packet arrives after travel time T
-    arrival of the later  receiver recombines; one detector clicks at t_r
+    t_emit + T            packet a arrives; the receiver delays it by tau
+    t_emit + tau + T      packet b arrives and recombines with the delayed
+                          packet a; one detector clicks at t_r
 
 With tau > T the two packets are never in the channel simultaneously, so
 an eavesdropper can only ever touch one packet of an orthogonal-state pair
@@ -34,11 +35,6 @@ from gvqkd.devices import (
 )
 from gvqkd.optics import detection_probabilities, link_states
 from gvqkd.streams import stream
-
-# Packets recombine only if their overlap mismatch is below this; beyond it
-# the interference term is dropped entirely (sharp threshold, no partial
-# coherence model).
-COHERENCE_WINDOW_PS = 10.0
 
 WAVELENGTH_NM = 812.0
 
@@ -79,7 +75,6 @@ class SessionConfig:
     session_duration_s: float = 5.0
     disclosure_fraction: float = 0.5
     seed: int = 0
-    coherence_window_ps: float = COHERENCE_WINDOW_PS
     wavelength_nm: float = WAVELENGTH_NM
 
     def __post_init__(self):
@@ -109,15 +104,13 @@ class SessionConfig:
             raise ValueError("disclosure_fraction must be in (0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.coherence_window_ps <= 0:
-            raise ValueError("coherence_window_ps must be positive")
         if self.wavelength_nm <= 0:
             raise ValueError("wavelength_nm must be positive")
         sigma = combined_jitter_ps(self.source, self.signal_detector)
         if self.accept_window_ps is None:
             # whole-ps stamps put a deviation up to 1 ps off, so w >= 1 ps; tau must admit it (below 3 sigma: see below)
             if 3.0 * sigma <= self.tau_ps < 1.0:
-                raise ValueError(f"tau_ps must be >= the jitter-free default accept window = 1.0 ps, got {self.tau_ps}")
+                raise ValueError(f"tau_ps must be >= the 1 ps minimum accept window, got {self.tau_ps}")
             object.__setattr__(self, "accept_window_ps", max(3.0 * sigma, 1.0))
         elif self.accept_window_ps <= 0:
             raise ValueError("accept_window_ps must be positive")
@@ -180,38 +173,27 @@ class SiftResult:
 
 
 def detection_table(visibility: float) -> np.ndarray:
-    """P(D0) for each link state (rows) at effective visibility V and at 0 (columns).
+    """P(D0) of each link state at effective visibility V.
 
     Built from the scalar optics so the engine carries no copy of the
     detection rule.
     """
-    return np.array([[detection_probabilities(s, v)[0] for v in (visibility, 0.0)] for s in link_states()])
+    return np.array([detection_probabilities(s, visibility)[0] for s in link_states()])
 
 
 def bob_receive(
-    state: np.ndarray,
-    arrival_a_ps: np.ndarray,
-    arrival_b_ps: np.ndarray,
-    config: SessionConfig,
-    rng: np.random.Generator,
+    state: np.ndarray, arrival_ps: np.ndarray, config: SessionConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recombine each photon's two packets; returns (detector, click time) of the photons that clicked.
 
-    The receiver delays the leading packet by tau, so packet a is ready at
-    arrival_a + tau. If that misses arrival_b by more than the coherence
-    window the packets no longer interfere and the effective visibility
-    drops to zero. The later packet sets the exit time; inside the
-    coherence window the delayed-arm arrival is used so the clean-path
-    timestamp carries no fp ordering artifact. Draws one detector choice
-    per photon, then the detector's efficiency and jitter draws.
+    arrival_ps is when packet b reaches the receiver. The receiver has
+    delayed packet a by tau, so the two recombine then at the session
+    visibility. Draws one detector choice per photon, then the detector's
+    efficiency and jitter draws.
     """
-    a_ready = arrival_a_ps + config.tau_ps
-    mismatch = a_ready - arrival_b_ps
-    incoherent = np.abs(mismatch) > config.coherence_window_ps
-    detection_ps = np.where(mismatch <= config.coherence_window_ps, arrival_b_ps, a_ready)
-    p0 = detection_table(config.visibility)[state, incoherent.astype(np.intp)]
+    p0 = detection_table(config.visibility)[state]
     detector = (rng.random(state.size) >= p0).astype(np.int64)
-    hit, t_click = detector_click(detection_ps, config.signal_detector, rng)
+    hit, t_click = detector_click(arrival_ps, config.signal_detector, rng)
     return detector[hit], t_click
 
 
@@ -249,10 +231,10 @@ def run_session(
         bits = np.full(n, source_bit, dtype=np.int64)
 
     # a bit is its own link-state index; packet b launches tau after packet a
-    state, arrival_a, arrival_b, guess = adversary.apply_attack(
+    state, arrival, guess = adversary.apply_attack(
         attack, bits, t_true, t_true + config.tau_ps, config.travel_time_ps, rng("attack")
     )
-    detector, t_r = bob_receive(state, arrival_a, arrival_b, config, rng("detector"))
+    detector, t_r = bob_receive(state, arrival, config, rng("detector"))
 
     t_r_parts, detector_parts = [t_r], [detector]
     if config.signal_detector.dark_rate_hz > 0:

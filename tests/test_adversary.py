@@ -41,12 +41,9 @@ class TestNoAttack:
     def test_identity_on_state_and_timing(self):
         rng = np.random.default_rng(1)
         state = np.array([0, 1], dtype=np.int64)
-        out_state, arrival_a, arrival_b, guess = apply_attack(
-            NO_ATTACK, state, np.full(2, 100.0), np.full(2, 2100.0), 1000.0, rng
-        )
+        out_state, arrival, guess = apply_attack(NO_ATTACK, state, np.full(2, 100.0), np.full(2, 2100.0), 1000.0, rng)
         np.testing.assert_array_equal(out_state, state)
-        assert arrival_a.tolist() == [1100.0, 1100.0]
-        assert arrival_b.tolist() == [3100.0, 3100.0]
+        assert arrival.tolist() == [3100.0, 3100.0]
         assert guess.tolist() == [NO_GUESS, NO_GUESS]
 
     def test_session_identical_with_and_without(self):
@@ -74,12 +71,11 @@ class TestWhichPathInterceptResend:
     def test_state_is_localized_and_timing_untouched(self):
         rng = np.random.default_rng(2)
         strategy = AttackStrategy("which-path")
-        out_state, arrival_a, arrival_b, guess = apply_attack(strategy, *photons([1] * 20), 1000.0, rng)
+        out_state, arrival, guess = apply_attack(strategy, *photons([1] * 20), 1000.0, rng)
         localized = (STATE_MODE_A, STATE_MODE_B)
         assert set(out_state.tolist()) <= set(localized)
         assert [link_states()[i] for i in localized] == [PathState(1.0, 0.0), PathState(0.0, 1.0)]
-        assert set(arrival_a.tolist()) == {1000.0}
-        assert set(arrival_b.tolist()) == {3000.0}
+        assert set(arrival.tolist()) == {3000.0}
         assert set(guess.tolist()) <= {0, 1}
 
     def test_frequencies_follow_born_rule(self):
@@ -121,13 +117,12 @@ class TestStoreMeasureForward:
         rng = np.random.default_rng(3)
         strategy = AttackStrategy("store-forward", extra_delay_ps=500.0)
         bits = np.array([0, 1, 1, 0])
-        out_state, arrival_a, arrival_b, guess = apply_attack(strategy, *photons(bits), 1000.0, rng)
+        out_state, arrival, guess = apply_attack(strategy, *photons(bits), 1000.0, rng)
         np.testing.assert_array_equal(guess, bits)
         # Eve re-prepares the state she read
         np.testing.assert_array_equal(out_state, bits)
-        # both arrivals late by exactly tau + extra_delay
-        assert set(arrival_a.tolist()) == {1000.0 + 2500.0}
-        assert set(arrival_b.tolist()) == {3000.0 + 2500.0}
+        # the recombination, at packet b's arrival, is late by exactly tau + extra_delay
+        assert set(arrival.tolist()) == {3000.0 + 2500.0}
 
     def test_every_receive_is_anomalous_at_default_window(self):
         config = ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=45)

@@ -132,7 +132,6 @@ BAD_VALUES = {
     "scan_span": ("-1", "must be positive"),
     "scan_steps": ("1", "must be >= 4"),
     "shots_per_step": ("0", "must be >= 1"),
-    "coherence_window": ("0", "must be positive"),
     "extra_delay": ("0", "must be positive"),
     "qber_threshold": ("0", "must be in (0, 1)"),
     "anomaly_threshold": ("1", "must be in (0, 1)"),
@@ -140,9 +139,10 @@ BAD_VALUES = {
 INT_KEYS = ("seed", "runs", "scan_steps", "shots_per_step")
 
 
-# jitter-free, so the derived accept window is 1.0 ps, wider than tau
+# the derived accept window is the 1 ps floor, wider than tau: jitter-free, and with 3 sigma = 0.42 ps
 SUB_PICOSECOND_TAU = FAST_SCENARIO + "travel_time = 0.5\ntau = 0.9\n"
-SUB_PICOSECOND_TAU_ERROR = "tau: must be >= the jitter-free default accept window = 1.0 ps, got 0.9"
+SUB_PICOSECOND_TAUS = (SUB_PICOSECOND_TAU, SUB_PICOSECOND_TAU.replace("jitter = 0\n", "jitter = 0.1\n"))
+SUB_PICOSECOND_TAU_ERROR = "tau: must be >= the 1 ps minimum accept window, got 0.9"
 SUB_PICOSECOND_WINDOW_ERROR = "accept_window: must be >= the 1 ps stamp resolution, got 0.5"
 
 
@@ -183,9 +183,15 @@ class TestRejection:
     def test_first_invalid_key_in_construction_order(self, values, key):
         assert rejection_message(values).startswith(f"{key}:")
 
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError, match="unknown config key tilt"):
-            build_experiment({"tilt": "3"})
+    def test_unknown_key(self, tmp_path, capsys):
+        # a file that still sets the retired coherence_window key must not run
+        for key in ("tilt", "coherence_window"):
+            with pytest.raises(ConfigError, match=f"^unknown config key {key}$"):
+                build_experiment({key: "3"})
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(FAST_SCENARIO + f"{key} = 10\n", encoding="utf-8")
+            assert main(["transmit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
 
     def test_malformed_line_names_line_number(self):
         with pytest.raises(ConfigError, match="line 2"):
@@ -279,13 +285,14 @@ class TestRejection:
     def test_tau_below_the_jitter_free_default_window(self, tmp_path):
         # the derived window is 1.0 ps: the message names tau, not the accept_window nobody set
         path = tmp_path / "short.cfg"
-        path.write_text(SUB_PICOSECOND_TAU, encoding="utf-8")
-        with pytest.raises(ConfigError, match=rf"^{re.escape(SUB_PICOSECOND_TAU_ERROR)}$"):
-            load_config(path)
-        # an explicit window below the 1 ps stamp resolution is rejected too
-        path.write_text(SUB_PICOSECOND_TAU + "accept_window = 0.5\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=rf"^{re.escape(SUB_PICOSECOND_WINDOW_ERROR)}$"):
-            load_config(path)
+        for scenario in SUB_PICOSECOND_TAUS:
+            path.write_text(scenario, encoding="utf-8")
+            with pytest.raises(ConfigError, match=rf"^{re.escape(SUB_PICOSECOND_TAU_ERROR)}$"):
+                load_config(path)
+            # an explicit window below the 1 ps stamp resolution is rejected too
+            path.write_text(scenario + "accept_window = 0.5\n", encoding="utf-8")
+            with pytest.raises(ConfigError, match=rf"^{re.escape(SUB_PICOSECOND_WINDOW_ERROR)}$"):
+                load_config(path)
 
     def test_file_that_is_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.cfg"
@@ -391,7 +398,7 @@ class TestKeyTable:
                 holder = next(h for h in holders if hasattr(h, name))
                 assert getattr(holder, name) == float(number.group(1)), key
             checked.append(key)
-        assert len(checked) >= 19
+        assert len(checked) >= 18
 
 
 class TestReadme:
@@ -588,15 +595,16 @@ class TestExitCodes:
 
     def test_tau_below_the_jitter_free_default_window_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "short.cfg"
-        cfg.write_text(SUB_PICOSECOND_TAU, encoding="utf-8")
         out_dir = tmp_path / "out"
-        assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_TAU_ERROR}\n"
-        assert not out_dir.exists()
-        cfg.write_text(SUB_PICOSECOND_TAU + "accept_window = 0.5\n", encoding="utf-8")
-        assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_WINDOW_ERROR}\n"
-        assert not out_dir.exists()
+        for scenario in SUB_PICOSECOND_TAUS:
+            cfg.write_text(scenario, encoding="utf-8")
+            assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_TAU_ERROR}\n"
+            assert not out_dir.exists()
+            cfg.write_text(scenario + "accept_window = 0.5\n", encoding="utf-8")
+            assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_WINDOW_ERROR}\n"
+            assert not out_dir.exists()
 
     def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
