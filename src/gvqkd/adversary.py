@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gvqkd.devices import STAMP_HALF_RANGE_PS
 from gvqkd.optics import STATE_MODE_A, STATE_MODE_B, beam_splitter, link_states
 
 KIND_NONE = "none"
@@ -39,8 +40,8 @@ class AttackStrategy:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {KINDS}")
-        if self.extra_delay_ps <= 0:
-            raise ValueError("extra_delay_ps must be positive")
+        if not 0.0 < self.extra_delay_ps < STAMP_HALF_RANGE_PS:
+            raise ValueError(f"extra_delay_ps must be in (0, 2**52) ps, got {self.extra_delay_ps:.6g}")
 
 
 NO_ATTACK = AttackStrategy(KIND_NONE)

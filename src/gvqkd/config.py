@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from gvqkd.adversary import KIND_STORE_FORWARD, AttackStrategy
 from gvqkd.analysis import DEFAULT_QBER_THRESHOLD, default_anomaly_threshold
 from gvqkd.devices import DetectorParams, SourceParams
 from gvqkd.protocol import SessionConfig
@@ -58,8 +59,7 @@ class ExperimentConfig:
             raise ValueError("scan_steps must be >= 4")
         if self.shots_per_step < 1:
             raise ValueError("shots_per_step must be >= 1")
-        if self.extra_delay_ps <= 0:
-            raise ValueError("extra_delay_ps must be positive")
+        AttackStrategy(KIND_STORE_FORWARD, self.extra_delay_ps)  # the attack owns the extra_delay rules
         if not 0.0 < self.qber_threshold < 1.0:
             raise ValueError("qber_threshold must be in (0, 1)")
         if self.anomaly_threshold is not None and not 0.0 < self.anomaly_threshold < 1.0:

@@ -1,10 +1,9 @@
 """Stochastic models of the photon-pair source and the single-photon detectors.
 
-All timestamps are picoseconds (float64); durations of whole sessions are
-seconds. Documented timing resolution is 1 ps: no physics in this package
-depends on structure below that scale. The times here are not rounded;
-protocol.run_session rounds the heralded stamps and the click times of its
-transcript to whole ps.
+All times are picoseconds and durations of whole sessions seconds. The
+timing resolution is 1 ps: no physics here depends on structure below that
+scale. These true times are float64 and not rounded; run_session rounds
+its transcript's stamps to whole ps and stores them as int64.
 """
 
 from dataclasses import dataclass
@@ -12,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PS_PER_S = 1e12
+STAMP_HALF_RANGE_PS = 2.0**52  # float64 holds every whole ps below 2**53: half for a session, half for an attack
 
 
 @dataclass(frozen=True)

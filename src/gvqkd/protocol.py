@@ -26,6 +26,8 @@ import numpy as np
 
 from gvqkd import adversary
 from gvqkd.devices import (
+    PS_PER_S,
+    STAMP_HALF_RANGE_PS,
     DetectorParams,
     SourceParams,
     dark_clicks,
@@ -120,6 +122,11 @@ class SessionConfig:
         # cannot separate held packets from jitter
         if self.tau_ps < 3.0 * sigma:
             raise ValueError(f"tau_ps must be >= 3*combined jitter = {3.0 * sigma:.1f} ps, got {self.tau_ps}")
+        # 6 tau covers a 12 sigma jitter tail (sigma <= tau/3), the receiver's tau and store-forward's
+        span = self.session_duration_s * PS_PER_S + self.travel_time_ps + 6.0 * self.tau_ps
+        if not span < STAMP_HALF_RANGE_PS:  # a NaN input fails here too
+            name = "session_duration_s" if self.session_duration_s * PS_PER_S >= 6.0 * self.tau_ps else "tau_ps"
+            raise ValueError(f"{name} must keep duration + T + 6*tau below 2**52 ps, got {span:.6g} ps")
 
     def expected_offset_ps(self) -> float:
         """Nominal t_r - t_s of an untouched photon."""
@@ -133,8 +140,8 @@ class Transcript:
     Sends are indexed in the order of the sender's log (heralded stamps):
     t_s, bit and Eve's guess of that photon's bit (NO_GUESS for none).
     Receives are sorted by time: t_r and the detector that fired (0 or 1).
-    run_session rounds t_s and t_r to whole ps after sorting them; the true
-    emission and arrival times behind them are not rounded.
+    t_s and t_r are int64 whole-ps stamps: run_session rounds them after
+    sorting; the true emission and arrival times behind them stay float64.
     """
 
     t_s: np.ndarray
@@ -223,7 +230,7 @@ def run_session(
     order = np.argsort(t_stamped, kind="stable")
     t_true = t_true[order]
     # stamps are kept at the 1 ps timing resolution; rounding after the sort keeps the order
-    t_stamped = np.rint(t_stamped[order])
+    t_stamped = np.rint(t_stamped[order]).astype(np.int64)
     n = t_true.size
     if source_bit is None:
         bits = rng("bits").integers(0, 2, size=n)
@@ -249,7 +256,7 @@ def run_session(
     return Transcript(
         t_s=t_stamped,
         bit=bits,
-        t_r=np.rint(t_r[order]),
+        t_r=np.rint(t_r[order]).astype(np.int64),
         detector=np.concatenate(detector_parts)[order],
         eve_guess=guess,
     )
@@ -258,27 +265,28 @@ def run_session(
 def timing_test(t_s: np.ndarray, t_r: np.ndarray, config: SessionConfig) -> Match:
     """Match receives to sends at the nominal delay; the rest are anomalies.
 
-    t_s must be sorted. Taking receives in time order, each claims the send
-    nearest to t_r - (tau + T) among its two neighbours in t_s, the earlier
-    one on a tie. The claim matches when the deviation is within the accept
-    window and no earlier receive matched that send; otherwise the receive
-    is an anomaly and does not fall back to the other neighbour. Matching
-    is one-to-one by construction.
+    t_s and t_r must be sorted (else ValueError), as run_session returns
+    them. Taking receives in time order, each claims the send nearest to
+    t_r - (tau + T) among its two neighbours in t_s, the earlier one on a
+    tie. The claim matches when the deviation is within the accept window
+    and no earlier receive matched that send; otherwise the receive is an
+    anomaly and does not fall back to the other neighbour. One-to-one.
     """
-    t_s = np.asarray(t_s, dtype=float)
-    t_r = np.asarray(t_r, dtype=float)
-    order = np.argsort(t_r, kind="stable")
-    target = t_r[order] - config.expected_offset_ps()
-    pos = np.searchsorted(t_s, target, side="left")
+    t_s, t_r = np.asarray(t_s), np.asarray(t_r)
+    for name, t in (("t_s", t_s), ("t_r", t_r)):
+        if np.any(t[1:] < t[:-1]):
+            raise ValueError(f"{name} must be sorted")
+    target = t_r - config.expected_offset_ps()
     padded = np.concatenate(([-np.inf], t_s, [np.inf]))
+    pos = np.searchsorted(padded[1:-1], target, side="left")
     dev_left = np.abs(padded[pos] - target)
     dev_right = np.abs(padded[pos + 1] - target)
     best = np.where(dev_right < dev_left, pos, pos - 1)
     claims = np.flatnonzero(np.minimum(dev_left, dev_right) <= config.accept_window_ps)
     # best never decreases over sorted targets: a send's first claimant heads its run of claims
-    won = np.zeros(order.size, dtype=bool)
+    won = np.zeros(t_r.size, dtype=bool)
     won[claims[np.diff(best[claims], prepend=-1) != 0]] = True
-    return Match(send=best[won], receive=order[won], anomalies=order[~won])
+    return Match(send=best[won], receive=np.flatnonzero(won), anomalies=np.flatnonzero(~won))
 
 
 def sift_and_qber(
@@ -349,6 +357,7 @@ _CHUNK_ROWS = 1 << 13
 _GROUPS = (np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10, 1]) % 10).astype(np.uint8) + 48
 _LEAD = np.logical_or.accumulate(_GROUPS != 48, axis=1) | (np.arange(4) == 3)
 _DIGITS4 = np.concatenate([_GROUPS * _LEAD, _GROUPS]).view(np.uint32).ravel()
+_MINUS, _POINT_ZERO = np.frombuffer(b"-\0\0\0.0\0\0", dtype=np.uint32)
 _FLOAT_WIDTH = 24
 
 
@@ -362,23 +371,10 @@ def _digit_words(values: np.ndarray, words: int) -> np.ndarray:
     return out
 
 
-def _float_text(x: np.ndarray) -> np.ndarray:
-    """repr of each float, as rows of _FLOAT_WIDTH bytes padded with NUL (no repr is longer).
-
-    A whole number in [0, 2**53) with its sign bit clear, such as a time
-    stamp rounded to the picosecond, prints as its digits and ".0"; other
-    values take repr.
-    """
-    fast = ~np.signbit(x) & (x < 2.0**53)
-    whole = np.where(fast, x, 0.0).astype(np.int64)
-    fast &= whole == x
-    words = np.zeros((x.size, _FLOAT_WIDTH // 4), dtype=np.uint32)
-    words[:, :4] = _digit_words(whole, 4)
-    words[:, 4] = np.frombuffer(b".0\0\0", dtype=np.uint32)
-    text = words.view(np.uint8)
-    for row in np.flatnonzero(~fast).tolist():
-        text[row] = np.frombuffer(repr(x.item(row)).encode("ascii").ljust(_FLOAT_WIDTH, b"\0"), dtype=np.uint8)
-    return text
+def _stamp_text(t: np.ndarray) -> np.ndarray:
+    """Whole-ps int64 stamps as rows of _FLOAT_WIDTH bytes padded with NUL: a sign word ("-" or NUL),
+    the digits of |t| and ".0", which is how Python prints float(t) for every |t| < 2**53."""
+    return np.column_stack([(t < 0) * _MINUS, _digit_words(np.abs(t), 4), np.full(t.size, _POINT_ZERO)]).view(np.uint8)
 
 
 def write_transcript_csv(path, transcript: Transcript, match: Match, sift: SiftResult) -> None:
@@ -388,7 +384,8 @@ def write_transcript_csv(path, transcript: Transcript, match: Match, sift: SiftR
     order: index, bit, t_s_ps, matched 0/1, the matched receive's t_r_ps and
     detector D0/D1 (else both empty), disclosed 0/1 and, for a disclosed pair
     only, error 0/1. Then one row per anomalous receive in time order: ",,,0,"
-    t_r_ps, detector, disclosed 0, error empty. Floats are shortest round-trip repr.
+    t_r_ps, detector, disclosed 0, error empty. Stamps are int64, |t| < 2**53
+    ps, printed as digits and ".0" like the equal float (242508580.0, -12.0).
     """
     n = transcript.t_s.size
     # rows 0..n-1 are the sends, n.. the anomalies; each row's receive, or -1
@@ -407,7 +404,7 @@ def write_transcript_csv(path, transcript: Transcript, match: Match, sift: SiftR
             chunk = receive[lo : lo + _CHUNK_ROWS]
             sends = np.arange(lo, min(lo + chunk.size, n))
             s, rows = sends.size, np.flatnonzero(chunk >= 0)
-            text = _float_text(np.concatenate([transcript.t_s[sends], transcript.t_r[chunk[rows]]]))
+            text = _stamp_text(np.concatenate([transcript.t_s[sends], transcript.t_r[chunk[rows]]]))
             table = np.tile(empty, (chunk.size, 1))
             table[:s, :w] = _digit_words(sends, w // 4).view(np.uint8)
             table[:s, bit] = transcript.bit[sends] + ord("0")

@@ -116,13 +116,13 @@ def reference_transcript_csv(transcript, match, sift) -> bytes:
     for index, (bit, t_s) in enumerate(zip(transcript.bit.tolist(), transcript.t_s.tolist())):
         hit = by_index.get(index)
         if hit is None:
-            writer.writerow([index, bit, repr(t_s), 0, "", "", 0, ""])
+            writer.writerow([index, bit, repr(float(t_s)), 0, "", "", 0, ""])
         else:
             receive, disclosed = hit
             detector = int(transcript.detector[receive])
             error = "" if not disclosed else int(detector != bit)
             t_r = float(transcript.t_r[receive])
-            writer.writerow([index, bit, repr(t_s), 1, repr(t_r), f"D{detector}", int(disclosed), error])
+            writer.writerow([index, bit, repr(float(t_s)), 1, repr(t_r), f"D{detector}", int(disclosed), error])
     for receive in match.anomalies.tolist():
         t_r = float(transcript.t_r[receive])
         writer.writerow(["", "", "", 0, repr(t_r), f"D{int(transcript.detector[receive])}", 0, ""])

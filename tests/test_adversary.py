@@ -29,6 +29,11 @@ class TestStrategy:
         with pytest.raises(ValueError):
             AttackStrategy(kind="store-forward", extra_delay_ps=0.0)
 
+    def test_rejects_delay_past_half_the_whole_ps_range(self):
+        with pytest.raises(ValueError, match=r"^extra_delay_ps must be in \(0, 2\*\*52\) ps, got 4.5036e\+15$"):
+            AttackStrategy(kind="store-forward", extra_delay_ps=2.0**52)
+        AttackStrategy(kind="store-forward", extra_delay_ps=2.0**52 - 1.0)
+
 
 def photons(bits, t_emit=0.0, tau=2000.0):
     """State indices and launch times of photons prepared at t_emit."""

@@ -132,7 +132,7 @@ BAD_VALUES = {
     "scan_span": ("-1", "must be positive"),
     "scan_steps": ("1", "must be >= 4"),
     "shots_per_step": ("0", "must be >= 1"),
-    "extra_delay": ("0", "must be positive"),
+    "extra_delay": ("0", "must be in (0, 2**52) ps, got 0"),
     "qber_threshold": ("0", "must be in (0, 1)"),
     "anomaly_threshold": ("1", "must be in (0, 1)"),
 }
@@ -311,6 +311,7 @@ class TestLibraryConstruction:
             ("scan_steps", "scan_steps", 1),
             ("shots_per_step", "shots_per_step", 0),
             ("extra_delay_ps", "extra_delay", -1.0),
+            ("extra_delay_ps", "extra_delay", 2.0**52),
             ("qber_threshold", "qber_threshold", 1.0),
             ("anomaly_threshold", "anomaly_threshold", 0.0),
         ],
@@ -605,6 +606,26 @@ class TestExitCodes:
             assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
             assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_WINDOW_ERROR}\n"
             assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "command, line, error",
+        [
+            (["transmit"], "tau = 1e16\n", "tau: must keep duration + T + 6*tau below 2**52 ps, got 6.0001e+16 ps"),
+            (
+                ["attack-demo", "--attack", "store-forward"],
+                "extra_delay = 1e17\n",
+                "extra_delay: must be in (0, 2**52) ps, got 1e+17",
+            ),
+        ],
+    )
+    def test_stamps_past_the_whole_ps_range_exit_2(self, tmp_path, capsys, command, line, error):
+        # above 2**53 ps float64 spacing is 2 ps, so a stamp there is not whole-ps exact
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(FAST_SCENARIO + line, encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main([*command, "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not out_dir.exists()
 
     def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"

@@ -16,7 +16,7 @@ from gvqkd.protocol import (
     SessionConfig,
     SiftResult,
     Transcript,
-    _float_text,
+    _stamp_text,
     bob_receive,
     combined_jitter_ps,
     detection_table,
@@ -89,6 +89,17 @@ class TestSessionConfig:
             SessionConfig(tau_ps=-1.0)
         with pytest.raises(ValueError):
             SessionConfig(session_duration_s=0.0)
+
+    def test_rejects_stamps_past_half_the_whole_ps_range(self):
+        # duration + T + 6 tau must stay below 2**52 ps, named by the larger of its two terms
+        with pytest.raises(ValueError, match=r"^tau_ps must keep duration \+ T \+ 6\*tau below 2\*\*52 ps"):
+            SessionConfig(tau_ps=1e16)
+        with pytest.raises(ValueError, match=r"^session_duration_s must keep"):
+            SessionConfig(session_duration_s=4600.0)
+        # a NaN tau passes every other check and would cast to int64 as -2**63
+        with pytest.raises(ValueError, match=r"^tau_ps must keep .*, got nan ps$"):
+            SessionConfig(tau_ps=math.nan)
+        SessionConfig(session_duration_s=4500.0)
 
     def test_expected_offset(self):
         assert SessionConfig().expected_offset_ps() == 3000.0
@@ -181,6 +192,11 @@ class TestRunSession:
         for name in ("bit", "eve_guess"):
             assert getattr(transcript, name).size == transcript.t_s.size
 
+    def test_stamps_are_int64(self):
+        transcript = run_session(noisy_config(pair_rate_hz=500.0, duration_s=1.0, seed=6))
+        assert transcript.t_s.size and transcript.t_r.size
+        assert transcript.t_s.dtype == transcript.t_r.dtype == np.int64
+
     def test_send_log_ordered_by_stamp(self):
         config = noisy_config(pair_rate_hz=2000.0, duration_s=1.0, seed=6)
         transcript = run_session(config)
@@ -266,13 +282,14 @@ class TestTimingTest:
         assert pairs(match) == [(0, 0)]
         assert match.anomalies.tolist() == [1]
 
-    def test_first_claimant_in_time_order_wins(self):
-        # receives handed over out of time order: the earlier click wins
+    def test_unsorted_stamps_are_rejected(self):
+        # two clean receives: an unsorted column would leave one of them an anomaly
         config = self._config()
         offset = config.expected_offset_ps()
-        match = timing_test([0.0], [offset + 2.0, offset + 1.0], config)
-        assert pairs(match) == [(0, 1)]
-        assert match.anomalies.tolist() == [0]
+        with pytest.raises(ValueError, match="t_s"):
+            timing_test([1e6, 0.0], [offset + 1.0, offset + 1e6 + 1.0], config)
+        with pytest.raises(ValueError, match="t_r"):
+            timing_test([0.0, 1e6], [offset + 1e6 + 1.0, offset + 1.0], config)
 
     def test_picks_nearest_send(self):
         config = self._config()
@@ -315,10 +332,8 @@ def matcher_cases(draw):
     clicks = [t + OFFSET + draw(st.sampled_from((-150.0, -100.0, -12.5, 0.0, 6.25, 100.0, 112.5))) for t in send_times
               if draw(st.booleans())]
     darks = [t + OFFSET for t in draw(grid_times)]
-    # in time order, as run_session emits them, or in any order
-    if draw(st.booleans()):
-        return send_times, sorted(clicks + darks)
-    return send_times, draw(st.permutations(clicks + darks))
+    # in time order, as run_session emits them
+    return send_times, sorted(clicks + darks)
 
 
 class TestTimingTestAgainstReference:
@@ -346,7 +361,8 @@ class TestTimingTestAgainstReference:
         rng = np.random.default_rng(12)
         config = ideal_config(accept_window_ps=WINDOW)
         send_times = np.sort(rng.uniform(0.0, 1e5, size=300))
-        receive_times = np.concatenate([send_times + OFFSET + rng.normal(0.0, 40.0, 300), rng.uniform(0.0, 1.1e5, 3000)])
+        clicks = send_times + OFFSET + rng.normal(0.0, 40.0, 300)
+        receive_times = np.sort(np.concatenate([clicks, rng.uniform(0.0, 1.1e5, 3000)]))
         match = timing_test(send_times, receive_times, config)
         matched, anomalies = reference_timing_test(send_times.tolist(), receive_times.tolist(), OFFSET, WINDOW)
         assert pairs(match) == matched
@@ -474,15 +490,15 @@ class TestVisibilityQberRelation:
         assert abs(sift.qber - expected) <= 4.0 * binomial_sigma(expected, n)
 
 
-def fallback_session():
-    """Hand-built transcript whose times take the writer's repr fallback:
-    negative, zero, 5e-05, under 2**24 ps and at or above 2**52 ps, on
-    matched, unmatched and anomaly rows, next to ordinary times."""
-    odd = [-2500.125, -0.0, 0.0, 5e-05, 1234.5678, 2.0**24 - 0.25, 2.0**52, 2.0**52 + 2.0, 1e17, 3.25e9, 2.0**24]
-    t_s = np.array(sorted(odd))
-    t_r = np.array(sorted(odd + [-7.5, 1e-300, 2.0**24 - 1.0, 9e15, 4.0e12 + 0.1, 2.0**53, 17.0, 123456.75]))
+def whole_ps_session():
+    """Hand-built transcript of whole-ps stamps: negative, zero and 16-digit ones
+    on matched, unmatched and anomaly rows, next to ordinary ones."""
+    stamps = [-2500, -1, 0, 17, 4096, 242508580, 4 * 10**12, 10**15 - 1, 10**15, 2**52, 2**53 - 1]
+    t_s = np.array(stamps, dtype=np.int64)
+    t_r = np.sort(np.array(stamps + [-(2**53 - 1), -7, 0, 9999, 10000, 123456, 3 * 10**9, 9 * 10**15], dtype=np.int64))
+    # each matched send takes the first receive of its own stamp
     send = np.array([0, 2, 3, 5, 6, 8, 10])
-    receive = np.array([1, 4, 5, 8, 9, 13, 18])
+    receive = np.searchsorted(t_r, t_s[send])
     anomalies = np.setdiff1d(np.arange(t_r.size), receive)
     transcript = Transcript(
         t_s=t_s,
@@ -505,8 +521,8 @@ def fallback_session():
 def mixed_chunk_session():
     """Ten sends and five anomalies. In 7-row chunks, rows 7..13 hold sends 7, 8 and 9
     (disclosed without an error, disclosed with one, unmatched) and the first four anomalies."""
-    t_s = 4.0e9 + 1000.25 * np.arange(10)
-    t_r = 4.0e9 + 3000.0 + 1000.5 * np.arange(9)
+    t_s = 4_000_000_000 + 1001 * np.arange(10)
+    t_r = 4_000_003_000 + 1003 * np.arange(9)
     send, receive = np.array([1, 3, 7, 8]), np.array([0, 2, 4, 5])
     transcript = Transcript(
         t_s=t_s,
@@ -578,20 +594,20 @@ class TestTranscriptRoundTrip:
         assert path.read_bytes() == reference_transcript_csv(transcript, match, sift)
         # the header, then rows 0..6, then the chunk of rows 7..13
         assert path.read_bytes().split(b"\r\n")[8:15] == [
-            b"7,1,4000007001.75,1,4000007002.0,D1,1,0",
-            b"8,0,4000008002.0,1,4000008002.5,D1,1,1",
-            b"9,1,4000009002.25,0,,,0,",
-            b",,,0,4000004000.5,D0,0,",
-            b",,,0,4000006001.5,D0,0,",
-            b",,,0,4000009003.0,D0,0,",
-            b",,,0,4000010003.5,D1,0,",
+            b"7,1,4000007007.0,1,4000007012.0,D1,1,0",
+            b"8,0,4000008008.0,1,4000008015.0,D1,1,1",
+            b"9,1,4000009009.0,0,,,0,",
+            b",,,0,4000004003.0,D0,0,",
+            b",,,0,4000006009.0,D0,0,",
+            b",,,0,4000009018.0,D0,0,",
+            b",,,0,4000010021.0,D1,0,",
         ]
 
     @pytest.mark.parametrize("chunk_rows", [None, 7])
-    def test_repr_fallback_rows_equal_row_by_row_csv_writer(self, tmp_path, monkeypatch, chunk_rows):
+    def test_whole_ps_rows_equal_row_by_row_csv_writer(self, tmp_path, monkeypatch, chunk_rows):
         if chunk_rows:
             monkeypatch.setattr("gvqkd.protocol._CHUNK_ROWS", chunk_rows)
-        transcript, match, sift = fallback_session()
+        transcript, match, sift = whole_ps_session()
         assert match.anomalies.size > 7, "anomaly rows must span a chunk boundary"
         path = tmp_path / "transcript.csv"
         write_transcript_csv(path, transcript, match, sift)
@@ -624,72 +640,36 @@ class TestWriterMemory:
         assert peak < 10 * 2**20
 
 
-def float_texts(values):
-    text = _float_text(np.asarray(values, dtype=np.float64))
+def stamp_texts(values):
+    text = _stamp_text(np.asarray(values, dtype=np.int64))
     return [row[row != 0].tobytes().decode("ascii") for row in text]
 
 
-def assert_float_texts_are_repr(values):
-    values = np.asarray(values, dtype=np.float64)
-    for value, got in zip(values.tolist(), float_texts(values)):
-        assert got == repr(value), value
+def assert_stamp_texts_are_repr(values):
+    values = np.asarray(values, dtype=np.int64)
+    for value, got in zip(values.tolist(), stamp_texts(values)):
+        assert got == repr(float(value)), value
 
 
-# bit patterns of the writer's fast domain [2**24, 2**52): biased exponents 1047..1074
-FAST_BITS = st.integers(1047 << 52, (1075 << 52) - 1)
-# quiet and signalling NaN, +inf, -inf, +0.0, -0.0, the least, the greatest and a negative subnormal
-SPECIAL_BITS = [
-    0x7FF8000000000000, 0xFFF0000000000001, 0x7FF0000000000000, 0xFFF0000000000000,
-    0, 1 << 63, 1, 0x000FFFFFFFFFFFFF, 0x8000000000000001,
-]
+# the largest stamp the writer takes; float64 holds every whole number up to it
+STAMP_MAX = 2**53 - 1
+# where the sign or the digit count changes, and the ends of the range
+STAMP_EDGES = [0, -1, -12] + [sign * (10**k + d) for k in range(16) for d in (-1, 1) for sign in (1, -1)]
 
 
 class TestFloatText:
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(st.integers(0, 2**64 - 1), FAST_BITS), min_size=1, max_size=40))
-    @example(SPECIAL_BITS)
-    def test_equals_repr_on_raw_bit_patterns(self, patterns):
-        # NaN, +-inf, +-0.0 and subnormals all take the fallback
-        assert_float_texts_are_repr(np.array(patterns, dtype=np.uint64).view(np.float64))
+    @given(st.lists(st.integers(-STAMP_MAX, STAMP_MAX), min_size=1, max_size=40))
+    @example(STAMP_EDGES + [STAMP_MAX, -STAMP_MAX])
+    def test_equals_repr_on_whole_numbers(self, values):
+        assert_stamp_texts_are_repr(values)
 
     def test_powers_of_two_and_their_neighbours(self):
-        powers = 2.0 ** np.arange(20, 54)
-        assert_float_texts_are_repr(np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)]))
-
-    def test_ties_and_binary_fractions(self):
-        # at 2**49..2**52 the ulp is 1/8..1/2, so k/8 and n + 0.5 land on ties
-        # between two shortest decimals, which go to the even one
-        for base in (2.0**24, 2.0**40, 2.0**49, 2.0**50, 2.0**51):
-            assert_float_texts_are_repr(base + np.arange(400) + 0.5)
-            assert_float_texts_are_repr(base + np.arange(800) / 8.0)
-
-    def test_neighbours_of_short_decimals(self):
-        x = np.random.default_rng(2025).uniform(2.0**24, 2.0**52, 300)
-        for j in range(10):
-            rounded = np.round(x, j)
-            assert_float_texts_are_repr(np.concatenate([rounded, np.nextafter(rounded, np.inf), np.nextafter(rounded, -np.inf)]))
-
-    def test_rounding_carries_into_a_new_digit(self):
-        tens = 10.0 ** np.arange(7, 17)
-        assert_float_texts_are_repr(np.concatenate([tens, np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf)]))
-
-    def test_edges_of_the_fast_domain(self):
-        edges = np.array([2.0**24, 2.0**52])
-        assert_float_texts_are_repr(np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]))
-        # below 2**24 the shortest repr can need 10 fraction digits, past the bisection
-        assert_float_texts_are_repr(np.random.default_rng(2027).uniform(2.0**20, 2.0**24, 2000))
+        # where float64's spacing doubles, up to 2**52 + 1
+        powers = 2 ** np.arange(53, dtype=np.int64)
+        assert_stamp_texts_are_repr(np.concatenate([powers, powers - 1, powers + 1, -powers]))
 
     def test_session_times_including_negative_stamps(self):
-        assert_float_texts_are_repr(np.random.default_rng(2026).uniform(-1e4, 5e12, 20000))
-
-    def test_whole_numbers_and_the_fast_edge(self):
-        # 0.0 and whole numbers below 2**53 print as digits and ".0"; -0.0, negative ones and 2**53 take repr
-        tens = 10.0 ** np.arange(16)
-        assert_float_texts_are_repr([0.0, -0.0, -1.0, -12.0, -4096.0, -1e15, 9999.0, 10000.0, 2.0**53 - 1, 2.0**53])
-        assert_float_texts_are_repr(np.concatenate([tens, tens - 1.0, tens + 1.0]))
-        assert float_texts([0.0, 242508580.0, 2.0**53 - 1]) == ["0.0", "242508580.0", "9007199254740991.0"]
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-(10**6), 2**53).map(float), min_size=1, max_size=40))
-    def test_equals_repr_on_whole_numbers(self, values):
-        assert_float_texts_are_repr(values)
+        transcript = run_session(noisy_config(pair_rate_hz=2000.0, duration_s=1.0, seed=6))
+        assert_stamp_texts_are_repr(np.concatenate([transcript.t_s, transcript.t_r]))
+        assert_stamp_texts_are_repr(np.random.default_rng(2026).integers(-10**4, 5 * 10**12, 20000))
