@@ -669,6 +669,17 @@ class TestFloatText:
         powers = 2 ** np.arange(53, dtype=np.int64)
         assert_stamp_texts_are_repr(np.concatenate([powers, powers - 1, powers + 1, -powers]))
 
+    def test_rounding_carries_into_a_new_digit(self):
+        tens = 10 ** np.arange(7, 16, dtype=np.int64)
+        assert_stamp_texts_are_repr(np.concatenate([tens, tens + 1, tens - 1]))
+
+    def test_whole_numbers_and_the_fast_edge(self):
+        # every stamp up to 2**53 - 1 prints as its digits and ".0", negative ones with a sign
+        tens = 10 ** np.arange(16, dtype=np.int64)
+        assert_stamp_texts_are_repr([0, -1, -12, -4096, -10**15, 9999, 10000, STAMP_MAX, -STAMP_MAX])
+        assert_stamp_texts_are_repr(np.concatenate([tens, tens - 1, tens + 1]))
+        assert stamp_texts([0, 242508580, STAMP_MAX]) == ["0.0", "242508580.0", "9007199254740991.0"]
+
     def test_session_times_including_negative_stamps(self):
         transcript = run_session(noisy_config(pair_rate_hz=2000.0, duration_s=1.0, seed=6))
         assert_stamp_texts_are_repr(np.concatenate([transcript.t_s, transcript.t_r]))
