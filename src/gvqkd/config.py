@@ -7,6 +7,7 @@ the offending key. Every key is optional.
 
 KEYS maps each key to its parser and to the dataclass field it sets; the
 README's "Scenario files" table documents the same keys in the same order.
+The shared keys (SHARED_KEYS) set a pair of fields; a field's own key wins.
 Defaults and range checks live only on the dataclasses that own the fields
 (SourceParams, DetectorParams, SessionConfig, ExperimentConfig), so library
 callers and scenario files get the same rules.
@@ -46,18 +47,18 @@ class ExperimentConfig:
             raise ValueError(
                 f"accept_window_ps must be <= tau = {self.session.tau_ps} ps, got {self.session.accept_window_ps}"
             )
-        if self.runs < 1:
+        if not self.runs >= 1:
             raise ValueError("runs must be >= 1")
         if self.source_bit not in (None, 0, 1):
             raise ValueError("source_bit must be 0, 1 or random")
         # the fringe fit needs four points over at least one period
-        if self.scan_span_nm <= 0:
+        if not self.scan_span_nm > 0:
             raise ValueError("scan_span_nm must be positive")
         if self.scan_span_nm < self.session.wavelength_nm:
             raise ValueError(f"scan_span_nm must be >= one wavelength = {self.session.wavelength_nm} nm")
-        if self.scan_steps < 4:
+        if not self.scan_steps >= 4:
             raise ValueError("scan_steps must be >= 4")
-        if self.shots_per_step < 1:
+        if not self.shots_per_step >= 1:
             raise ValueError("shots_per_step must be >= 1")
         AttackStrategy(KIND_STORE_FORWARD, self.extra_delay_ps)  # the attack owns the extra_delay rules
         if not 0.0 < self.qber_threshold < 1.0:
@@ -117,7 +118,7 @@ def _parse_source_bit(key: str, raw: str) -> int | str | None:
     return {"0": 0, "1": 1, "random": None}.get(raw, raw)
 
 
-# (key, parser, dataclass field it sets); jitter sets both jitter fields
+# (key, parser, dataclass field it sets); a shared key sets the fields of SHARED_KEYS
 KEYS = (
     ("seed", _parse_int, "seed"),
     ("tau", _parse_float, "tau_ps"),
@@ -126,7 +127,7 @@ KEYS = (
     ("herald_jitter", _parse_float, "herald_jitter_sigma_ps"),
     ("signal_jitter", _parse_float, "jitter_sigma_ps"),
     ("accept_window", _parse_float, "accept_window_ps"),
-    ("visibility", _parse_float, "visibility"),
+    ("visibility", _parse_float, None),
     ("visibility_d0", _parse_float, "visibility_d0"),
     ("visibility_d1", _parse_float, "visibility_d1"),
     ("pair_rate", _parse_float, "pair_rate_hz"),
@@ -146,17 +147,20 @@ KEYS = (
     ("anomaly_threshold", _parse_float, "anomaly_threshold"),
 )
 
+# shared key -> the pair of fields it sets where their own keys are not given
+SHARED_KEYS = {"jitter": ("herald_jitter_sigma_ps", "jitter_sigma_ps"), "visibility": ("visibility_d0", "visibility_d1")}
+
 _KEY_OF_FIELD = {name: key for key, _, name in KEYS if name is not None}
 
 
 @contextmanager
-def _reported_by_key():
+def _reported_by_key(key_of_field=_KEY_OF_FIELD):
     """Re-raise a dataclass's "<field> <rule>" ValueError as ConfigError("<key>: <rule>")."""
     try:
         yield
     except ValueError as exc:
         name, _, rule = str(exc).partition(" ")
-        raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)}: {rule}") from None
+        raise ConfigError(f"{key_of_field.get(name, name)}: {rule}") from None
 
 
 def _build(cls, given: dict[str, object], **parts):
@@ -168,8 +172,9 @@ def _build(cls, given: dict[str, object], **parts):
 def build_experiment(values: dict[str, str]) -> ExperimentConfig:
     """Validate raw key strings and assemble a full ExperimentConfig.
 
-    Every value is parsed first, in KEYS order; ranges are then checked as
-    the dataclasses are built: source, detector, session, experiment.
+    Every value is parsed first, in KEYS order; the shared keys are then
+    range-checked, and the other ranges as the dataclasses are built:
+    source, detector, session, experiment.
     """
     known = {key for key, _, _ in KEYS}
     for key in values:
@@ -177,13 +182,14 @@ def build_experiment(values: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"unknown config key {key}")
     given = {name or key: parse(key, values[key]) for key, parse, name in KEYS if key in values}
 
-    jitter = given.pop("jitter", None)
-    if jitter is not None:
-        # the one key that sets no field of its own is checked here
-        if jitter < 0:
-            raise ConfigError("jitter: must be >= 0")
-        given.setdefault("herald_jitter_sigma_ps", jitter)
-        given.setdefault("jitter_sigma_ps", jitter)
+    for key, names in SHARED_KEYS.items():
+        if key in given:
+            shared = dict.fromkeys(names, given.pop(key))
+            # checked under its own key by the fields' owners, also when every field it sets is given
+            with _reported_by_key(dict.fromkeys(names, key)):
+                for cls in (SourceParams, DetectorParams, SessionConfig):
+                    _build(cls, shared)
+            given = shared | given
 
     with _reported_by_key():
         source = _build(SourceParams, given)

@@ -23,11 +23,11 @@ class SourceParams:
     herald_jitter_sigma_ps: float = 300.0
 
     def __post_init__(self):
-        if self.pair_rate_hz < 0:
+        if not self.pair_rate_hz >= 0:
             raise ValueError("pair_rate_hz must be >= 0")
         if not 0.0 <= self.heralding_efficiency <= 1.0:
             raise ValueError("heralding_efficiency must be in [0, 1]")
-        if self.herald_jitter_sigma_ps < 0:
+        if not self.herald_jitter_sigma_ps >= 0:
             raise ValueError("herald_jitter_sigma_ps must be >= 0")
 
 
@@ -42,9 +42,9 @@ class DetectorParams:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must be in [0, 1]")
-        if self.jitter_sigma_ps < 0:
+        if not self.jitter_sigma_ps >= 0:
             raise ValueError("jitter_sigma_ps must be >= 0")
-        if self.dark_rate_hz < 0:
+        if not self.dark_rate_hz >= 0:
             raise ValueError("dark_rate_hz must be >= 0")
 
 

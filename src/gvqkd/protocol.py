@@ -48,7 +48,7 @@ def combined_jitter_ps(source: SourceParams, detector: DetectorParams) -> float:
 
 def false_anomaly_rate(accept_window_ps: float, sigma_ps: float) -> float:
     """Probability a clean detection falls outside the accept window (two-sided Gaussian tail)."""
-    if accept_window_ps <= 0:
+    if not accept_window_ps > 0:
         raise ValueError("accept_window_ps must be positive")
     if sigma_ps == 0:
         return 0.0
@@ -59,19 +59,16 @@ def false_anomaly_rate(accept_window_ps: float, sigma_ps: float) -> float:
 class SessionConfig:
     """Physical and protocol parameters of one transmission session.
 
-    accept_window_ps, visibility, visibility_d0 and visibility_d1 may be
-    left None to take their derived defaults: 3x the combined timing
-    jitter but at least the 1 ps stamp resolution; the mean of the detector
-    pair, a missing member counting as 1.0; and the session visibility,
-    respectively.
+    accept_window_ps may be left None to take its derived default: 3x the
+    combined timing jitter but at least the 1 ps stamp resolution. The
+    session visibility is the mean of the detector pair (see visibility).
     """
 
     tau_ps: float = 2000.0
     travel_time_ps: float = 1000.0
     accept_window_ps: float | None = None
-    visibility: float | None = None
-    visibility_d0: float | None = None
-    visibility_d1: float | None = None
+    visibility_d0: float = 1.0
+    visibility_d1: float = 1.0
     source: SourceParams = field(default_factory=SourceParams)
     signal_detector: DetectorParams = field(default_factory=DetectorParams)
     session_duration_s: float = 5.0
@@ -80,33 +77,24 @@ class SessionConfig:
     wavelength_nm: float = WAVELENGTH_NM
 
     def __post_init__(self):
-        if self.tau_ps <= 0:
+        # every range check is written so that NaN fails it under its own name
+        if not self.tau_ps > 0:
             raise ValueError("tau_ps must be positive")
-        if self.travel_time_ps <= 0:
+        if not self.travel_time_ps > 0:
             raise ValueError("travel_time_ps must be positive")
         # the scheme's premise: the two packets are never in the channel together
-        if self.tau_ps <= self.travel_time_ps:
+        if not self.tau_ps > self.travel_time_ps:
             raise ValueError(f"tau_ps must be > travel time T = {self.travel_time_ps} ps, got {self.tau_ps}")
-        # the detector pair first: a session V derived from an invalid
-        # detector value must be reported under the detector's name
-        for name in ("visibility_d0", "visibility_d1", "visibility"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.visibility is None:
-            # the session V is the mean of the detector pair, a missing member counting as 1.0
-            vis_d0, vis_d1 = (1.0 if v is None else v for v in (self.visibility_d0, self.visibility_d1))
-            object.__setattr__(self, "visibility", (vis_d0 + vis_d1) / 2.0)
         for name in ("visibility_d0", "visibility_d1"):
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, self.visibility)
-        if self.session_duration_s <= 0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
+        if not self.session_duration_s > 0:
             raise ValueError("session_duration_s must be positive")
         if not 0.0 < self.disclosure_fraction < 1.0:
             raise ValueError("disclosure_fraction must be in (0, 1)")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
-        if self.wavelength_nm <= 0:
+        if not self.wavelength_nm > 0:
             raise ValueError("wavelength_nm must be positive")
         sigma = combined_jitter_ps(self.source, self.signal_detector)
         if self.accept_window_ps is None:
@@ -114,7 +102,7 @@ class SessionConfig:
             if 3.0 * sigma <= self.tau_ps < 1.0:
                 raise ValueError(f"tau_ps must be >= the 1 ps minimum accept window, got {self.tau_ps}")
             object.__setattr__(self, "accept_window_ps", max(3.0 * sigma, 1.0))
-        elif self.accept_window_ps <= 0:
+        elif not self.accept_window_ps > 0:
             raise ValueError("accept_window_ps must be positive")
         elif self.accept_window_ps < 1.0:
             raise ValueError(f"accept_window_ps must be >= the 1 ps stamp resolution, got {self.accept_window_ps}")
@@ -124,9 +112,14 @@ class SessionConfig:
             raise ValueError(f"tau_ps must be >= 3*combined jitter = {3.0 * sigma:.1f} ps, got {self.tau_ps}")
         # 6 tau covers a 12 sigma jitter tail (sigma <= tau/3), the receiver's tau and store-forward's
         span = self.session_duration_s * PS_PER_S + self.travel_time_ps + 6.0 * self.tau_ps
-        if not span < STAMP_HALF_RANGE_PS:  # a NaN input fails here too
+        if not span < STAMP_HALF_RANGE_PS:
             name = "session_duration_s" if self.session_duration_s * PS_PER_S >= 6.0 * self.tau_ps else "tau_ps"
             raise ValueError(f"{name} must keep duration + T + 6*tau below 2**52 ps, got {span:.6g} ps")
+
+    @property
+    def visibility(self) -> float:
+        """Session V that transmission uses: the mean of the detector pair that fringe scans sample."""
+        return (self.visibility_d0 + self.visibility_d1) / 2.0
 
     def expected_offset_ps(self) -> float:
         """Nominal t_r - t_s of an untouched photon."""

@@ -5,23 +5,11 @@ from gvqkd.devices import DetectorParams, SourceParams
 from gvqkd.protocol import SessionConfig, run_session, sift_transcript
 
 
-def ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=7, **overrides) -> SessionConfig:
-    """Lossless, jitter-free, perfectly interfering link."""
+def _link_config(pair_rate_hz, duration_s, seed, jitter_ps, visibility=1.0, **overrides) -> SessionConfig:
+    """Lossless link at the given jitters; visibility sets both detectors, as the scenario key does."""
     params = dict(
-        visibility=1.0,
-        source=SourceParams(pair_rate_hz=pair_rate_hz, heralding_efficiency=1.0, herald_jitter_sigma_ps=0.0),
-        signal_detector=DetectorParams(efficiency=1.0, jitter_sigma_ps=0.0, dark_rate_hz=0.0),
-        session_duration_s=duration_s,
-        seed=seed,
-    )
-    params.update(overrides)
-    return SessionConfig(**params)
-
-
-def noisy_config(pair_rate_hz=1000.0, duration_s=5.0, seed=7, jitter_ps=300.0, **overrides) -> SessionConfig:
-    """Link with the default 300 ps herald and detector jitters."""
-    params = dict(
-        visibility=1.0,
+        visibility_d0=visibility,
+        visibility_d1=visibility,
         source=SourceParams(pair_rate_hz=pair_rate_hz, heralding_efficiency=1.0, herald_jitter_sigma_ps=jitter_ps),
         signal_detector=DetectorParams(efficiency=1.0, jitter_sigma_ps=jitter_ps, dark_rate_hz=0.0),
         session_duration_s=duration_s,
@@ -29,6 +17,16 @@ def noisy_config(pair_rate_hz=1000.0, duration_s=5.0, seed=7, jitter_ps=300.0, *
     )
     params.update(overrides)
     return SessionConfig(**params)
+
+
+def ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=7, **overrides) -> SessionConfig:
+    """Lossless, jitter-free, perfectly interfering link."""
+    return _link_config(pair_rate_hz, duration_s, seed, 0.0, **overrides)
+
+
+def noisy_config(pair_rate_hz=1000.0, duration_s=5.0, seed=7, jitter_ps=300.0, **overrides) -> SessionConfig:
+    """Link with the default 300 ps herald and detector jitters."""
+    return _link_config(pair_rate_hz, duration_s, seed, jitter_ps, **overrides)
 
 
 def run_and_sift(config, attack=NO_ATTACK, run_index=0, source_bit=None):

@@ -37,7 +37,7 @@ def synthetic_scan(amplitude, visibility_d0, visibility_d1, phase_offset, n_step
 
 
 def table_config(**overrides):
-    params = dict(visibility=0.855, visibility_d0=0.89, visibility_d1=0.82, seed=61)
+    params = dict(visibility_d0=0.89, visibility_d1=0.82, seed=61)
     params.update(overrides)
     return SessionConfig(**params)
 

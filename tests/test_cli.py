@@ -4,14 +4,16 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvqkd.analysis import Decision
 from gvqkd.cli import EXIT_ALARM, EXIT_CONFIG, EXIT_OK, main
-from gvqkd.config import KEYS, ConfigError, ExperimentConfig, build_experiment, load_config, parse_flat
+from gvqkd.config import KEYS, SHARED_KEYS, ConfigError, ExperimentConfig, build_experiment, load_config, parse_flat
 from gvqkd.devices import DetectorParams, SourceParams
 from gvqkd.adversary import AttackStrategy
 from gvqkd.protocol import SessionConfig, read_transcript_csv, run_session, sift_transcript, write_transcript_csv
@@ -95,10 +97,11 @@ class TestDefaults:
         assert experiment.session.visibility_d1 == 0.82
 
     def test_explicit_visibility_wins(self):
+        # a detector's own key wins over the shared visibility, and the session V is the pair's mean
         experiment = build_experiment({"visibility": "0.9", "visibility_d0": "0.7"})
-        assert experiment.session.visibility == 0.9
+        assert experiment.session.visibility == 0.8
         assert experiment.session.visibility_d0 == 0.7
-        # unset detector inherits the session value
+        # the unset detector takes the shared value
         assert experiment.session.visibility_d1 == 0.9
 
     def test_with_seed_replaces_only_seed(self):
@@ -170,6 +173,8 @@ class TestRejection:
     def test_unused_shared_jitter_is_still_checked(self):
         values = {"jitter": "-1", "herald_jitter": "100", "signal_jitter": "100"}
         assert rejection_message(values) == "jitter: must be >= 0"
+        values = {"visibility": "1.5", "visibility_d0": "0.9", "visibility_d1": "0.9"}
+        assert rejection_message(values) == "visibility: must be in [0, 1]"
 
     @pytest.mark.parametrize(
         "values, key",
@@ -332,6 +337,30 @@ class TestLibraryConstruction:
     def test_defaults_are_the_scenario_defaults(self):
         assert ExperimentConfig(SessionConfig()) == load_config(None)
 
+    @pytest.mark.parametrize(
+        "owner, field",
+        [
+            (SourceParams, "pair_rate_hz"),
+            (SourceParams, "herald_jitter_sigma_ps"),
+            (DetectorParams, "jitter_sigma_ps"),
+            (DetectorParams, "dark_rate_hz"),
+            (SessionConfig, "tau_ps"),
+            (SessionConfig, "travel_time_ps"),
+            (SessionConfig, "accept_window_ps"),
+            (SessionConfig, "session_duration_s"),
+            (SessionConfig, "wavelength_nm"),
+            (ExperimentConfig, "runs"),
+            (ExperimentConfig, "scan_span_nm"),
+            (ExperimentConfig, "scan_steps"),
+            (ExperimentConfig, "shots_per_step"),
+        ],
+    )
+    def test_nan_is_rejected_under_its_own_name(self, owner, field):
+        # scenario files reject NaN when they parse it; a library caller meets the range check
+        parts = {"session": SessionConfig()} if owner is ExperimentConfig else {}
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            owner(**parts, **{field: math.nan})
+
 
 class TestDetectorPairRule:
     @pytest.mark.parametrize(
@@ -339,9 +368,9 @@ class TestDetectorPairRule:
         [
             ({"visibility_d0": 0.89, "visibility_d1": 0.82}, {"visibility_d0": "0.89", "visibility_d1": "0.82"}),
             ({"visibility_d0": 0.7}, {"visibility_d0": "0.7"}),
-            ({"visibility": 0.9}, {"visibility": "0.9"}),
+            ({"visibility_d0": 0.9, "visibility_d1": 0.9}, {"visibility": "0.9"}),
             (
-                {"visibility": 0.9, "visibility_d0": 0.89, "visibility_d1": 0.82},
+                {"visibility_d0": 0.89, "visibility_d1": 0.82},
                 {"visibility": "0.9", "visibility_d0": "0.89", "visibility_d1": "0.82"},
             ),
         ],
@@ -357,13 +386,64 @@ class TestDetectorPairRule:
     def test_a_missing_member_counts_as_one(self):
         session = SessionConfig(visibility_d1=0.8)
         assert session.visibility == 0.9
-        # the missing detector then takes the session value
-        assert (session.visibility_d0, session.visibility_d1) == (0.9, 0.8)
+        # the missing detector keeps its default of 1.0
+        assert (session.visibility_d0, session.visibility_d1) == (1.0, 0.8)
+        # a scenario that sets one detector key alone gets the same pair
+        assert build_experiment({"visibility_d1": "0.8"}).session == session
 
     def test_an_invalid_member_is_reported_under_its_own_name(self):
-        # checked before the mean, so the bad value is not reported as visibility
+        # the session V is never checked itself: it is the mean of two checked members
         with pytest.raises(ValueError, match=r"^visibility_d0 must be in \[0, 1\]$"):
             SessionConfig(visibility_d0=2.0)
+
+    def test_visibility_is_not_a_field(self):
+        assert "visibility" not in {f.name for f in fields(SessionConfig)}
+        with pytest.raises(TypeError):
+            SessionConfig(visibility=0.9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                key: st.floats(0.0, 1.0).map(repr)
+                for key in ("visibility", "visibility_d0", "visibility_d1")
+            },
+        )
+    )
+    def test_session_v_is_the_pair_mean_for_every_subset_of_keys(self, values):
+        session = build_experiment(values).session
+        assert session.visibility == (session.visibility_d0 + session.visibility_d1) / 2.0
+        for name in ("visibility_d0", "visibility_d1"):
+            expected = values.get(name, values.get("visibility", "1.0"))
+            assert getattr(session, name) == float(expected)
+
+    def test_replace_rederives_the_session_v(self):
+        session = SessionConfig(visibility_d0=0.89, visibility_d1=0.82)
+        assert replace(session, visibility_d0=0.5, visibility_d1=0.5).visibility == 0.5
+
+    def test_replace_equals_a_fresh_session_for_every_field(self):
+        # the window is given explicitly: it is the one value a SessionConfig still derives into its field
+        inputs = dict(accept_window_ps=900.0, visibility_d0=0.89, visibility_d1=0.82)
+        new_values = {
+            "tau_ps": 2500.0,
+            "travel_time_ps": 1200.0,
+            "accept_window_ps": 800.0,
+            "visibility_d0": 0.5,
+            "visibility_d1": 0.6,
+            "source": SourceParams(pair_rate_hz=50.0, herald_jitter_sigma_ps=100.0),
+            "signal_detector": DetectorParams(efficiency=0.5, dark_rate_hz=10.0),
+            "session_duration_s": 1.0,
+            "disclosure_fraction": 0.3,
+            "seed": 5,
+            "wavelength_nm": 700.0,
+        }
+        session = SessionConfig(**inputs)
+        for f in fields(SessionConfig):
+            replaced = replace(session, **{f.name: new_values[f.name]})
+            fresh = SessionConfig(**{**inputs, f.name: new_values[f.name]})
+            assert replaced == fresh, f.name
+            assert replaced.visibility == fresh.visibility, f.name
 
 
 class TestKeyTable:
@@ -378,7 +458,10 @@ class TestKeyTable:
         owned = [f.name for cls in (SourceParams, DetectorParams, SessionConfig, ExperimentConfig) for f in fields(cls)]
         # unique field names let a field's error be reported under its key
         assert len(owned) == len(set(owned))
-        assert all(name in owned for key, _, name in KEYS if key != "jitter")
+        assert all(name in owned for key, _, name in KEYS if key not in SHARED_KEYS)
+        # a shared key sets a pair of owned fields and no field of its own
+        assert all(name is None for key, _, name in KEYS if key in SHARED_KEYS)
+        assert all(name in owned for names in SHARED_KEYS.values() for name in names)
 
     def test_readme_lists_every_key_in_order(self):
         assert [key for key, _ in self.readme_rows()] == [key for key, _, _ in KEYS]
@@ -393,8 +476,8 @@ class TestKeyTable:
             number = re.fullmatch(r"`(-?[0-9.]+)`", default)
             if number is None:
                 continue
-            # jitter sets no field of its own, only both jitters
-            names = [field_of[key]] if field_of[key] else ["herald_jitter_sigma_ps", "jitter_sigma_ps"]
+            # a shared key sets no field of its own, only its pair
+            names = SHARED_KEYS.get(key, [field_of[key]])
             for name in names:
                 holder = next(h for h in holders if hasattr(h, name))
                 assert getattr(holder, name) == float(number.group(1)), key

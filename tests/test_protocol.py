@@ -48,8 +48,8 @@ class TestSessionConfig:
         assert config.wavelength_nm == 812.0
         # accept window defaults to 3x the combined jitter
         assert config.accept_window_ps == pytest.approx(3.0 * math.sqrt(2.0) * 300.0)
-        # per-detector visibilities default to the session visibility
-        assert config.visibility_d0 == config.visibility == 1.0
+        # both detector visibilities default to 1.0, and so does their mean, the session visibility
+        assert config.visibility_d0 == config.visibility_d1 == config.visibility == 1.0
 
     def test_rejects_tau_below_timing_noise(self):
         # tau = 500 ps against 300/300 ps jitters: the timing test could
@@ -82,7 +82,7 @@ class TestSessionConfig:
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
-            SessionConfig(visibility=1.5)
+            SessionConfig(visibility_d1=1.5)
         with pytest.raises(ValueError):
             SessionConfig(disclosure_fraction=0.0)
         with pytest.raises(ValueError):
@@ -96,8 +96,8 @@ class TestSessionConfig:
             SessionConfig(tau_ps=1e16)
         with pytest.raises(ValueError, match=r"^session_duration_s must keep"):
             SessionConfig(session_duration_s=4600.0)
-        # a NaN tau passes every other check and would cast to int64 as -2**63
-        with pytest.raises(ValueError, match=r"^tau_ps must keep .*, got nan ps$"):
+        # a NaN tau, which would cast to int64 as -2**63, fails the first check, under its own name
+        with pytest.raises(ValueError, match=r"^tau_ps must be positive$"):
             SessionConfig(tau_ps=math.nan)
         SessionConfig(session_duration_s=4500.0)
 
@@ -146,7 +146,7 @@ class TestDetectionTable:
                 assert table[index] == detection_probabilities(state, visibility)[0]
 
     def test_encoded_and_localized_states(self):
-        v = SessionConfig(visibility=0.855).visibility
+        v = SessionConfig(visibility_d0=0.89, visibility_d1=0.82).visibility
         table, no_fringe = detection_table(v), detection_table(0.0)
         for bit in (0, 1):
             assert table[bit] == detection_probabilities(make_state(bit), v)[0]
@@ -385,6 +385,11 @@ class TestFalseAnomalyRate:
 
     def test_zero_jitter_never_false_alarms(self):
         assert false_anomaly_rate(100.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan])
+    def test_rejects_a_window_that_is_not_positive(self, window):
+        with pytest.raises(ValueError, match="^accept_window_ps must be positive$"):
+            false_anomaly_rate(window, 300.0)
 
     def test_empirical_rate_on_clean_link(self):
         # default window = 3x combined jitter; observed anomaly fraction
