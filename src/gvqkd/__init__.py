@@ -17,58 +17,4 @@ config     flat key=value scenario files -> validated run configuration
 cli        transmit / fringe-scan / attack-demo subcommands
 """
 
-from gvqkd.optics import (
-    PathState,
-    apply_phase,
-    beam_splitter,
-    detection_probabilities,
-    make_state,
-)
-from gvqkd.protocol import (
-    Match,
-    SessionConfig,
-    SiftResult,
-    Transcript,
-    run_session,
-    sift_and_qber,
-    sift_transcript,
-    timing_test,
-)
-from gvqkd.adversary import NO_ATTACK, AttackStrategy, apply_attack, eve_information
-from gvqkd.analysis import (
-    Decision,
-    Verdict,
-    default_anomaly_threshold,
-    detect_eavesdropping,
-    fit_fringe,
-    fringe_scan,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "PathState",
-    "make_state",
-    "beam_splitter",
-    "apply_phase",
-    "detection_probabilities",
-    "SessionConfig",
-    "Transcript",
-    "Match",
-    "SiftResult",
-    "run_session",
-    "timing_test",
-    "sift_and_qber",
-    "sift_transcript",
-    "AttackStrategy",
-    "NO_ATTACK",
-    "apply_attack",
-    "eve_information",
-    "Decision",
-    "Verdict",
-    "fringe_scan",
-    "fit_fringe",
-    "detect_eavesdropping",
-    "default_anomaly_threshold",
-    "__version__",
-]

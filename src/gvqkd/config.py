@@ -19,8 +19,11 @@ from pathlib import Path
 
 from gvqkd.adversary import KIND_STORE_FORWARD, AttackStrategy
 from gvqkd.analysis import DEFAULT_QBER_THRESHOLD, default_anomaly_threshold
-from gvqkd.devices import DetectorParams, SourceParams
+from gvqkd.devices import PS_PER_S, DetectorParams, SourceParams
 from gvqkd.protocol import SessionConfig
+
+# largest accepted chance that a receive lies within the window of a second send
+MAX_CONTEST_PROBABILITY = 1e-2
 
 
 class ConfigError(ValueError):
@@ -46,6 +49,13 @@ class ExperimentConfig:
         if self.session.accept_window_ps > self.session.tau_ps:
             raise ValueError(
                 f"accept_window_ps must be <= tau = {self.session.tau_ps} ps, got {self.session.accept_window_ps}"
+            )
+        # the greedy matcher can hand a receive to a neighbouring send, with chance about 2 w * send rate
+        source = self.session.source
+        contest = 2.0 * self.session.accept_window_ps * source.pair_rate_hz * source.heralding_efficiency / PS_PER_S
+        if not contest <= MAX_CONTEST_PROBABILITY:
+            raise ValueError(
+                f"pair_rate_hz must keep 2 * accept_window * send rate <= {MAX_CONTEST_PROBABILITY}, got {contest:.3g}"
             )
         if not self.runs >= 1:
             raise ValueError("runs must be >= 1")
@@ -83,12 +93,8 @@ def parse_flat(text: str) -> dict[str, str]:
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if not (key and value):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line.strip()!r}")
         if key in values:
             raise ConfigError(f"duplicate config key {key}")

@@ -351,7 +351,7 @@ _GROUPS = (np.arange(10000, dtype=np.int16)[:, None] // np.int16([1000, 100, 10,
 _LEAD = np.logical_or.accumulate(_GROUPS != 48, axis=1) | (np.arange(4) == 3)
 _DIGITS4 = np.concatenate([_GROUPS * _LEAD, _GROUPS]).view(np.uint32).ravel()
 _MINUS, _POINT_ZERO = np.frombuffer(b"-\0\0\0.0\0\0", dtype=np.uint32)
-_FLOAT_WIDTH = 24
+_STAMP_WIDTH = 24
 
 
 def _digit_words(values: np.ndarray, words: int) -> np.ndarray:
@@ -365,8 +365,8 @@ def _digit_words(values: np.ndarray, words: int) -> np.ndarray:
 
 
 def _stamp_text(t: np.ndarray) -> np.ndarray:
-    """Whole-ps int64 stamps as rows of _FLOAT_WIDTH bytes padded with NUL: a sign word ("-" or NUL),
-    the digits of |t| and ".0", which is how Python prints float(t) for every |t| < 2**53."""
+    """Whole-ps int64 stamps as rows of _STAMP_WIDTH bytes padded with NUL: a sign word ("-" or NUL),
+    the digits of |t| (at most 16, as |t| < 2**53) and the word ".0"."""
     return np.column_stack([(t < 0) * _MINUS, _digit_words(np.abs(t), 4), np.full(t.size, _POINT_ZERO)]).view(np.uint8)
 
 
@@ -377,8 +377,8 @@ def write_transcript_csv(path, transcript: Transcript, match: Match, sift: SiftR
     order: index, bit, t_s_ps, matched 0/1, the matched receive's t_r_ps and
     detector D0/D1 (else both empty), disclosed 0/1 and, for a disclosed pair
     only, error 0/1. Then one row per anomalous receive in time order: ",,,0,"
-    t_r_ps, detector, disclosed 0, error empty. Stamps are int64, |t| < 2**53
-    ps, printed as digits and ".0" like the equal float (242508580.0, -12.0).
+    t_r_ps, detector, disclosed 0, error empty. Stamps are int64 whole ps,
+    |t| < 2**53, printed as a sign, their digits and ".0" (242508580.0, -12.0).
     """
     n = transcript.t_s.size
     # rows 0..n-1 are the sends, n.. the anomalies; each row's receive, or -1
@@ -388,8 +388,8 @@ def write_transcript_csv(path, transcript: Transcript, match: Match, sift: SiftR
     told[match.send[sift.disclosed_mask]] = True
     # an empty row, matched and disclosed 0, in fixed byte columns; "D", detector, disclosed, error at tail + 0, 1, 3, 5
     w = 4 * -(-len(str(n)) // 4)
-    bit, t_s, matched, t_r, tail = w + 1, w + 3, w + _FLOAT_WIDTH + 4, w + _FLOAT_WIDTH + 6, w + 2 * _FLOAT_WIDTH + 7
-    empty = b"\0" * w + b",\0," + b"\0" * _FLOAT_WIDTH + b",0," + b"\0" * _FLOAT_WIDTH + b",\0\0,0,\0\r\n"
+    bit, t_s, matched, t_r, tail = w + 1, w + 3, w + _STAMP_WIDTH + 4, w + _STAMP_WIDTH + 6, w + 2 * _STAMP_WIDTH + 7
+    empty = b"\0" * w + b",\0," + b"\0" * _STAMP_WIDTH + b",0," + b"\0" * _STAMP_WIDTH + b",\0\0,0,\0\r\n"
     empty = np.frombuffer(empty, dtype=np.uint8)
     with open(path, "wb") as fh:
         fh.write((",".join(TRANSCRIPT_COLUMNS) + "\r\n").encode("ascii"))
@@ -401,8 +401,8 @@ def write_transcript_csv(path, transcript: Transcript, match: Match, sift: SiftR
             table = np.tile(empty, (chunk.size, 1))
             table[:s, :w] = _digit_words(sends, w // 4).view(np.uint8)
             table[:s, bit] = transcript.bit[sends] + ord("0")
-            table[:s, t_s : t_s + _FLOAT_WIDTH] = text[:s]
-            table[rows, t_r : t_r + _FLOAT_WIDTH] = text[s:]
+            table[:s, t_s : t_s + _STAMP_WIDTH] = text[:s]
+            table[rows, t_r : t_r + _STAMP_WIDTH] = text[s:]
             table[rows[rows < s], matched] = ord("1")
             table[rows, tail] = ord("D")
             table[rows, tail + 1] = transcript.detector[chunk[rows]] + ord("0")

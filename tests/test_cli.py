@@ -202,6 +202,11 @@ class TestRejection:
         with pytest.raises(ConfigError, match="line 2"):
             parse_flat("tau = 2000\njust words\n")
 
+    @pytest.mark.parametrize("line", ["seed =", "= 5", " = "])
+    def test_line_without_a_key_or_a_value(self, line):
+        with pytest.raises(ConfigError, match=rf"^line 2: expected 'key = value', got {re.escape(repr(line.strip()))}$"):
+            parse_flat(f"tau = 2000\n{line}\n")
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate config key tau"):
             parse_flat("tau = 2000\ntau = 2500\n")
@@ -269,6 +274,26 @@ class TestRejection:
         session = build_experiment(values).session
         assert session.accept_window_ps == session.tau_ps
 
+    @pytest.mark.parametrize(
+        "dense, sparser, got",
+        [
+            # the default window is 3 * sqrt(2) * 300 ps = 1272.8 ps
+            ({"pair_rate": "4e6"}, {"pair_rate": "3.9e6"}, "0.0102"),
+            (
+                {"pair_rate": "8e6", "heralding_efficiency": "0.5"},
+                {"pair_rate": "8e6", "heralding_efficiency": "0.45"},
+                "0.0102",
+            ),
+            # the sparser one is exactly at the bound
+            ({"pair_rate": "2.6e6", "accept_window": "2e3"}, {"pair_rate": "2.5e6", "accept_window": "2e3"}, "0.0104"),
+        ],
+    )
+    def test_dense_sends(self, dense, sparser, got):
+        # the greedy matcher could hand a receive to a neighbouring send
+        message = f"pair_rate: must keep 2 * accept_window * send rate <= 0.01, got {got}"
+        assert rejection_message(dense) == message
+        build_experiment(sparser)
+
     def test_scan_steps_too_small(self):
         with pytest.raises(ConfigError, match="scan_steps: must be >= 4"):
             build_experiment({"scan_steps": "1"})
@@ -332,6 +357,12 @@ class TestLibraryConstruction:
         # builds one on purpose); a scenario, from a library or a file, may not
         session = SessionConfig(accept_window_ps=2500.0)
         with pytest.raises(ValueError, match=r"^accept_window_ps must be <= tau = 2000.0 ps, got 2500.0$"):
+            ExperimentConfig(session)
+
+    def test_dense_sends_are_rejected_only_with_the_experiment(self):
+        session = SessionConfig(source=SourceParams(pair_rate_hz=4e6))
+        message = r"^pair_rate_hz must keep 2 \* accept_window \* send rate <= 0.01, got 0.0102$"
+        with pytest.raises(ValueError, match=message):
             ExperimentConfig(session)
 
     def test_defaults_are_the_scenario_defaults(self):
@@ -628,6 +659,16 @@ class TestAttackDemoCommand:
         assert report["anomaly_fraction"] == 1.0
         assert report["eve_information_bits"] == pytest.approx(1.0, abs=0.01)
         assert (out_dir / "transcript.csv").is_file()
+
+    def test_explicit_anomaly_threshold_decides_the_verdict(self, tmp_path):
+        # anomaly fraction 0.0024: below the derived threshold 0.0081, above an explicit 0.001
+        cfg = tmp_path / "probe.cfg"
+        for line, code, decision in [("", EXIT_OK, "Clean"), ("anomaly_threshold = 0.001\n", EXIT_ALARM, "TimingAlarm")]:
+            cfg.write_text("seed = 17\njitter = 300\npair_rate = 2000\nduration = 5\n" + line, encoding="utf-8")
+            out_dir = tmp_path / decision
+            assert self.run(cfg, out_dir, "none", "--fail-on-alarm") == code
+            report = json.loads((out_dir / "verdict.json").read_text(encoding="utf-8"))
+            assert (report["decision"], report["anomalies"], report["matched"]) == (decision, 24, 9943)
 
     def test_alarm_without_flag_still_exits_zero(self, fast_config, tmp_path):
         code = self.run(fast_config, tmp_path / "out", "store-forward")

@@ -621,6 +621,12 @@ class TestTranscriptRoundTrip:
         assert [t for _, _, t in sends] == transcript.t_s.tolist()
         assert [t for t, _ in anomalies] == transcript.t_r[match.anomalies].tolist()
 
+    def test_wrong_header_is_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("index,bit,t_s_ps\r\n0,1,5.0\r\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^unexpected transcript header: \['index', 'bit', 't_s_ps'\]$"):
+            read_transcript_csv(path)
+
     def test_header_is_stable(self, tmp_path):
         config = ideal_config(pair_rate_hz=50.0, duration_s=0.5, seed=38)
         transcript = run_session(config)
