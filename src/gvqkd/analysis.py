@@ -185,11 +185,15 @@ def read_fringe_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a fringe CSV back into (delta_l_nm, counts), counts as floats."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != FRINGE_COLUMNS:
+        if (header := next(reader)) != FRINGE_COLUMNS:
             raise ValueError(f"unexpected fringe header: {header!r}")
-        table = np.array([[float(value) for value in row] for row in reader]).reshape(-1, 3)
-    if np.any(table[:, 1:] < 0):
+        rows = []
+        for row in reader:
+            if len(row) != 3:
+                raise ValueError(f"line {reader.line_num}: expected 3 fields, got {len(row)}")
+            rows.append([float(value) for value in row])
+    table = np.array(rows).reshape(-1, 3)
+    if not np.all(table[:, 1:] >= 0):
         raise ValueError("counts must be non-negative")
     return table[:, 0], table[:, 1:]
 

@@ -10,7 +10,8 @@ README's "Scenario files" table documents the same keys in the same order.
 The shared keys (SHARED_KEYS) set a pair of fields; a field's own key wins.
 Defaults and range checks live only on the dataclasses that own the fields
 (SourceParams, DetectorParams, SessionConfig, ExperimentConfig), so library
-callers and scenario files get the same rules.
+callers and scenario files get the same rules. The fields hold given values
+only; the accept window and session V are derived by SessionConfig properties.
 """
 
 from contextlib import contextmanager
@@ -45,10 +46,10 @@ class ExperimentConfig:
     anomaly_threshold: float | None = None
 
     def __post_init__(self):
-        # a store-forward photon is at least tau late; a wider window would pass it
+        # a store-forward photon is at least tau late; a wider window would pass it (only a given one can be wider)
         if self.session.accept_window_ps > self.session.tau_ps:
             raise ValueError(
-                f"accept_window_ps must be <= tau = {self.session.tau_ps} ps, got {self.session.accept_window_ps}"
+                f"accept_window_given_ps must be <= tau = {self.session.tau_ps} ps, got {self.session.accept_window_ps}"
             )
         # the greedy matcher can hand a receive to a neighbouring send, with chance about 2 w * send rate
         source = self.session.source
@@ -132,7 +133,7 @@ KEYS = (
     ("jitter", _parse_float, None),
     ("herald_jitter", _parse_float, "herald_jitter_sigma_ps"),
     ("signal_jitter", _parse_float, "jitter_sigma_ps"),
-    ("accept_window", _parse_float, "accept_window_ps"),
+    ("accept_window", _parse_float, "accept_window_given_ps"),
     ("visibility", _parse_float, None),
     ("visibility_d0", _parse_float, "visibility_d0"),
     ("visibility_d1", _parse_float, "visibility_d1"),

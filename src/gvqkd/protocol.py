@@ -59,14 +59,14 @@ def false_anomaly_rate(accept_window_ps: float, sigma_ps: float) -> float:
 class SessionConfig:
     """Physical and protocol parameters of one transmission session.
 
-    accept_window_ps may be left None to take its derived default: 3x the
-    combined timing jitter but at least the 1 ps stamp resolution. The
-    session visibility is the mean of the detector pair (see visibility).
+    Every field is a value the caller gave (accept_window_given_ps None to
+    derive the window); accept_window_ps and visibility are derived on each
+    read, so dataclasses.replace re-derives them from the replaced fields.
     """
 
     tau_ps: float = 2000.0
     travel_time_ps: float = 1000.0
-    accept_window_ps: float | None = None
+    accept_window_given_ps: float | None = None
     visibility_d0: float = 1.0
     visibility_d1: float = 1.0
     source: SourceParams = field(default_factory=SourceParams)
@@ -97,17 +97,15 @@ class SessionConfig:
         if not self.wavelength_nm > 0:
             raise ValueError("wavelength_nm must be positive")
         sigma = combined_jitter_ps(self.source, self.signal_detector)
-        if self.accept_window_ps is None:
+        if self.accept_window_given_ps is None:
             # whole-ps stamps put a deviation up to 1 ps off, so w >= 1 ps; tau must admit it (below 3 sigma: see below)
             if 3.0 * sigma <= self.tau_ps < 1.0:
                 raise ValueError(f"tau_ps must be >= the 1 ps minimum accept window, got {self.tau_ps}")
-            object.__setattr__(self, "accept_window_ps", max(3.0 * sigma, 1.0))
         elif not self.accept_window_ps > 0:
-            raise ValueError("accept_window_ps must be positive")
+            raise ValueError("accept_window_given_ps must be positive")
         elif self.accept_window_ps < 1.0:
-            raise ValueError(f"accept_window_ps must be >= the 1 ps stamp resolution, got {self.accept_window_ps}")
-        # the storage delay must dominate timing noise or the timing test
-        # cannot separate held packets from jitter
+            raise ValueError(f"accept_window_given_ps must be >= the 1 ps stamp resolution, got {self.accept_window_ps}")
+        # the storage delay must dominate timing noise, or the timing test cannot tell held packets from jitter
         if self.tau_ps < 3.0 * sigma:
             raise ValueError(f"tau_ps must be >= 3*combined jitter = {3.0 * sigma:.1f} ps, got {self.tau_ps}")
         # 6 tau covers a 12 sigma jitter tail (sigma <= tau/3), the receiver's tau and store-forward's
@@ -115,6 +113,13 @@ class SessionConfig:
         if not span < STAMP_HALF_RANGE_PS:
             name = "session_duration_s" if self.session_duration_s * PS_PER_S >= 6.0 * self.tau_ps else "tau_ps"
             raise ValueError(f"{name} must keep duration + T + 6*tau below 2**52 ps, got {span:.6g} ps")
+
+    @property
+    def accept_window_ps(self) -> float:
+        """Timing-test half-width w: the given window, else 3x the combined jitter but at least 1 ps."""
+        if self.accept_window_given_ps is not None:
+            return self.accept_window_given_ps
+        return max(3.0 * combined_jitter_ps(self.source, self.signal_detector), 1.0)
 
     @property
     def visibility(self) -> float:

@@ -5,9 +5,15 @@ from gvqkd.devices import DetectorParams, SourceParams
 from gvqkd.protocol import SessionConfig, run_session, sift_transcript
 
 
-def _link_config(pair_rate_hz, duration_s, seed, jitter_ps, visibility=1.0, **overrides) -> SessionConfig:
-    """Lossless link at the given jitters; visibility sets both detectors, as the scenario key does."""
+def _link_config(
+    pair_rate_hz, duration_s, seed, jitter_ps, visibility=1.0, accept_window_ps=None, **overrides
+) -> SessionConfig:
+    """Lossless link at the given jitters; visibility sets both detectors, as the scenario key does.
+
+    accept_window_ps is the given window (None derives it from the jitters).
+    """
     params = dict(
+        accept_window_given_ps=accept_window_ps,
         visibility_d0=visibility,
         visibility_d1=visibility,
         source=SourceParams(pair_rate_hz=pair_rate_hz, heralding_efficiency=1.0, herald_jitter_sigma_ps=jitter_ps),

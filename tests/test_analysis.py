@@ -297,6 +297,28 @@ class TestSerializationAndReports:
         with pytest.raises(ValueError, match="non-negative"):
             read_fringe_csv(path)
 
+    def test_nan_count_in_a_file_is_rejected(self, tmp_path):
+        path = tmp_path / "fringe.csv"
+        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,12,5\r\n81.2,nan,5\r\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="non-negative"):
+            read_fringe_csv(path)
+
+    def test_row_without_three_fields_is_rejected(self, tmp_path):
+        # three 2-field rows hold six values: they must not be read as two 3-field rows
+        path = tmp_path / "fringe.csv"
+        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,5\r\n1.0,6\r\n2.0,7\r\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 2: expected 3 fields, got 2$"):
+            read_fringe_csv(path)
+        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,5,1\r\n1.0,6,1,9\r\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 3: expected 3 fields, got 4$"):
+            read_fringe_csv(path)
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "fringe.csv"
+        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n", encoding="utf-8")
+        delta_l, counts = read_fringe_csv(path)
+        assert (delta_l.shape, counts.shape) == ((0,), (0, 2))
+
     def test_unexpected_header_is_rejected(self, tmp_path):
         path = tmp_path / "fringe.csv"
         path.write_text("delta_l,d0,d1\r\n0.0,1,1\r\n", encoding="utf-8")

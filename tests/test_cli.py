@@ -108,6 +108,14 @@ class TestDefaults:
         experiment = load_config(None).with_seed(99)
         assert experiment.session.seed == 99
         assert experiment.session.tau_ps == 2000.0
+        # a shipped scenario re-seeded equals the same file with that seed, derived values included
+        for path in sorted(CONFIGS_DIR.glob("*.cfg")):
+            values = parse_flat(path.read_text(encoding="utf-8"))
+            reseeded = load_config(path).with_seed(99)
+            fresh = build_experiment({**values, "seed": "99"})
+            assert reseeded == fresh, path.name
+            assert reseeded.session.accept_window_ps == fresh.session.accept_window_ps, path.name
+            assert reseeded.session.visibility == fresh.session.visibility, path.name
 
 
 # one out-of-range or malformed value per scenario key and the rule it breaks
@@ -355,8 +363,8 @@ class TestLibraryConstruction:
     def test_accept_window_is_bounded_by_tau_only_with_the_experiment(self):
         # a bare SessionConfig may take a wide window (acceptance test_06
         # builds one on purpose); a scenario, from a library or a file, may not
-        session = SessionConfig(accept_window_ps=2500.0)
-        with pytest.raises(ValueError, match=r"^accept_window_ps must be <= tau = 2000.0 ps, got 2500.0$"):
+        session = SessionConfig(accept_window_given_ps=2500.0)
+        with pytest.raises(ValueError, match=r"^accept_window_given_ps must be <= tau = 2000.0 ps, got 2500.0$"):
             ExperimentConfig(session)
 
     def test_dense_sends_are_rejected_only_with_the_experiment(self):
@@ -377,7 +385,7 @@ class TestLibraryConstruction:
             (DetectorParams, "dark_rate_hz"),
             (SessionConfig, "tau_ps"),
             (SessionConfig, "travel_time_ps"),
-            (SessionConfig, "accept_window_ps"),
+            (SessionConfig, "accept_window_given_ps"),
             (SessionConfig, "session_duration_s"),
             (SessionConfig, "wavelength_nm"),
             (ExperimentConfig, "runs"),
@@ -454,16 +462,15 @@ class TestDetectorPairRule:
         assert replace(session, visibility_d0=0.5, visibility_d1=0.5).visibility == 0.5
 
     def test_replace_equals_a_fresh_session_for_every_field(self):
-        # the window is given explicitly: it is the one value a SessionConfig still derives into its field
-        inputs = dict(accept_window_ps=900.0, visibility_d0=0.89, visibility_d1=0.82)
+        inputs = dict(visibility_d0=0.89, visibility_d1=0.82)
         new_values = {
             "tau_ps": 2500.0,
             "travel_time_ps": 1200.0,
-            "accept_window_ps": 800.0,
+            "accept_window_given_ps": 800.0,
             "visibility_d0": 0.5,
             "visibility_d1": 0.6,
-            "source": SourceParams(pair_rate_hz=50.0, herald_jitter_sigma_ps=100.0),
-            "signal_detector": DetectorParams(efficiency=0.5, dark_rate_hz=10.0),
+            "source": SourceParams(pair_rate_hz=50.0, herald_jitter_sigma_ps=0.0),
+            "signal_detector": DetectorParams(efficiency=0.5, jitter_sigma_ps=0.0, dark_rate_hz=10.0),
             "session_duration_s": 1.0,
             "disclosure_fraction": 0.3,
             "seed": 5,
@@ -474,6 +481,7 @@ class TestDetectorPairRule:
             replaced = replace(session, **{f.name: new_values[f.name]})
             fresh = SessionConfig(**{**inputs, f.name: new_values[f.name]})
             assert replaced == fresh, f.name
+            assert replaced.accept_window_ps == fresh.accept_window_ps, f.name
             assert replaced.visibility == fresh.visibility, f.name
 
 
