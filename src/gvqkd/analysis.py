@@ -106,13 +106,16 @@ def _fit_single(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float
 
 
 def fit_fringe(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float) -> tuple[FringeFit, FringeFit]:
-    """Fit both detectors' fringes (the columns of counts); requires >= 4 steps spanning >= one period."""
+    """Fit both detectors' fringes (the columns of counts); requires >= 4 finite steps spanning >= one period."""
     delta_l = np.asarray(delta_l_nm, dtype=float)
+    counts = np.asarray(counts, dtype=float)
     if delta_l.size < 4:
         raise ValueError("fringe fit needs at least 4 points")
+    if not (np.isfinite(delta_l).all() and np.isfinite(counts).all()):
+        raise ValueError("fringe fit needs finite delta_l_nm and counts")
     if delta_l.max() - delta_l.min() < wavelength_nm:
         raise ValueError("fringe fit needs a scan spanning at least one period")
-    counts_d0, counts_d1 = np.asarray(counts, dtype=float).T
+    counts_d0, counts_d1 = counts.T
     return _fit_single(delta_l, counts_d0, wavelength_nm), _fit_single(delta_l, counts_d1, wavelength_nm)
 
 
@@ -191,10 +194,11 @@ def read_fringe_csv(path) -> tuple[np.ndarray, np.ndarray]:
         for row in reader:
             if len(row) != 3:
                 raise ValueError(f"line {reader.line_num}: expected 3 fields, got {len(row)}")
-            rows.append([float(value) for value in row])
+            values = [float(value) for value in row]
+            if not all(map(math.isfinite, values)) or min(values[1:]) < 0:
+                raise ValueError(f"line {reader.line_num}: values must be finite and counts non-negative, got {row}")
+            rows.append(values)
     table = np.array(rows).reshape(-1, 3)
-    if not np.all(table[:, 1:] >= 0):
-        raise ValueError("counts must be non-negative")
     return table[:, 0], table[:, 1:]
 
 

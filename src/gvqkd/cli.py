@@ -2,8 +2,12 @@
 
 Every subcommand reads one scenario file (--config, defaults apply when
 omitted), writes its outputs into --out, and is byte-for-byte reproducible
-for a fixed seed. Exit codes: 0 success, 2 configuration or usage error,
-3 an alarm was raised and --fail-on-alarm was given.
+for a fixed seed. Each subcommand is one handler that writes its files,
+prints its stdout and returns the exit code; transmit and attack-demo run
+every session through _session. Exit codes: 0 success, 2 configuration or
+usage error (also an attack-demo session with no sends or no receives: its
+transcript.csv is written, no verdict.json), 3 an alarm was raised and
+--fail-on-alarm was given.
 """
 
 import argparse
@@ -37,18 +41,24 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def run_transmit(experiment: ExperimentConfig, out_dir: Path) -> dict:
+def _session(session, strategy, run_index, source_bit, path):
+    """Run one session, sift it and write its transcript CSV; returns (transcript, sift)."""
+    transcript = run_session(session, strategy, run_index, source_bit)
+    match, sift = sift_transcript(transcript, session, run_index)
+    write_transcript_csv(path, transcript, match, sift)
+    return transcript, sift
+
+
+def run_transmit(experiment: ExperimentConfig, args: argparse.Namespace, out_dir: Path) -> int:
     """Run the configured number of clean sessions; one transcript CSV each plus a summary."""
-    session = experiment.session
     qbers: list[float] = []
     qber_sigmas: list[float] = []
     matched_total = 0
     anomaly_total = 0
     key_bits_total = 0
     for run_index in range(experiment.runs):
-        transcript = run_session(session, NO_ATTACK, run_index, experiment.source_bit)
-        match, sift = sift_transcript(transcript, session, run_index)
-        write_transcript_csv(out_dir / f"transcript_run{run_index:03d}.csv", transcript, match, sift)
+        path = out_dir / f"transcript_run{run_index:03d}.csv"
+        _, sift = _session(experiment.session, NO_ATTACK, run_index, experiment.source_bit, path)
         if sift.qber is not None:
             qbers.append(sift.qber)
             qber_sigmas.append(sift.qber_sigma)
@@ -68,86 +78,83 @@ def run_transmit(experiment: ExperimentConfig, out_dir: Path) -> dict:
         "key_bits_total": key_bits_total,
     }
     _write_json(out_dir / "summary.json", summary)
-    return summary
+    qber = summary["qber_mean"]
+    print(
+        f"transmit: {experiment.runs} runs, "
+        f"mean QBER {qber if qber is None else format(qber, '.4f')}, "
+        f"anomaly fraction {summary['anomaly_fraction']}"
+    )
+    return EXIT_OK
 
 
-def run_fringe_scan(experiment: ExperimentConfig, out_dir: Path) -> dict:
+def run_fringe_scan(experiment: ExperimentConfig, args: argparse.Namespace, out_dir: Path) -> int:
     """Scan the recombiner path-length difference; CSV plus fit report per active source."""
     session = experiment.session
     source_bits = (0, 1) if experiment.source_bit is None else (experiment.source_bit,)
-    reports: dict[str, dict] = {}
     for source_bit in source_bits:
         rng = stream(session.seed, "fringe", run_index=source_bit)
         delta_l_nm, counts = fringe_scan(
-            session,
-            source_bit,
-            (0.0, experiment.scan_span_nm),
-            experiment.scan_steps,
-            experiment.shots_per_step,
-            rng,
+            session, source_bit, (0.0, experiment.scan_span_nm), experiment.scan_steps, experiment.shots_per_step, rng
         )
         write_fringe_csv(out_dir / f"fringe_s{source_bit}.csv", delta_l_nm, counts)
-        fit_d0, fit_d1 = fit_fringe(delta_l_nm, counts, session.wavelength_nm)
-        report = fit_report(fit_d0, fit_d1)
+        report = fit_report(*fit_fringe(delta_l_nm, counts, session.wavelength_nm))
         _write_json(out_dir / f"fringe_fit_s{source_bit}.json", report)
-        reports[f"s{source_bit}"] = report
-    return reports
+        print(
+            f"fringe s{source_bit}: V_D0 {report['visibility_d0']:.3f}, "
+            f"V_D1 {report['visibility_d1']:.3f}, "
+            f"phase offset {report['phase_offset_rad']:.3f} rad"
+        )
+    return EXIT_OK
 
 
-def run_attack_demo(experiment: ExperimentConfig, attack_name: str, out_dir: Path) -> dict:
+def run_attack_demo(experiment: ExperimentConfig, args: argparse.Namespace, out_dir: Path) -> int:
     """One session under an attack, then both security tests and Eve's information."""
-    session = experiment.session
-    strategy = AttackStrategy(kind=attack_name, extra_delay_ps=experiment.extra_delay_ps)
-    transcript = run_session(session, strategy, source_bit=experiment.source_bit)
-    if transcript.t_r.size == 0:
-        raise ConfigError("attack-demo: no receives in the session, so no verdict (is pair_rate or an efficiency 0?)")
-    match, sift = sift_transcript(transcript, session)
-    write_transcript_csv(out_dir / "transcript.csv", transcript, match, sift)
-    verdict = detect_eavesdropping(
-        sift, experiment.resolved_anomaly_threshold(), experiment.qber_threshold
-    )
+    strategy = AttackStrategy(kind=args.attack, extra_delay_ps=experiment.extra_delay_ps)
+    transcript, sift = _session(experiment.session, strategy, 0, experiment.source_bit, out_dir / "transcript.csv")
+    if transcript.t_s.size == 0 or transcript.t_r.size == 0:
+        raise ConfigError(
+            "attack-demo: no receives or no sends in the session, so no verdict (is pair_rate or an efficiency 0?)"
+        )
+    verdict = detect_eavesdropping(sift, experiment.resolved_anomaly_threshold(), experiment.qber_threshold)
     info = eve_information(transcript.eve_guess, transcript.bit)
-    report = verdict_report(verdict)
-    report.update(
-        {
-            "strategy": attack_name,
-            "eve_information_bits": info,
-            "matched": sift.matched,
-            "anomalies": sift.anomalies,
-            "key_bits": sift.key_bits,
-        }
-    )
+    report = {
+        **verdict_report(verdict),
+        "strategy": args.attack,
+        "eve_information_bits": info,
+        "matched": sift.matched,
+        "anomalies": sift.anomalies,
+        "key_bits": sift.key_bits,
+    }
     _write_json(out_dir / "verdict.json", report)
-    return report
+    print(
+        f"attack-demo [{args.attack}]: decision {report['decision']}, "
+        f"QBER {report['qber']}, anomaly fraction {report['anomaly_fraction']:.4f}, "
+        f"Eve information {info:.4f} bits"
+    )
+    return EXIT_ALARM if args.fail_on_alarm and report["decision"] != "Clean" else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="gvqkd",
-        description="Discrete-event simulator for an orthogonal-state QKD link",
+        prog="gvqkd", description="Discrete-event simulator for an orthogonal-state QKD link"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_command(name: str, run, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="scenario file (flat key = value)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.set_defaults(run=run)
+        return p
 
-    p_transmit = sub.add_parser("transmit", help="run clean key-distribution sessions")
-    add_common(p_transmit)
-
-    p_fringe = sub.add_parser("fringe-scan", help="sweep the path-length difference and fit fringes")
-    add_common(p_fringe)
-
-    p_attack = sub.add_parser("attack-demo", help="run one session under an eavesdropping strategy")
-    add_common(p_attack)
+    add_command("transmit", run_transmit, "run clean key-distribution sessions")
+    add_command("fringe-scan", run_fringe_scan, "sweep the path-length difference and fit fringes")
+    p_attack = add_command("attack-demo", run_attack_demo, "run one session under an eavesdropping strategy")
     p_attack.add_argument("--attack", required=True, choices=KINDS)
     p_attack.add_argument(
-        "--fail-on-alarm",
-        action="store_true",
-        help="exit with code 3 if either security test raises an alarm",
+        "--fail-on-alarm", action="store_true", help="exit with code 3 if either security test raises an alarm"
     )
-
     return parser
 
 
@@ -162,36 +169,7 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"--out: cannot create directory {args.out}: {exc.strerror}") from None
-
-        if args.command == "transmit":
-            summary = run_transmit(experiment, out_dir)
-            qber = summary["qber_mean"]
-            print(
-                f"transmit: {summary['runs']} runs, "
-                f"mean QBER {qber if qber is None else format(qber, '.4f')}, "
-                f"anomaly fraction {summary['anomaly_fraction']}"
-            )
-            return EXIT_OK
-
-        if args.command == "fringe-scan":
-            reports = run_fringe_scan(experiment, out_dir)
-            for label, report in reports.items():
-                print(
-                    f"fringe {label}: V_D0 {report['visibility_d0']:.3f}, "
-                    f"V_D1 {report['visibility_d1']:.3f}, "
-                    f"phase offset {report['phase_offset_rad']:.3f} rad"
-                )
-            return EXIT_OK
-
-        report = run_attack_demo(experiment, args.attack, out_dir)
-        print(
-            f"attack-demo [{args.attack}]: decision {report['decision']}, "
-            f"QBER {report['qber']}, anomaly fraction {report['anomaly_fraction']:.4f}, "
-            f"Eve information {report['eve_information_bits']:.4f} bits"
-        )
-        if args.fail_on_alarm and report["decision"] != "Clean":
-            return EXIT_ALARM
-        return EXIT_OK
+        return args.run(experiment, args, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -158,6 +158,19 @@ class TestFitFringe:
         with pytest.raises(ValueError, match="period"):
             fit_fringe(*synthetic_scan(100.0, 0.9, 0.9, 0.0, n_steps=10, span=(0.0, 400.0)), WAVELENGTH)
 
+    @pytest.mark.parametrize(
+        "column, row, value",
+        [(1, 3, math.nan), (2, 5, math.inf), (0, 2, math.nan)],
+        ids=["nan-count", "inf-count", "nan-delta-l"],
+    )
+    def test_rejects_non_finite_data(self, column, row, value):
+        # column 0 is delta_l_nm; columns 1 and 2 are the D0 and D1 counts
+        delta_l, counts = synthetic_scan(1000.0, 0.9, 0.9, 0.0)
+        table = np.column_stack([delta_l, counts])
+        table[row, column] = value
+        with pytest.raises(ValueError, match="finite"):
+            fit_fringe(table[:, 0], table[:, 1:], WAVELENGTH)
+
     def test_rejects_rank_deficient_design(self):
         # only full-wavelength steps: cos is constant, sin is zero
         with pytest.raises(ValueError, match="degenerate"):
@@ -301,6 +314,18 @@ class TestSerializationAndReports:
         path = tmp_path / "fringe.csv"
         path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,12,5\r\n81.2,nan,5\r\n", encoding="utf-8")
         with pytest.raises(ValueError, match="non-negative"):
+            read_fringe_csv(path)
+
+    def test_inf_count_in_a_file_is_rejected(self, tmp_path):
+        path = tmp_path / "fringe.csv"
+        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,inf,5\r\n81.2,1,2\r\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 2: .*finite"):
+            read_fringe_csv(path)
+
+    def test_nan_delta_l_in_a_file_is_rejected(self, tmp_path):
+        path = tmp_path / "fringe.csv"
+        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,12,5\r\nnan,1,2\r\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 3: .*finite"):
             read_fringe_csv(path)
 
     def test_row_without_three_fields_is_rejected(self, tmp_path):

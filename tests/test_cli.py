@@ -682,7 +682,17 @@ class TestAttackDemoCommand:
         code = self.run(fast_config, tmp_path / "out", "store-forward")
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize("line", ["pair_rate = 0", "detector_efficiency = 0", "heralding_efficiency = 0"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "pair_rate = 0",
+            "detector_efficiency = 0",
+            "heralding_efficiency = 0",
+            # dark counts give receives but no sends
+            pytest.param("pair_rate = 0\ndark_rate = 100", id="pair_rate = 0, dark_rate = 100"),
+            pytest.param("heralding_efficiency = 0\ndark_rate = 100", id="heralding_efficiency = 0, dark_rate = 100"),
+        ],
+    )
     def test_no_receives_exits_2_without_verdict(self, tmp_path, capsys, line):
         cfg = tmp_path / "silent.cfg"
         cfg.write_text(FAST_SCENARIO.replace("pair_rate = 400\n", "") + line + "\n", encoding="utf-8")
@@ -854,16 +864,45 @@ class TestGoldenOutputs:
     order, the engine's arithmetic or the file formats shows up here, and
     must be a deliberate, documented break."""
 
+    # test id -> (argv, digest of the output tree, exact stdout)
     GOLDEN = {
-        ("transmit",): "e8e2dc85c897554a66f7e227f6ea2515868db555354c5a860b25ecba51c1e1c3",
-        ("attack-demo", "--attack", "store-forward"): "d55283720b606674aa192da4ee08310aa54c1f24e78c260077795c4ee2df175e",
+        "transmit": (
+            ("transmit",),
+            "e8e2dc85c897554a66f7e227f6ea2515868db555354c5a860b25ecba51c1e1c3",
+            "transmit: 3 runs, mean QBER 0.0000, anomaly fraction 0.0\n",
+        ),
+        "fringe-scan": (
+            ("fringe-scan",),
+            "56245d1d9c1e8ad702796459b04794dbe495d6c45b1040e1dd9cd000652c3f7e",
+            "fringe s0: V_D0 1.000, V_D1 0.989, phase offset 6.266 rad\n"
+            "fringe s1: V_D0 1.000, V_D1 1.000, phase offset 3.144 rad\n",
+        ),
+        "attack-demo-none": (
+            ("attack-demo", "--attack", "none"),
+            "f9b3adcbca9125a7efe042afed3de88b4dbfdf6ec8cf8435157f42661a5cec9d",
+            "attack-demo [none]: decision Clean, QBER 0.0, anomaly fraction 0.0000, Eve information 0.0000 bits\n",
+        ),
+        "attack-demo-which-path": (
+            ("attack-demo", "--attack", "which-path"),
+            "bdf3a0c8dadd67c86602946d7e6cdb9f81c07fb5e272b06b0a7b9376201de668",
+            "attack-demo [which-path]: decision QberAlarm, QBER 0.46226415094339623, anomaly fraction 0.0000, "
+            "Eve information 0.0000 bits\n",
+        ),
+        "attack-demo": (
+            ("attack-demo", "--attack", "store-forward"),
+            "d55283720b606674aa192da4ee08310aa54c1f24e78c260077795c4ee2df175e",
+            "attack-demo [store-forward]: decision TimingAlarm, QBER None, anomaly fraction 1.0000, "
+            "Eve information 0.9926 bits\n",
+        ),
     }
 
-    @pytest.mark.parametrize("argv", list(GOLDEN), ids=lambda argv: argv[0])
-    def test_output_digest(self, fast_config, tmp_path, argv):
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_output_digest(self, fast_config, tmp_path, capsys, name):
+        argv, digest, stdout = self.GOLDEN[name]
         out_dir = tmp_path / "out"
         assert main([*argv, "--config", str(fast_config), "--out", str(out_dir)]) == EXIT_OK
-        assert tree_digest(out_dir) == self.GOLDEN[argv]
+        assert tree_digest(out_dir) == digest
+        assert capsys.readouterr().out == stdout
 
     # every shipped config under every command, pinned before a refactor
     # that must keep the bytes
