@@ -81,28 +81,26 @@ def fringe_scan(
     return delta_l_nm, rng.binomial(shots_per_step, p)
 
 
-def _fit_single(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float) -> FringeFit:
-    # known period reduces the sine fit to linear least squares on the
-    # basis (1, cos x, sin x)
-    x = 2.0 * math.pi * delta_l_nm / wavelength_nm
+def fringe_design(delta_l_nm: np.ndarray, wavelength_nm: float) -> np.ndarray:
+    """The fit's linear basis (1, cos x, sin x) at x = 2 pi dl / lambda; steps lambda/2 apart leave it rank 2."""
+    with np.errstate(over="ignore"):  # an overflowed phase is rejected below, before cos sees it
+        x = 2.0 * math.pi * delta_l_nm / wavelength_nm
+    if not np.isfinite(x).all():
+        raise ValueError("fringe fit needs finite phases 2 pi delta_l / wavelength")
     design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
-    coeffs, _, rank, _ = np.linalg.lstsq(design, counts, rcond=None)
-    if rank < 3:
+    if np.linalg.matrix_rank(design) < 3:
         raise ValueError("degenerate fringe fit: design matrix is rank-deficient")
+    return design
+
+
+def _fit_single(design: np.ndarray, counts: np.ndarray) -> FringeFit:
+    coeffs = np.linalg.lstsq(design, counts, rcond=None)[0]
     c0, c1, c2 = coeffs
     if c0 <= 0:
         raise ValueError("degenerate fringe fit: non-positive mean rate")
-    visibility = math.hypot(c1, c2) / c0
-    visibility = min(1.0, max(0.0, visibility))
-    phase_offset = canonical_phase(math.atan2(-c2, c1))
-    residuals = counts - design @ coeffs
-    residual_rms = float(np.sqrt(np.mean(residuals**2)))
-    return FringeFit(
-        visibility=float(visibility),
-        phase_offset_rad=float(phase_offset),
-        mean_rate=float(c0),
-        residual_rms=residual_rms,
-    )
+    visibility = min(1.0, max(0.0, math.hypot(c1, c2) / c0))
+    residual_rms = float(np.sqrt(np.mean((counts - design @ coeffs) ** 2)))
+    return FringeFit(float(visibility), float(canonical_phase(math.atan2(-c2, c1))), float(c0), residual_rms)
 
 
 def fit_fringe(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float) -> tuple[FringeFit, FringeFit]:
@@ -115,8 +113,9 @@ def fit_fringe(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float)
         raise ValueError("fringe fit needs finite delta_l_nm and counts")
     if delta_l.max() - delta_l.min() < wavelength_nm:
         raise ValueError("fringe fit needs a scan spanning at least one period")
+    design = fringe_design(delta_l, wavelength_nm)
     counts_d0, counts_d1 = counts.T
-    return _fit_single(delta_l, counts_d0, wavelength_nm), _fit_single(delta_l, counts_d1, wavelength_nm)
+    return _fit_single(design, counts_d0), _fit_single(design, counts_d1)
 
 
 def qber_from_visibility(visibility: float) -> float:
@@ -194,7 +193,10 @@ def read_fringe_csv(path) -> tuple[np.ndarray, np.ndarray]:
         for row in reader:
             if len(row) != 3:
                 raise ValueError(f"line {reader.line_num}: expected 3 fields, got {len(row)}")
-            values = [float(value) for value in row]
+            try:
+                values = [float(value) for value in row]
+            except ValueError:
+                raise ValueError(f"line {reader.line_num}: values must be numbers, got {row}") from None
             if not all(map(math.isfinite, values)) or min(values[1:]) < 0:
                 raise ValueError(f"line {reader.line_num}: values must be finite and counts non-negative, got {row}")
             rows.append(values)

@@ -10,17 +10,21 @@ README's "Scenario files" table documents the same keys in the same order.
 The shared keys (SHARED_KEYS) set a pair of fields; a field's own key wins.
 Defaults and range checks live only on the dataclasses that own the fields
 (SourceParams, DetectorParams, SessionConfig, ExperimentConfig), so library
-callers and scenario files get the same rules. The fields hold given values
-only; the accept window and session V are derived by SessionConfig properties.
+callers and scenario files get the same rules: each range is declared beside
+its default (devices.ranged), and __post_init__ adds only cross-field rules.
+The fields hold given values only; the accept window and session V are
+derived by SessionConfig properties.
 """
 
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from gvqkd.adversary import KIND_STORE_FORWARD, AttackStrategy
-from gvqkd.analysis import DEFAULT_QBER_THRESHOLD, default_anomaly_threshold
-from gvqkd.devices import PS_PER_S, DetectorParams, SourceParams
+from gvqkd.analysis import DEFAULT_QBER_THRESHOLD, default_anomaly_threshold, fringe_design
+from gvqkd.devices import PS_PER_S, DetectorParams, Ranged, SourceParams, ranged
 from gvqkd.protocol import SessionConfig
 
 # largest accepted chance that a receive lies within the window of a second send
@@ -32,20 +36,21 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Ranged):
     """One scenario: the physical session plus run-level and analysis knobs."""
 
     session: SessionConfig
-    runs: int = 60
+    runs: int = ranged(60, ">= 1")
     source_bit: int | None = None
-    scan_span_nm: float = 1624.0
-    scan_steps: int = 41
-    shots_per_step: int = 5000
+    scan_span_nm: float = ranged(1624.0, "positive")
+    scan_steps: int = ranged(41, ">= 4")
+    shots_per_step: int = ranged(5000, ">= 1")
     extra_delay_ps: float = 500.0
-    qber_threshold: float = DEFAULT_QBER_THRESHOLD
-    anomaly_threshold: float | None = None
+    qber_threshold: float = ranged(DEFAULT_QBER_THRESHOLD, "in (0, 1)")
+    anomaly_threshold: float | None = ranged(None, "in (0, 1)")
 
     def __post_init__(self):
+        super().__post_init__()
         # a store-forward photon is at least tau late; a wider window would pass it (only a given one can be wider)
         if self.session.accept_window_ps > self.session.tau_ps:
             raise ValueError(
@@ -58,24 +63,18 @@ class ExperimentConfig:
             raise ValueError(
                 f"pair_rate_hz must keep 2 * accept_window * send rate <= {MAX_CONTEST_PROBABILITY}, got {contest:.3g}"
             )
-        if not self.runs >= 1:
-            raise ValueError("runs must be >= 1")
         if self.source_bit not in (None, 0, 1):
             raise ValueError("source_bit must be 0, 1 or random")
-        # the fringe fit needs four points over at least one period
-        if not self.scan_span_nm > 0:
-            raise ValueError("scan_span_nm must be positive")
+        # the fringe fit needs a scan over at least one period whose design it can solve
         if self.scan_span_nm < self.session.wavelength_nm:
             raise ValueError(f"scan_span_nm must be >= one wavelength = {self.session.wavelength_nm} nm")
-        if not self.scan_steps >= 4:
-            raise ValueError("scan_steps must be >= 4")
-        if not self.shots_per_step >= 1:
-            raise ValueError("shots_per_step must be >= 1")
+        try:
+            fringe_design(np.linspace(0.0, self.scan_span_nm, self.scan_steps), self.session.wavelength_nm)
+        except ValueError as exc:
+            raise ValueError(
+                f"scan_span_nm must give a scan the fit can use at scan_steps = {self.scan_steps} ({exc})"
+            ) from None
         AttackStrategy(KIND_STORE_FORWARD, self.extra_delay_ps)  # the attack owns the extra_delay rules
-        if not 0.0 < self.qber_threshold < 1.0:
-            raise ValueError("qber_threshold must be in (0, 1)")
-        if self.anomaly_threshold is not None and not 0.0 < self.anomaly_threshold < 1.0:
-            raise ValueError("anomaly_threshold must be in (0, 1)")
 
     def resolved_anomaly_threshold(self) -> float:
         if self.anomaly_threshold is not None:
@@ -181,7 +180,8 @@ def build_experiment(values: dict[str, str]) -> ExperimentConfig:
 
     Every value is parsed first, in KEYS order; the shared keys are then
     range-checked, and the other ranges as the dataclasses are built:
-    source, detector, session, experiment.
+    source, detector, session, experiment, each its ranges in field order
+    and then its cross-field rules.
     """
     known = {key for key, _, _ in KEYS}
     for key in values:

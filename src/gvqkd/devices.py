@@ -6,46 +6,62 @@ scale. These true times are float64 and not rounded; run_session rounds
 its transcript's stamps to whole ps and stores them as int64.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 PS_PER_S = 1e12
 STAMP_HALF_RANGE_PS = 2.0**52  # float64 holds every whole ps below 2**53: half for a session, half for an attack
 
+# each range rule's wording, which is also its error text, and its test
+RANGE_RULES = {
+    "positive": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 4": lambda v: v >= 4,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1)": lambda v: 0 < v < 1,
+}
+
+
+def ranged(default, rule: str):
+    """A dataclass field with its default and its RANGE_RULES rule, which Ranged enforces."""
+    return field(default=default, metadata={"range": rule})
+
+
+class Ranged:
+    """Config dataclass base: checks each ranged field in order (None: not given), before any cross-field rule."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            rule, value = f.metadata.get("range"), getattr(self, f.name)
+            if rule is None or value is None:
+                continue
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
+            if f.type is int and not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer")
+            if not RANGE_RULES[rule](value):
+                raise ValueError(f"{f.name} must be {rule}")
+
 
 @dataclass(frozen=True)
-class SourceParams:
+class SourceParams(Ranged):
     """Heralded pair source: emission rate, heralding losses, herald timing jitter."""
 
-    pair_rate_hz: float = 1000.0
-    heralding_efficiency: float = 1.0
-    herald_jitter_sigma_ps: float = 300.0
-
-    def __post_init__(self):
-        if not self.pair_rate_hz >= 0:
-            raise ValueError("pair_rate_hz must be >= 0")
-        if not 0.0 <= self.heralding_efficiency <= 1.0:
-            raise ValueError("heralding_efficiency must be in [0, 1]")
-        if not self.herald_jitter_sigma_ps >= 0:
-            raise ValueError("herald_jitter_sigma_ps must be >= 0")
+    pair_rate_hz: float = ranged(1000.0, ">= 0")
+    heralding_efficiency: float = ranged(1.0, "in [0, 1]")
+    herald_jitter_sigma_ps: float = ranged(300.0, ">= 0")
 
 
 @dataclass(frozen=True)
-class DetectorParams:
+class DetectorParams(Ranged):
     """Threshold single-photon detector: efficiency, Gaussian timing jitter, dark rate."""
 
-    efficiency: float = 1.0
-    jitter_sigma_ps: float = 300.0
-    dark_rate_hz: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in [0, 1]")
-        if not self.jitter_sigma_ps >= 0:
-            raise ValueError("jitter_sigma_ps must be >= 0")
-        if not self.dark_rate_hz >= 0:
-            raise ValueError("dark_rate_hz must be >= 0")
+    efficiency: float = ranged(1.0, "in [0, 1]")
+    jitter_sigma_ps: float = ranged(300.0, ">= 0")
+    dark_rate_hz: float = ranged(0.0, ">= 0")
 
 
 def _poisson_times(rate_hz: float, duration_s: float, rng: np.random.Generator) -> np.ndarray:

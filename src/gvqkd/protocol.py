@@ -29,11 +29,13 @@ from gvqkd.devices import (
     PS_PER_S,
     STAMP_HALF_RANGE_PS,
     DetectorParams,
+    Ranged,
     SourceParams,
     dark_clicks,
     detector_click,
     generate_emissions,
     herald,
+    ranged,
 )
 from gvqkd.optics import detection_probabilities, link_states
 from gvqkd.streams import stream
@@ -56,56 +58,35 @@ def false_anomaly_rate(accept_window_ps: float, sigma_ps: float) -> float:
 
 
 @dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(Ranged):
     """Physical and protocol parameters of one transmission session.
 
     Every field is a value the caller gave (accept_window_given_ps None to
     derive the window); accept_window_ps and visibility are derived on each
     read, so dataclasses.replace re-derives them from the replaced fields.
+    tau and a given window share the 1 ps stamp resolution as their floor,
+    so the derived window max(3 sigma, 1) fits under any tau >= 3 sigma.
     """
 
-    tau_ps: float = 2000.0
-    travel_time_ps: float = 1000.0
-    accept_window_given_ps: float | None = None
-    visibility_d0: float = 1.0
-    visibility_d1: float = 1.0
+    tau_ps: float = ranged(2000.0, ">= 1")
+    travel_time_ps: float = ranged(1000.0, "positive")
+    accept_window_given_ps: float | None = ranged(None, ">= 1")
+    visibility_d0: float = ranged(1.0, "in [0, 1]")
+    visibility_d1: float = ranged(1.0, "in [0, 1]")
     source: SourceParams = field(default_factory=SourceParams)
     signal_detector: DetectorParams = field(default_factory=DetectorParams)
-    session_duration_s: float = 5.0
-    disclosure_fraction: float = 0.5
-    seed: int = 0
-    wavelength_nm: float = WAVELENGTH_NM
+    session_duration_s: float = ranged(5.0, "positive")
+    disclosure_fraction: float = ranged(0.5, "in (0, 1)")
+    seed: int = ranged(0, ">= 0")
+    wavelength_nm: float = ranged(WAVELENGTH_NM, "positive")
 
     def __post_init__(self):
-        # every range check is written so that NaN fails it under its own name
-        if not self.tau_ps > 0:
-            raise ValueError("tau_ps must be positive")
-        if not self.travel_time_ps > 0:
-            raise ValueError("travel_time_ps must be positive")
+        super().__post_init__()
         # the scheme's premise: the two packets are never in the channel together
         if not self.tau_ps > self.travel_time_ps:
             raise ValueError(f"tau_ps must be > travel time T = {self.travel_time_ps} ps, got {self.tau_ps}")
-        for name in ("visibility_d0", "visibility_d1"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not self.session_duration_s > 0:
-            raise ValueError("session_duration_s must be positive")
-        if not 0.0 < self.disclosure_fraction < 1.0:
-            raise ValueError("disclosure_fraction must be in (0, 1)")
-        if not self.seed >= 0:
-            raise ValueError("seed must be >= 0")
-        if not self.wavelength_nm > 0:
-            raise ValueError("wavelength_nm must be positive")
-        sigma = combined_jitter_ps(self.source, self.signal_detector)
-        if self.accept_window_given_ps is None:
-            # whole-ps stamps put a deviation up to 1 ps off, so w >= 1 ps; tau must admit it (below 3 sigma: see below)
-            if 3.0 * sigma <= self.tau_ps < 1.0:
-                raise ValueError(f"tau_ps must be >= the 1 ps minimum accept window, got {self.tau_ps}")
-        elif not self.accept_window_ps > 0:
-            raise ValueError("accept_window_given_ps must be positive")
-        elif self.accept_window_ps < 1.0:
-            raise ValueError(f"accept_window_given_ps must be >= the 1 ps stamp resolution, got {self.accept_window_ps}")
         # the storage delay must dominate timing noise, or the timing test cannot tell held packets from jitter
+        sigma = combined_jitter_ps(self.source, self.signal_detector)
         if self.tau_ps < 3.0 * sigma:
             raise ValueError(f"tau_ps must be >= 3*combined jitter = {3.0 * sigma:.1f} ps, got {self.tau_ps}")
         # 6 tau covers a 12 sigma jitter tail (sigma <= tau/3), the receiver's tau and store-forward's

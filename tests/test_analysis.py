@@ -171,6 +171,11 @@ class TestFitFringe:
         with pytest.raises(ValueError, match="finite"):
             fit_fringe(table[:, 0], table[:, 1:], WAVELENGTH)
 
+    def test_rejects_phases_that_overflow(self):
+        # 2 pi dl / lambda is inf at dl = 1e308: rejected before cos, with no RuntimeWarning
+        with pytest.raises(ValueError, match="finite phases"):
+            fit_fringe(np.linspace(0.0, 1e308, 5), np.full((5, 2), 100.0), WAVELENGTH)
+
     def test_rejects_rank_deficient_design(self):
         # only full-wavelength steps: cos is constant, sin is zero
         with pytest.raises(ValueError, match="degenerate"):
@@ -326,6 +331,12 @@ class TestSerializationAndReports:
         path = tmp_path / "fringe.csv"
         path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,12,5\r\nnan,1,2\r\n", encoding="utf-8")
         with pytest.raises(ValueError, match="^line 3: .*finite"):
+            read_fringe_csv(path)
+
+    def test_non_numeric_field_in_a_file_is_rejected(self, tmp_path):
+        path = tmp_path / "fringe.csv"
+        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,12,5\r\n1.0,abc,2\r\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"^line 3: values must be numbers, got \['1.0', 'abc', '2'\]$"):
             read_fringe_csv(path)
 
     def test_row_without_three_fields_is_rejected(self, tmp_path):

@@ -7,6 +7,7 @@ import re
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +15,16 @@ from hypothesis import strategies as st
 from gvqkd.analysis import Decision
 from gvqkd.cli import EXIT_ALARM, EXIT_CONFIG, EXIT_OK, main
 from gvqkd.config import KEYS, SHARED_KEYS, ConfigError, ExperimentConfig, build_experiment, load_config, parse_flat
-from gvqkd.devices import DetectorParams, SourceParams
+from gvqkd.devices import RANGE_RULES, DetectorParams, SourceParams
 from gvqkd.adversary import AttackStrategy
 from gvqkd.protocol import SessionConfig, read_transcript_csv, run_session, sift_transcript, write_transcript_csv
 
 REPO_DIR = Path(__file__).resolve().parent.parent
 CONFIGS_DIR = REPO_DIR / "configs"
+
+CONFIG_CLASSES = (SourceParams, DetectorParams, SessionConfig, ExperimentConfig)
+# (owner, field) of each field declared with a range rule
+RANGED_FIELDS = [(cls, f) for cls in CONFIG_CLASSES for f in fields(cls) if "range" in f.metadata]
 
 FAST_SCENARIO = """\
 # small, jitter-free link for quick end-to-end checks
@@ -121,12 +126,12 @@ class TestDefaults:
 # one out-of-range or malformed value per scenario key and the rule it breaks
 BAD_VALUES = {
     "seed": ("-1", "must be >= 0"),
-    "tau": ("0", "must be positive"),
+    "tau": ("0", "must be >= 1"),
     "travel_time": ("-5", "must be positive"),
     "jitter": ("-1", "must be >= 0"),
     "herald_jitter": ("-1", "must be >= 0"),
     "signal_jitter": ("-1", "must be >= 0"),
-    "accept_window": ("0", "must be positive"),
+    "accept_window": ("0", "must be >= 1"),
     "visibility": ("1.5", "must be in [0, 1]"),
     # alone, it makes the derived session visibility 1.5, a key never written
     "visibility_d0": ("2", "must be in [0, 1]"),
@@ -150,11 +155,17 @@ BAD_VALUES = {
 INT_KEYS = ("seed", "runs", "scan_steps", "shots_per_step")
 
 
-# the derived accept window is the 1 ps floor, wider than tau: jitter-free, and with 3 sigma = 0.42 ps
+# the derived accept window is the 1 ps floor: jitter-free, and with 3 sigma = 0.42 ps
 SUB_PICOSECOND_TAU = FAST_SCENARIO + "travel_time = 0.5\ntau = 0.9\n"
 SUB_PICOSECOND_TAUS = (SUB_PICOSECOND_TAU, SUB_PICOSECOND_TAU.replace("jitter = 0\n", "jitter = 0.1\n"))
-SUB_PICOSECOND_TAU_ERROR = "tau: must be >= the 1 ps minimum accept window, got 0.9"
-SUB_PICOSECOND_WINDOW_ERROR = "accept_window: must be >= the 1 ps stamp resolution, got 0.5"
+# tau and a given window share one floor, the 1 ps stamp resolution
+SUB_PICOSECOND_TAU_ERROR = "tau: must be >= 1"
+SUB_PICOSECOND_WINDOW_ERROR = "accept_window: must be >= 1"
+
+
+def at_the_floor(scenario: str) -> str:
+    """The scenario with tau at the 1 ps floor, which loads, and a window below it."""
+    return scenario.replace("tau = 0.9\n", "tau = 1\n") + "accept_window = 0.5\n"
 
 
 def rejection_message(values: dict[str, str]) -> str:
@@ -191,6 +202,8 @@ class TestRejection:
             ({"tau": "0", "dark_rate": "-1"}, "dark_rate"),  # detector before session
             ({"runs": "0", "dark_rate": "-1"}, "dark_rate"),  # detector before experiment
             ({"scan_steps": "1", "pair_rate": "fast"}, "pair_rate"),  # parsing before ranges
+            ({"tau": "1000", "duration": "0"}, "duration"),  # a session's ranges before its tau > T
+            ({"accept_window": "5000", "runs": "0"}, "runs"),  # an experiment's ranges before its w <= tau
         ],
     )
     def test_first_invalid_key_in_construction_order(self, values, key):
@@ -327,8 +340,12 @@ class TestRejection:
             path.write_text(scenario, encoding="utf-8")
             with pytest.raises(ConfigError, match=rf"^{re.escape(SUB_PICOSECOND_TAU_ERROR)}$"):
                 load_config(path)
-            # an explicit window below the 1 ps stamp resolution is rejected too
-            path.write_text(scenario + "accept_window = 0.5\n", encoding="utf-8")
+            # tau at the floor loads, with the derived window equal to it
+            path.write_text(scenario.replace("tau = 0.9\n", "tau = 1\n"), encoding="utf-8")
+            session = load_config(path).session
+            assert session.accept_window_ps == session.tau_ps == 1.0
+            # an explicit window below the same floor is rejected too
+            path.write_text(at_the_floor(scenario), encoding="utf-8")
             with pytest.raises(ConfigError, match=rf"^{re.escape(SUB_PICOSECOND_WINDOW_ERROR)}$"):
                 load_config(path)
 
@@ -376,29 +393,28 @@ class TestLibraryConstruction:
     def test_defaults_are_the_scenario_defaults(self):
         assert ExperimentConfig(SessionConfig()) == load_config(None)
 
-    @pytest.mark.parametrize(
-        "owner, field",
-        [
-            (SourceParams, "pair_rate_hz"),
-            (SourceParams, "herald_jitter_sigma_ps"),
-            (DetectorParams, "jitter_sigma_ps"),
-            (DetectorParams, "dark_rate_hz"),
-            (SessionConfig, "tau_ps"),
-            (SessionConfig, "travel_time_ps"),
-            (SessionConfig, "accept_window_given_ps"),
-            (SessionConfig, "session_duration_s"),
-            (SessionConfig, "wavelength_nm"),
-            (ExperimentConfig, "runs"),
-            (ExperimentConfig, "scan_span_nm"),
-            (ExperimentConfig, "scan_steps"),
-            (ExperimentConfig, "shots_per_step"),
-        ],
-    )
+    @staticmethod
+    def construct(owner, **values):
+        return owner(**({"session": SessionConfig()} if owner is ExperimentConfig else {}), **values)
+
+    def test_declared_rules_are_the_rule_table(self):
+        # every declared wording has a test, and the table has no unused wording
+        assert {f.metadata["range"] for _, f in RANGED_FIELDS} == set(RANGE_RULES)
+
+    @pytest.mark.parametrize("owner, field", [(cls, f.name) for cls, f in RANGED_FIELDS])
     def test_nan_is_rejected_under_its_own_name(self, owner, field):
-        # scenario files reject NaN when they parse it; a library caller meets the range check
-        parts = {"session": SessionConfig()} if owner is ExperimentConfig else {}
-        with pytest.raises(ValueError, match=f"^{field} must"):
-            owner(**parts, **{field: math.nan})
+        # scenario files reject these when they parse them; a library caller meets the range checker
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                self.construct(owner, **{field: value})
+
+    @pytest.mark.parametrize("owner, field", [(cls, f.name) for cls, f in RANGED_FIELDS if f.type is int])
+    def test_int_fields_take_only_integers(self, owner, field):
+        # range(runs) and the seeded streams need a true integer, so a whole float is refused too
+        for value in (4.5, 4.0):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+                self.construct(owner, **{field: value})
+        assert getattr(self.construct(owner, **{field: np.int64(7)}), field) == 7
 
 
 class TestDetectorPairRule:
@@ -487,11 +503,11 @@ class TestDetectorPairRule:
 
 class TestKeyTable:
     @staticmethod
-    def readme_rows() -> list[tuple[str, str]]:
-        """(key, default column) of each row of the README's scenario-key table."""
+    def readme_rows() -> list[tuple[str, str, str]]:
+        """(key, default column, range column) of each row of the README's scenario-key table."""
         readme = (REPO_DIR / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n## Scenario files\n", 1)[1].split("\n## ", 1)[0]
-        return re.findall(r"^\| `(\w+)` \| (.+?) \|", section, flags=re.MULTILINE)
+        return re.findall(r"^\| `(\w+)` \| (.+?) \| (.+?) \|", section, flags=re.MULTILINE)
 
     def test_every_key_sets_one_dataclass_field(self):
         owned = [f.name for cls in (SourceParams, DetectorParams, SessionConfig, ExperimentConfig) for f in fields(cls)]
@@ -503,7 +519,7 @@ class TestKeyTable:
         assert all(name in owned for names in SHARED_KEYS.values() for name in names)
 
     def test_readme_lists_every_key_in_order(self):
-        assert [key for key, _ in self.readme_rows()] == [key for key, _, _ in KEYS]
+        assert [key for key, _, _ in self.readme_rows()] == [key for key, _, _ in KEYS]
 
     def test_readme_numeric_defaults_are_the_resolved_ones(self):
         experiment = load_config(None)
@@ -511,7 +527,7 @@ class TestKeyTable:
         holders = (experiment, session, session.source, session.signal_detector)
         field_of = {key: name for key, _, name in KEYS}
         checked = []
-        for key, default in self.readme_rows():
+        for key, default, _ in self.readme_rows():
             number = re.fullmatch(r"`(-?[0-9.]+)`", default)
             if number is None:
                 continue
@@ -522,6 +538,21 @@ class TestKeyTable:
                 assert getattr(holder, name) == float(number.group(1)), key
             checked.append(key)
         assert len(checked) >= 18
+
+    def test_readme_ranges_are_the_fields_rules(self):
+        rule_of = {f.name: f.metadata.get("range") for cls in CONFIG_CLASSES for f in fields(cls)}
+        field_of = {key: name for key, _, name in KEYS}
+        checked = []
+        for key, _, cell in self.readme_rows():
+            # a shared key sets no field of its own: its pair's common rule is its range
+            rules = {rule_of[name] for name in SHARED_KEYS.get(key, [field_of[key]])}
+            if rules == {None}:
+                continue
+            assert len(rules) == 1, key
+            assert cell == f"`{rules.pop()}`", key
+            checked.append(key)
+        # every key but source_bit and extra_delay, whose rules are not single-field ranges
+        assert len(checked) == len(KEYS) - 2
 
 
 class TestReadme:
@@ -622,6 +653,24 @@ class TestFringeScanCommand:
         out_dir = tmp_path / "out"
         assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {key}: must be >= ")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "scan_steps = 5",  # steps lambda/2 apart: every phase a multiple of pi, so the design has rank 2
+            "scan_span = 32480",  # steps exactly lambda apart
+            "scan_span = 1e308",  # 2 pi span / lambda overflows
+        ],
+    )
+    def test_scan_the_fit_cannot_solve_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FAST_SCENARIO.replace("scan_steps = 9\n", "") + line + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: scan_span: must give a scan the fit can use at scan_steps = ")
         assert not out_dir.exists()
 
     def test_smallest_scan_the_fit_can_use(self, tmp_path):
@@ -744,7 +793,7 @@ class TestExitCodes:
             assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
             assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_TAU_ERROR}\n"
             assert not out_dir.exists()
-            cfg.write_text(scenario + "accept_window = 0.5\n", encoding="utf-8")
+            cfg.write_text(at_the_floor(scenario), encoding="utf-8")
             assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
             assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_WINDOW_ERROR}\n"
             assert not out_dir.exists()

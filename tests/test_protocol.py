@@ -96,8 +96,8 @@ class TestSessionConfig:
             SessionConfig(tau_ps=1e16)
         with pytest.raises(ValueError, match=r"^session_duration_s must keep"):
             SessionConfig(session_duration_s=4600.0)
-        # a NaN tau, which would cast to int64 as -2**63, fails the first check, under its own name
-        with pytest.raises(ValueError, match=r"^tau_ps must be positive$"):
+        # a NaN tau, which would cast to int64 as -2**63, fails the range checker, under its own name
+        with pytest.raises(ValueError, match=r"^tau_ps must be finite$"):
             SessionConfig(tau_ps=math.nan)
         SessionConfig(session_duration_s=4500.0)
 
