@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gvqkd.devices import STAMP_HALF_RANGE_PS
+from gvqkd.devices import Ranged, ranged
 from gvqkd.optics import STATE_MODE_A, STATE_MODE_B, beam_splitter, link_states
 
 KIND_NONE = "none"
@@ -31,17 +31,16 @@ KINDS = (KIND_NONE, KIND_WHICH_PATH, KIND_STORE_FORWARD)
 
 
 @dataclass(frozen=True)
-class AttackStrategy:
-    """Eavesdropping strategy selector; extra_delay_ps applies to store-forward only."""
+class AttackStrategy(Ranged):
+    """Eavesdropping strategy selector; extra_delay_ps, range-checked for every kind, applies to store-forward only."""
 
     kind: str = KIND_NONE
-    extra_delay_ps: float = 500.0
+    extra_delay_ps: float = ranged(500.0, "in (0, 2**52)")
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}; expected one of {KINDS}")
-        if not 0.0 < self.extra_delay_ps < STAMP_HALF_RANGE_PS:
-            raise ValueError(f"extra_delay_ps must be in (0, 2**52) ps, got {self.extra_delay_ps:.6g}")
 
 
 NO_ATTACK = AttackStrategy(KIND_NONE)

@@ -82,11 +82,18 @@ def fringe_scan(
 
 
 def fringe_design(delta_l_nm: np.ndarray, wavelength_nm: float) -> np.ndarray:
-    """The fit's linear basis (1, cos x, sin x) at x = 2 pi dl / lambda; steps lambda/2 apart leave it rank 2."""
+    """The fit's basis (1, cos x, sin x) at x = 2 pi dl / lambda; the one owner of the rule for scans it can use.
+
+    In order: at least 4 points, finite phases, a span of at least one wavelength, rank 3 (steps lambda/2 apart: 2).
+    """
+    if delta_l_nm.size < 4:
+        raise ValueError("fringe fit needs at least 4 points")
     with np.errstate(over="ignore"):  # an overflowed phase is rejected below, before cos sees it
         x = 2.0 * math.pi * delta_l_nm / wavelength_nm
     if not np.isfinite(x).all():
         raise ValueError("fringe fit needs finite phases 2 pi delta_l / wavelength")
+    if delta_l_nm.max() - delta_l_nm.min() < wavelength_nm:
+        raise ValueError("fringe fit needs a scan spanning at least one period")
     design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
     if np.linalg.matrix_rank(design) < 3:
         raise ValueError("degenerate fringe fit: design matrix is rank-deficient")
@@ -104,16 +111,11 @@ def _fit_single(design: np.ndarray, counts: np.ndarray) -> FringeFit:
 
 
 def fit_fringe(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float) -> tuple[FringeFit, FringeFit]:
-    """Fit both detectors' fringes (the columns of counts); requires >= 4 finite steps spanning >= one period."""
-    delta_l = np.asarray(delta_l_nm, dtype=float)
+    """Fit both detectors' fringes (the columns of counts); fringe_design decides which scans it can use."""
     counts = np.asarray(counts, dtype=float)
-    if delta_l.size < 4:
-        raise ValueError("fringe fit needs at least 4 points")
-    if not (np.isfinite(delta_l).all() and np.isfinite(counts).all()):
+    if not np.isfinite(counts).all():
         raise ValueError("fringe fit needs finite delta_l_nm and counts")
-    if delta_l.max() - delta_l.min() < wavelength_nm:
-        raise ValueError("fringe fit needs a scan spanning at least one period")
-    design = fringe_design(delta_l, wavelength_nm)
+    design = fringe_design(np.asarray(delta_l_nm, dtype=float), wavelength_nm)
     counts_d0, counts_d1 = counts.T
     return _fit_single(design, counts_d0), _fit_single(design, counts_d1)
 

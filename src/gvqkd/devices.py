@@ -22,6 +22,7 @@ RANGE_RULES = {
     ">= 4": lambda v: v >= 4,
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 1)": lambda v: 0 < v < 1,
+    "in (0, 2**52)": lambda v: 0 < v < STAMP_HALF_RANGE_PS,
 }
 
 

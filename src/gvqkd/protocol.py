@@ -416,6 +416,8 @@ def read_transcript_csv(path):
         if header != TRANSCRIPT_COLUMNS:
             raise ValueError(f"unexpected transcript header: {header!r}")
         for row in reader:
+            if len(row) != len(TRANSCRIPT_COLUMNS) or row[5] not in ("", "D0", "D1"):
+                raise ValueError(f"line {reader.line_num}: expected 8 fields with detector '', D0 or D1, got {row}")
             idx_str, bit_str, t_s_str, matched_str, t_r_str, det_str, disc_str, err_str = row
             if idx_str == "":
                 anomalies.append((float(t_r_str), int(det_str[1:])))

@@ -30,8 +30,10 @@ class TestStrategy:
             AttackStrategy(kind="store-forward", extra_delay_ps=0.0)
 
     def test_rejects_delay_past_half_the_whole_ps_range(self):
-        with pytest.raises(ValueError, match=r"^extra_delay_ps must be in \(0, 2\*\*52\) ps, got 4.5036e\+15$"):
+        with pytest.raises(ValueError, match=r"^extra_delay_ps must be in \(0, 2\*\*52\)$"):
             AttackStrategy(kind="store-forward", extra_delay_ps=2.0**52)
+        with pytest.raises(ValueError, match=r"^extra_delay_ps must be finite$"):
+            AttackStrategy(kind="store-forward", extra_delay_ps=math.nan)
         AttackStrategy(kind="store-forward", extra_delay_ps=2.0**52 - 1.0)
 
 

@@ -1,6 +1,7 @@
 """Session engine: reception, timing test, sift, serialization."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -625,6 +626,19 @@ class TestTranscriptRoundTrip:
         path = tmp_path / "t.csv"
         path.write_text("index,bit,t_s_ps\r\n0,1,5.0\r\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"^unexpected transcript header: \['index', 'bit', 't_s_ps'\]$"):
+            read_transcript_csv(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["0,1,5.0,1", "0,1,5.0,1,9.0,X1,0,", ",,,0,9.0,D7,0,", "0,1,5.0,1,9.0,D1,0,,"],
+        ids=["short-row", "detector-X1", "detector-D7", "long-row"],
+    )
+    def test_malformed_row_is_rejected_by_line(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        header = "index,bit,t_s_ps,matched,t_r_ps,detector,disclosed,error"
+        path.write_text(f"{header}\r\n0,0,1.0,0,,,0,\r\n{row}\r\n", encoding="utf-8")
+        message = f"line 3: expected 8 fields with detector '', D0 or D1, got {row.split(',')}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_transcript_csv(path)
 
     def test_header_is_stable(self, tmp_path):
