@@ -82,14 +82,14 @@ def fringe_scan(
 
 
 def fringe_design(delta_l_nm: np.ndarray, wavelength_nm: float) -> np.ndarray:
-    """The fit's basis (1, cos x, sin x) at x = 2 pi dl / lambda; the one owner of the rule for scans it can use.
+    """The fit's basis (1, cos x, sin x), x = phase_from_path_length(dl, lambda); the one owner of the fit's scan rule.
 
-    In order: at least 4 points, finite phases, a span of at least one wavelength, rank 3 (steps lambda/2 apart: 2).
+    In order: at least 4 points, wavelength > 0 (optics), finite phases, a span >= lambda, rank 3 (lambda/2 apart: 2).
     """
     if delta_l_nm.size < 4:
         raise ValueError("fringe fit needs at least 4 points")
     with np.errstate(over="ignore"):  # an overflowed phase is rejected below, before cos sees it
-        x = 2.0 * math.pi * delta_l_nm / wavelength_nm
+        x = phase_from_path_length(delta_l_nm, wavelength_nm)
     if not np.isfinite(x).all():
         raise ValueError("fringe fit needs finite phases 2 pi delta_l / wavelength")
     if delta_l_nm.max() - delta_l_nm.min() < wavelength_nm:
@@ -114,7 +114,7 @@ def fit_fringe(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float)
     """Fit both detectors' fringes (the columns of counts); fringe_design decides which scans it can use."""
     counts = np.asarray(counts, dtype=float)
     if not np.isfinite(counts).all():
-        raise ValueError("fringe fit needs finite delta_l_nm and counts")
+        raise ValueError("fringe fit needs finite counts")
     design = fringe_design(np.asarray(delta_l_nm, dtype=float), wavelength_nm)
     counts_d0, counts_d1 = counts.T
     return _fit_single(design, counts_d0), _fit_single(design, counts_d1)

@@ -17,8 +17,8 @@ of t_s + tau + T (timing test), and a disclosed random subset of the
 matched bits must show a low error rate (QBER test).
 """
 
-import csv
 import math
+import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -223,13 +223,12 @@ def run_session(
     detector, t_r = bob_receive(state, arrival, config, rng("detector"))
 
     t_r_parts, detector_parts = [t_r], [detector]
-    if config.signal_detector.dark_rate_hz > 0:
-        # one dark stream per session: detector 0 draws first, then detector 1
-        dark = rng("dark")
-        for dark_detector in (0, 1):
-            darks = dark_clicks(config.signal_detector, config.session_duration_s, dark)
-            t_r_parts.append(darks)
-            detector_parts.append(np.full(darks.size, dark_detector, dtype=np.int64))
+    # one dark stream per session: detector 0 draws first, then detector 1
+    dark = rng("dark")
+    for dark_detector in (0, 1):
+        darks = dark_clicks(config.signal_detector, config.session_duration_s, dark)
+        t_r_parts.append(darks)
+        detector_parts.append(np.full(darks.size, dark_detector, dtype=np.int64))
     t_r = np.concatenate(t_r_parts)
     order = np.argsort(t_r, kind="stable")
     return Transcript(
@@ -328,6 +327,10 @@ def sift_transcript(transcript: Transcript, config: SessionConfig, run_index: in
 # one uint8 matrix, each field in fixed columns padded with NUL bytes, dropped on output.
 
 TRANSCRIPT_COLUMNS = ["index", "bit", "t_s_ps", "matched", "t_r_ps", "detector", "disclosed", "error"]
+# the writer's rows: send "i,b,t,0,,,0," / "i,b,t,1,t,Dd,0," / "i,b,t,1,t,Dd,1,e", anomaly ",,,0,t,Dd,0,"
+_STAMP = r"(-?[1-9]\d*\.0|0\.0)"
+_SEND_ROW = re.compile(rf"(0|[1-9]\d*),([01]),{_STAMP},(?:0,,,0,|1,{_STAMP},D([01]),(?:0,|1,([01])))\r\n", re.ASCII)
+_ANOMALY_ROW = re.compile(rf",,,0,{_STAMP},D([01]),0,\r\n", re.ASCII)
 
 # rows built per write, so transient memory does not grow with session size
 _CHUNK_ROWS = 1 << 13
@@ -401,33 +404,30 @@ def write_transcript_csv(path, transcript: Transcript, match: Match, sift: SiftR
 def read_transcript_csv(path):
     """Parse a transcript CSV back into (sends, matches, disclosed, errors, anomalies).
 
-    sends is a list of (index, bit, t_s_ps) in file order; matches maps
-    send index -> (t_r_ps, detector); disclosed and errors are sets of send
-    indices; anomalies is a list of (t_r_ps, detector).
+    sends is a list of (index, bit, t_s_ps) in file order; matches maps send index -> (t_r_ps, detector);
+    disclosed and errors are sets of send indices; anomalies is a list of (t_r_ps, detector). A line other
+    than the writer's rows in its order (sends indexed 0, 1, ..., then anomalies) is a ValueError naming it.
     """
     sends: list[tuple[int, int, float]] = []
     matches: dict[int, tuple[float, int]] = {}
     disclosed: set[int] = set()
     errors: set[int] = set()
     anomalies: list[tuple[float, int]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != TRANSCRIPT_COLUMNS:
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        if (header := fh.readline().removesuffix("\r\n").split(",")) != TRANSCRIPT_COLUMNS:
             raise ValueError(f"unexpected transcript header: {header!r}")
-        for row in reader:
-            if len(row) != len(TRANSCRIPT_COLUMNS) or row[5] not in ("", "D0", "D1"):
-                raise ValueError(f"line {reader.line_num}: expected 8 fields with detector '', D0 or D1, got {row}")
-            idx_str, bit_str, t_s_str, matched_str, t_r_str, det_str, disc_str, err_str = row
-            if idx_str == "":
-                anomalies.append((float(t_r_str), int(det_str[1:])))
-                continue
-            index = int(idx_str)
-            sends.append((index, int(bit_str), float(t_s_str)))
-            if matched_str == "1":
-                matches[index] = (float(t_r_str), int(det_str[1:]))
-                if disc_str == "1":
-                    disclosed.add(index)
-                    if err_str == "1":
-                        errors.add(index)
+        for number, line in enumerate(fh, 2):
+            if (row := _SEND_ROW.fullmatch(line)) and not anomalies and row[1] == str(index := len(sends)):
+                _, bit, t_s, t_r, detector, error = row.groups()
+                sends.append((index, int(bit), float(t_s)))
+                if t_r is not None:
+                    matches[index] = (float(t_r), int(detector))
+                    if error is not None:
+                        disclosed.add(index)
+                        if error == "1":
+                            errors.add(index)
+            elif row := _ANOMALY_ROW.fullmatch(line):
+                anomalies.append((float(row[1]), int(row[2])))
+            else:
+                raise ValueError(f"line {number}: not a transcript row: {line!r}")
     return sends, matches, disclosed, errors, anomalies

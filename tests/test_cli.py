@@ -879,7 +879,7 @@ class TestShippedScenarios:
 
 
 class TestWholePicosecondStamps:
-    @pytest.mark.parametrize("attack", ["none", "store-forward"])
+    @pytest.mark.parametrize("attack", ["none", "store-forward", "which-path"])
     @pytest.mark.parametrize("config", ["ideal", "measured_s0", "measured_s1", "attack_demo"])
     def test_shipped_transcripts_print_whole_picoseconds(self, tmp_path, config, attack):
         experiment = load_config(CONFIGS_DIR / f"{config}.cfg")

@@ -628,16 +628,36 @@ class TestTranscriptRoundTrip:
         with pytest.raises(ValueError, match=r"^unexpected transcript header: \['index', 'bit', 't_s_ps'\]$"):
             read_transcript_csv(path)
 
-    @pytest.mark.parametrize(
-        "row",
-        ["0,1,5.0,1", "0,1,5.0,1,9.0,X1,0,", ",,,0,9.0,D7,0,", "0,1,5.0,1,9.0,D1,0,,"],
-        ids=["short-row", "detector-X1", "detector-D7", "long-row"],
-    )
-    def test_malformed_row_is_rejected_by_line(self, tmp_path, row):
+    # the text after the header and send 0; its last line is the one rejected ("\udcff" writes the byte 0xff)
+    MALFORMED_ROWS = {
+        "short-row": "0,1,5.0,1\r\n",
+        "detector-X1": "0,1,5.0,1,9.0,X1,0,\r\n",
+        "detector-D7": ",,,0,9.0,D7,0,\r\n",
+        "long-row": "0,1,5.0,1,9.0,D1,0,,\r\n",
+        "anomaly-without-detector": ",,,0,9.0,,0,\r\n",
+        "matched-2": "1,1,5.0,2,9.0,D1,1,1\r\n",
+        "bit-7": "1,7,5.0,0,,,0,\r\n",
+        "error-on-undisclosed-pair": "1,1,5.0,1,9.0,D1,0,1\r\n",
+        "disclosed-unmatched-send": "1,1,5.0,0,,,1,\r\n",
+        "t_r-on-unmatched-send": "1,1,5.0,0,9.0,,0,\r\n",
+        "nan-stamp": "1,1,nan,0,,,0,\r\n",
+        "negative-zero-stamp": "1,1,-0.0,0,,,0,\r\n",
+        "index-abc": "abc,1,5.0,0,,,0,\r\n",
+        "index-arabic-indic-1": "\u0661,1,5.0,0,,,0,\r\n",
+        "byte-ff": "\udcff1,1,5.0,0,,,0,\r\n",
+        "duplicated-send": "0,0,1.0,1,3001.0,D0,0,\r\n",
+        "send-after-anomaly": ",,,0,9.0,D0,0,\r\n1,1,5.0,0,,,0,\r\n",
+        "last-row-cut-before-error": "1,1,5.0,1,9.0,D1,1,",
+    }
+
+    @pytest.mark.parametrize("rows", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+    def test_malformed_row_is_rejected_by_line(self, tmp_path, rows):
         path = tmp_path / "t.csv"
         header = "index,bit,t_s_ps,matched,t_r_ps,detector,disclosed,error"
-        path.write_text(f"{header}\r\n0,0,1.0,0,,,0,\r\n{row}\r\n", encoding="utf-8")
-        message = f"line 3: expected 8 fields with detector '', D0 or D1, got {row.split(',')}"
+        data = f"{header}\r\n0,0,1.0,0,,,0,\r\n{rows}".encode("utf-8", "surrogateescape")
+        path.write_bytes(data)
+        lines = data.decode("utf-8", "replace").splitlines(keepends=True)
+        message = f"line {len(lines)}: not a transcript row: {lines[-1]!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_transcript_csv(path)
 
