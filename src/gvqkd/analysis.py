@@ -100,11 +100,11 @@ def fringe_design(delta_l_nm: np.ndarray, wavelength_nm: float) -> np.ndarray:
     return design
 
 
-def _fit_single(design: np.ndarray, counts: np.ndarray) -> FringeFit:
+def _fit_single(design: np.ndarray, counts: np.ndarray, detector: int) -> FringeFit:
     coeffs = np.linalg.lstsq(design, counts, rcond=None)[0]
     c0, c1, c2 = coeffs
     if c0 <= 0:
-        raise ValueError("degenerate fringe fit: non-positive mean rate")
+        raise ValueError(f"degenerate fringe fit: D{detector}'s fitted mean rate is not positive")
     visibility = min(1.0, max(0.0, math.hypot(c1, c2) / c0))
     residual_rms = float(np.sqrt(np.mean((counts - design @ coeffs) ** 2)))
     return FringeFit(float(visibility), float(canonical_phase(math.atan2(-c2, c1))), float(c0), residual_rms)
@@ -117,7 +117,7 @@ def fit_fringe(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float)
         raise ValueError("fringe fit needs finite counts")
     design = fringe_design(np.asarray(delta_l_nm, dtype=float), wavelength_nm)
     counts_d0, counts_d1 = counts.T
-    return _fit_single(design, counts_d0), _fit_single(design, counts_d1)
+    return _fit_single(design, counts_d0, 0), _fit_single(design, counts_d1, 1)
 
 
 def qber_from_visibility(visibility: float) -> float:

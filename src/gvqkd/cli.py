@@ -6,8 +6,9 @@ for a fixed seed. Each subcommand is one handler that writes its files,
 prints its stdout and returns the exit code; transmit and attack-demo run
 every session through _session. Exit codes: 0 success, 2 configuration or
 usage error (also an attack-demo session with no sends or no receives: its
-transcript.csv is written, no verdict.json), 3 an alarm was raised and
---fail-on-alarm was given.
+transcript.csv is written, no verdict.json; and a fringe-scan source whose
+fit finds a non-positive mean rate: its fringe CSV is written, no fit JSON),
+3 an alarm was raised and --fail-on-alarm was given.
 """
 
 import argparse
@@ -97,7 +98,12 @@ def run_fringe_scan(experiment: ExperimentConfig, args: argparse.Namespace, out_
             session, source_bit, (0.0, experiment.scan_span_nm), experiment.scan_steps, experiment.shots_per_step, rng
         )
         write_fringe_csv(out_dir / f"fringe_s{source_bit}.csv", delta_l_nm, counts)
-        report = fit_report(*fit_fringe(delta_l_nm, counts, session.wavelength_nm))
+        try:
+            fits = fit_fringe(delta_l_nm, counts, session.wavelength_nm)
+        except ValueError as exc:  # the scan itself passed the loader: only the counts can fail the fit
+            hint = "raise shots_per_step, or spread the scan's phases"
+            raise ConfigError(f"fringe-scan: source s{source_bit}: {exc} ({hint})") from None
+        report = fit_report(*fits)
         _write_json(out_dir / f"fringe_fit_s{source_bit}.json", report)
         print(
             f"fringe s{source_bit}: V_D0 {report['visibility_d0']:.3f}, "

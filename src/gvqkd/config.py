@@ -56,6 +56,12 @@ class ExperimentConfig(Ranged):
             raise ValueError(
                 f"accept_window_given_ps must be <= tau = {self.session.tau_ps} ps, got {self.session.accept_window_ps}"
             )
+        # a given window of about sigma or less leaves the timing test no power: the derived threshold reaches 1
+        if self.anomaly_threshold is None and not (threshold := default_anomaly_threshold(self.session)) < 1:
+            raise ValueError(
+                f"accept_window_given_ps must keep the derived anomaly threshold below 1, got {threshold:.4g} "
+                f"at {self.session.accept_window_ps} ps (widen it or give anomaly_threshold)"
+            )
         # the greedy matcher can hand a receive to a neighbouring send, with chance about 2 w * send rate
         source = self.session.source
         contest = 2.0 * self.session.accept_window_ps * source.pair_rate_hz * source.heralding_efficiency / PS_PER_S

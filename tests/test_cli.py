@@ -1,21 +1,28 @@
 """Scenario-file parsing, validation and the three CLI subcommands."""
 
+import csv
 import hashlib
+import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gvqkd.analysis import Decision
+from gvqkd.analysis import Decision, read_fringe_csv
 from gvqkd.cli import EXIT_ALARM, EXIT_CONFIG, EXIT_OK, main
 from gvqkd.config import KEYS, SHARED_KEYS, ConfigError, ExperimentConfig, build_experiment, load_config, parse_flat
-from gvqkd.devices import RANGE_RULES, DetectorParams, SourceParams
+from gvqkd.devices import RANGE_RULES, STAMP_HALF_RANGE_PS, DetectorParams, SourceParams
 from gvqkd.adversary import AttackStrategy
 from gvqkd.protocol import SessionConfig, read_transcript_csv, run_session, sift_transcript, write_transcript_csv
 
@@ -55,6 +62,14 @@ def tree_digest(root: Path) -> str:
     for name, data in read_tree(root).items():
         h.update(name.encode() + b"\0" + data)
     return h.hexdigest()
+
+
+def key_rule(key: str) -> str | None:
+    """The range rule of the field a key sets; a shared key's is its pair's common rule (None: no single-field rule)."""
+    rule_of = {f.name: f.metadata.get("range") for cls in CONFIG_CLASSES for f in fields(cls)}
+    field_of = {key: name for key, _, name in KEYS}
+    (rule,) = {rule_of[name] for name in SHARED_KEYS.get(key, [field_of[key]])}
+    return rule
 
 
 class TestDefaults:
@@ -549,16 +564,11 @@ class TestKeyTable:
         assert len(checked) >= 18
 
     def test_readme_ranges_are_the_fields_rules(self):
-        rule_of = {f.name: f.metadata.get("range") for cls in CONFIG_CLASSES for f in fields(cls)}
-        field_of = {key: name for key, _, name in KEYS}
         checked = []
         for key, _, cell in self.readme_rows():
-            # a shared key sets no field of its own: its pair's common rule is its range
-            rules = {rule_of[name] for name in SHARED_KEYS.get(key, [field_of[key]])}
-            if rules == {None}:
+            if (rule := key_rule(key)) is None:
                 continue
-            assert len(rules) == 1, key
-            assert cell == f"`{rules.pop()}`", key
+            assert cell == f"`{rule}`", key
             checked.append(key)
         # every key but source_bit, whose rule is not a single-field range
         assert len(checked) == len(KEYS) - 1
@@ -681,6 +691,27 @@ class TestFringeScanCommand:
         assert err.count("\n") == 1
         assert err.startswith("config error: scan_span: must give a scan the fit can use at scan_steps = ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "seed, source, detector, written",
+        [
+            pytest.param(2, 0, 1, ["fringe_s0.csv"], id="seed 2, s0 D1"),
+            # s0 fits; then s1's D0 counts nothing
+            pytest.param(8, 1, 0, ["fringe_fit_s0.json", "fringe_s0.csv", "fringe_s1.csv"], id="seed 8, s1 D0"),
+        ],
+    )
+    def test_a_fit_without_a_mean_rate_exits_2(self, tmp_path, capsys, seed, source, detector, written):
+        # the scan passes the loader; one photon a step leaves a detector's fitted mean rate at 0
+        cfg = tmp_path / "sparse.cfg"
+        scenario = FAST_SCENARIO.replace("scan_steps = 9\n", "scan_steps = 4\nscan_span = 1624\n")
+        cfg.write_text(scenario.replace("shots_per_step = 200\n", "shots_per_step = 1\n"), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir), "--seed", str(seed)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: fringe-scan: source s{source}: degenerate fringe fit: D{detector}'s fitted mean rate "
+            "is not positive (raise shots_per_step, or spread the scan's phases)\n"
+        )
+        assert sorted(p.name for p in out_dir.iterdir()) == written
 
     def test_smallest_scan_the_fit_can_use(self, tmp_path):
         cfg = tmp_path / "edge.cfg"
@@ -816,6 +847,8 @@ class TestExitCodes:
                 "extra_delay = 1e17\n",
                 "extra_delay: must be in (0, 2**52)",
             ),
+            # a delay that is no number at all stamps nothing
+            (["attack-demo", "--attack", "store-forward"], "extra_delay = nan\n", "extra_delay: must be finite"),
         ],
     )
     def test_stamps_past_the_whole_ps_range_exit_2(self, tmp_path, capsys, command, line, error):
@@ -826,6 +859,23 @@ class TestExitCodes:
         assert main([*command, "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {error}\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("window", ["1", "300", "410"])
+    def test_window_too_narrow_for_the_derived_threshold_exits_2(self, tmp_path, capsys, window):
+        # at the default jitters sigma = 424.26 ps, and 3 erfc(w / (sigma sqrt 2)) is 1.0016 at w = 410 ps
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(f"duration = 0.1\naccept_window = {window}\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["attack-demo", "--config", str(cfg), "--out", str(out_dir), "--attack", "none"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: accept_window: must keep the derived anomaly threshold below 1, got ")
+        assert not out_dir.exists()
+
+    def test_window_just_wide_enough_loads(self):
+        assert build_experiment({"accept_window": "411"}).resolved_anomaly_threshold() == pytest.approx(0.998, abs=1e-3)
+        # a given threshold takes the derived one's place, so the rule does not apply
+        assert build_experiment({"accept_window": "1", "anomaly_threshold": "0.5"}).resolved_anomaly_threshold() == 0.5
 
     def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
@@ -993,3 +1043,127 @@ class TestGoldenOutputs:
         argv = [*command.split(), "--config", str(CONFIGS_DIR / f"{config}.cfg"), "--out", str(out_dir)]
         assert main(argv) == EXIT_OK
         assert tree_digest(out_dir) == self.SHIPPED[config, command]
+
+
+class TestFreshProcesses:
+    """The commands across a real process boundary: python -m gvqkd.cli ends in the console script's entry()."""
+
+    @staticmethod
+    def spawn(cwd: Path, hash_seed: int, *argv: str) -> subprocess.Popen:
+        python_path = os.pathsep.join(filter(None, [str(REPO_DIR / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": python_path, "PYTHONHASHSEED": str(hash_seed)}
+        command = [sys.executable, "-m", "gvqkd.cli", *argv]
+        return subprocess.Popen(command, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    def test_transmit_writes_the_pinned_bytes_in_every_process(self, fast_config, tmp_path):
+        # the second process hashes strings differently and is given --seed at the scenario's own seed
+        argv, digest, stdout = TestGoldenOutputs.GOLDEN["transmit"]
+        runs = {
+            out_dir: self.spawn(tmp_path, hash_seed, *argv, "--config", str(fast_config), "--out", str(out_dir), *extra)
+            for out_dir, hash_seed, extra in [(tmp_path / "first", 0, []), (tmp_path / "second", 1, ["--seed", "5"])]
+        }
+        for out_dir, proc in runs.items():
+            assert proc.communicate(timeout=60) == (stdout, "")
+            assert proc.returncode == EXIT_OK
+            assert tree_digest(out_dir) == digest
+            transcripts = sorted(out_dir.glob("transcript*.csv"))
+            assert len(transcripts) == 3
+            for path in transcripts:
+                read_transcript_csv(path)
+
+    def test_an_alarm_exits_3(self, fast_config, tmp_path):
+        argv, digest, _ = TestGoldenOutputs.GOLDEN["attack-demo"]
+        out_dir = tmp_path / "out"
+        proc = self.spawn(tmp_path, 0, *argv, "--fail-on-alarm", "--config", str(fast_config), "--out", str(out_dir))
+        assert proc.communicate(timeout=60)[1] == ""
+        assert proc.returncode == EXIT_ALARM
+        assert tree_digest(out_dir) == digest
+
+    def test_an_invalid_scenario_exits_2(self, tmp_path):
+        cfg = tmp_path / "invalid.cfg"
+        cfg.write_text("tau = -1\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        proc = self.spawn(tmp_path, 0, "transmit", "--config", str(cfg), "--out", str(out_dir))
+        assert proc.communicate(timeout=60) == ("", "config error: tau: must be >= 1\n")
+        assert proc.returncode == EXIT_CONFIG
+        assert not out_dir.exists()
+
+
+SMALL_SESSION = {"pair_rate": "100.0", "duration": "1.0", "runs": "1"}
+# the sparse fringe scan that leaves a detector's fit without a mean rate at seeds 2 and 8
+SPARSE_SCAN = {"shots_per_step": "1", "scan_steps": "4", "scan_span": "1624.0"}
+# the upper end of each drawn value where the key's declared range has none (1e4 if not listed): sizes
+# stay small (about 200 sends a session, 2 runs, 41 scan steps), times and lengths near the defaults' scale
+DRAW_TOPS = {"seed": 2**32, "pair_rate": 200.0, "dark_rate": 200.0, "duration": 1.0, "runs": 2, "scan_steps": 41}
+# and where it has one
+RULE_TOPS = {"in [0, 1]": 1.0, "in (0, 1)": 1.0, "in (0, 2**52)": STAMP_HALF_RANGE_PS}
+# keys whose defaults make sessions large, so each draw sets them
+SIZE_KEYS = ("pair_rate", "duration", "runs")
+
+
+def drawn_value(key: str) -> st.SearchStrategy[str]:
+    """Text of a value inside the key's declared range (source_bit: one of its three words)."""
+    rule = key_rule(key)
+    if rule is None:
+        return st.sampled_from(["0", "1", "random"])
+    top = RULE_TOPS.get(rule, DRAW_TOPS.get(key, 1e4))
+    values = st.integers(0, top) if key in INT_KEYS else st.floats(0.0, top)
+    return values.filter(RANGE_RULES[rule]).map(repr)
+
+
+SCENARIOS = st.fixed_dictionaries(
+    {key: drawn_value(key) for key in SIZE_KEYS},
+    optional={key: drawn_value(key) for key, _, _ in KEYS if key not in SIZE_KEYS},
+)
+COMMANDS = [["transmit"], ["fringe-scan"]] + [
+    ["attack-demo", "--attack", attack, "--fail-on-alarm"] for attack in ("none", "which-path", "store-forward")
+]
+
+
+def no_constant(name: str):
+    raise ValueError(f"not JSON: {name}")
+
+
+def check_outputs(out_dir: Path) -> None:
+    """Every file parses; per transcript, matched + anomalies = receives, disclosed <= matched, errors <= disclosed."""
+    reports, matched, anomalies = {}, 0, 0
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".json":
+            reports[path.name] = json.loads(path.read_text(encoding="utf-8"), parse_constant=no_constant)
+        elif path.name.startswith("fringe_s"):
+            read_fringe_csv(path)
+        else:
+            assert path.name.startswith("transcript"), path.name
+            _, matches, disclosed, errors, unmatched = read_transcript_csv(path)
+            with open(path, newline="", encoding="utf-8") as fh:
+                receives = sum(row["t_r_ps"] != "" for row in csv.DictReader(fh))
+            assert len(matches) + len(unmatched) == receives
+            assert disclosed <= matches.keys() and errors <= disclosed
+            matched, anomalies = matched + len(matches), anomalies + len(unmatched)
+    if summary := reports.get("summary.json"):
+        assert (summary["matched_total"], summary["anomaly_total"]) == (matched, anomalies)
+    if verdict := reports.get("verdict.json"):
+        assert (verdict["matched"], verdict["anomalies"]) == (matched, anomalies)
+
+
+class TestAcceptedScenarios:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example({**SMALL_SESSION, "accept_window": "410.0"})
+    @example({**SMALL_SESSION, "seed": "2", **SPARSE_SCAN})
+    @example({**SMALL_SESSION, "seed": "8", **SPARSE_SCAN})
+    @given(SCENARIOS)
+    def test_no_scenario_ends_in_a_traceback(self, values):
+        # each command exits 0, 2 or 3, and whatever it wrote parses, on exit 2 too
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "drawn.cfg"
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()), encoding="utf-8")
+            for i, command in enumerate(COMMANDS):
+                out_dir = Path(tmp) / str(i)
+                stderr = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                    code = main([*command, "--config", str(cfg), "--out", str(out_dir)])
+                assert code in (EXIT_OK, EXIT_CONFIG, EXIT_ALARM), command
+                if code == EXIT_CONFIG:
+                    assert re.fullmatch(r"config error: [^\n]+\n", stderr.getvalue()), command
+                if out_dir.exists():
+                    check_outputs(out_dir)
