@@ -20,6 +20,8 @@ from gvqkd.protocol import SessionConfig, SiftResult, combined_jitter_ps, false_
 
 DEFAULT_QBER_THRESHOLD = 0.11
 
+MAX_FRINGE_CONDITION = 10.0  # of a scan's fit design: even scans give 1.41-1.73 (README: the fit's error above it)
+
 # floor keeps the derived default usable for jitter-free configs, where the
 # analytic false-anomaly rate is exactly 0
 MIN_ANOMALY_THRESHOLD = 1e-3
@@ -84,7 +86,7 @@ def fringe_scan(
 def fringe_design(delta_l_nm: np.ndarray, wavelength_nm: float) -> np.ndarray:
     """The fit's basis (1, cos x, sin x), x = phase_from_path_length(dl, lambda); the one owner of the fit's scan rule.
 
-    In order: at least 4 points, wavelength > 0 (optics), finite phases, a span >= lambda, rank 3 (lambda/2 apart: 2).
+    In order: at least 4 points, wavelength > 0 (optics), finite phases, a span >= lambda, condition number <= 10.
     """
     if delta_l_nm.size < 4:
         raise ValueError("fringe fit needs at least 4 points")
@@ -95,8 +97,8 @@ def fringe_design(delta_l_nm: np.ndarray, wavelength_nm: float) -> np.ndarray:
     if delta_l_nm.max() - delta_l_nm.min() < wavelength_nm:
         raise ValueError("fringe fit needs a scan spanning at least one period")
     design = np.column_stack([np.ones_like(x), np.cos(x), np.sin(x)])
-    if np.linalg.matrix_rank(design) < 3:
-        raise ValueError("degenerate fringe fit: design matrix is rank-deficient")
+    if not (condition := np.linalg.cond(design)) <= MAX_FRINGE_CONDITION:
+        raise ValueError(f"degenerate fringe fit: condition number {condition:.3g} is above {MAX_FRINGE_CONDITION:g}")
     return design
 
 

@@ -14,11 +14,12 @@ fit finds a non-positive mean rate: its fringe CSV is written, no fit JSON),
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from gvqkd.adversary import KINDS, NO_ATTACK, AttackStrategy, eve_information
+from gvqkd.adversary import KINDS, NO_ATTACK, eve_information
 from gvqkd.analysis import (
     detect_eavesdropping,
     fit_fringe,
@@ -115,7 +116,7 @@ def run_fringe_scan(experiment: ExperimentConfig, args: argparse.Namespace, out_
 
 def run_attack_demo(experiment: ExperimentConfig, args: argparse.Namespace, out_dir: Path) -> int:
     """One session under an attack, then both security tests and Eve's information."""
-    strategy = AttackStrategy(kind=args.attack, extra_delay_ps=experiment.extra_delay_ps)
+    strategy = replace(experiment.attack, kind=args.attack)
     transcript, sift = _session(experiment.session, strategy, 0, experiment.source_bit, out_dir / "transcript.csv")
     if transcript.t_s.size == 0 or transcript.t_r.size == 0:
         raise ConfigError(

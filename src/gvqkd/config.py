@@ -5,26 +5,24 @@ comments (full-line or trailing) ignored. Unknown keys, malformed lines,
 duplicate keys and out-of-range values are rejected with a message naming
 the offending key. Every key is optional.
 
-KEYS maps each key to its parser and to the dataclass field it sets; the
-README's "Scenario files" table documents the same keys in the same order.
-The shared keys (SHARED_KEYS) set a pair of fields; a field's own key wins.
-A parser only turns text into a number (or integer): defaults and every
-check, finiteness included, live on the dataclasses that own the fields
-(SourceParams, DetectorParams, SessionConfig, ExperimentConfig), so library
-callers and scenario files get the same rules: each range is declared beside
-its default (devices.ranged), and __post_init__ adds only cross-field rules.
-The fields hold given values only; the accept window and session V are
-derived by SessionConfig properties.
+KEYS maps each key, in the README's order, to the dataclass field it sets (a
+shared key: a pair). A key's text parses as its field's type, int or float;
+defaults and every check, finiteness included, live on the dataclasses that
+own the fields, so library callers and scenario files get the same rules:
+each range is declared beside its default (devices.ranged), and
+__post_init__ adds only cross-field rules. The fields hold given values only;
+the accept window and session V are derived by SessionConfig properties.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from gvqkd.adversary import AttackStrategy
 from gvqkd.analysis import DEFAULT_QBER_THRESHOLD, default_anomaly_threshold, fringe_design
-from gvqkd.devices import PS_PER_S, DetectorParams, Ranged, SourceParams, ranged
+from gvqkd.devices import PS_PER_S, DetectorParams, Ranged, SourceParams, check_range, ranged
 from gvqkd.protocol import SessionConfig
 
 # largest accepted chance that a receive lies within the window of a second send
@@ -37,15 +35,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig(Ranged):
-    """One scenario: the physical session plus run-level and analysis knobs."""
+    """One scenario: the physical session, the attack's parameters (a run picks the kind), and run and analysis knobs."""
 
     session: SessionConfig
+    attack: AttackStrategy = field(default_factory=AttackStrategy)
     runs: int = ranged(60, ">= 1")
     source_bit: int | None = None
     scan_span_nm: float = ranged(1624.0, "positive")
-    scan_steps: int = ranged(41, ">= 4")
-    shots_per_step: int = ranged(5000, ">= 1")
-    extra_delay_ps: float = ranged(500.0, "in (0, 2**52)")
+    scan_steps: int = ranged(41, "in [4, 2**63)")
+    shots_per_step: int = ranged(5000, "in [1, 2**63)")
     qber_threshold: float = ranged(DEFAULT_QBER_THRESHOLD, "in (0, 1)")
     anomaly_threshold: float | None = ranged(None, "in (0, 1)")
 
@@ -105,58 +103,49 @@ def parse_flat(text: str) -> dict[str, str]:
     return values
 
 
-def _parse_float(key: str, raw: str) -> float:
+# key -> the field it sets, or a shared key's pair; README order, where each field's own key follows and wins
+KEYS = {
+    "seed": "seed",
+    "tau": "tau_ps",
+    "travel_time": "travel_time_ps",
+    "jitter": ("herald_jitter_sigma_ps", "jitter_sigma_ps"),
+    "herald_jitter": "herald_jitter_sigma_ps",
+    "signal_jitter": "jitter_sigma_ps",
+    "accept_window": "accept_window_given_ps",
+    "visibility": ("visibility_d0", "visibility_d1"),
+    "visibility_d0": "visibility_d0",
+    "visibility_d1": "visibility_d1",
+    "pair_rate": "pair_rate_hz",
+    "heralding_efficiency": "heralding_efficiency",
+    "detector_efficiency": "efficiency",
+    "dark_rate": "dark_rate_hz",
+    "duration": "session_duration_s",
+    "disclosure_fraction": "disclosure_fraction",
+    "runs": "runs",
+    "source_bit": "source_bit",
+    "wavelength": "wavelength_nm",
+    "scan_span": "scan_span_nm",
+    "scan_steps": "scan_steps",
+    "shots_per_step": "shots_per_step",
+    "extra_delay": "extra_delay_ps",
+    "qber_threshold": "qber_threshold",
+    "anomaly_threshold": "anomaly_threshold",
+}
+
+_FIELD_NAMED = {f.name: f for cls in (SourceParams, DetectorParams, SessionConfig, AttackStrategy, ExperimentConfig)
+                for f in fields(cls)}
+_FIELDS_OF = {key: [_FIELD_NAMED[n] for n in ([v] if isinstance(v, str) else v)] for key, v in KEYS.items()}
+_KEY_OF_FIELD = {name: key for key, name in KEYS.items() if isinstance(name, str)}
+
+
+def _parse(key: str, raw: str) -> int | float | str | None:
+    if key == "source_bit":  # other text is passed on for ExperimentConfig to reject
+        return {"0": 0, "1": 1, "random": None}.get(raw, raw)
+    number, kind = (int, "an integer") if _FIELDS_OF[key][0].type is int else (float, "a number")
     try:
-        return float(raw)
+        return number(raw)
     except ValueError:
-        raise ConfigError(f"{key}: not a number: {raw!r}") from None
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: not an integer: {raw!r}") from None
-
-
-def _parse_source_bit(key: str, raw: str) -> int | str | None:
-    # any other text is passed on for ExperimentConfig to reject
-    return {"0": 0, "1": 1, "random": None}.get(raw, raw)
-
-
-# (key, parser, dataclass field it sets); a shared key sets the fields of SHARED_KEYS
-KEYS = (
-    ("seed", _parse_int, "seed"),
-    ("tau", _parse_float, "tau_ps"),
-    ("travel_time", _parse_float, "travel_time_ps"),
-    ("jitter", _parse_float, None),
-    ("herald_jitter", _parse_float, "herald_jitter_sigma_ps"),
-    ("signal_jitter", _parse_float, "jitter_sigma_ps"),
-    ("accept_window", _parse_float, "accept_window_given_ps"),
-    ("visibility", _parse_float, None),
-    ("visibility_d0", _parse_float, "visibility_d0"),
-    ("visibility_d1", _parse_float, "visibility_d1"),
-    ("pair_rate", _parse_float, "pair_rate_hz"),
-    ("heralding_efficiency", _parse_float, "heralding_efficiency"),
-    ("detector_efficiency", _parse_float, "efficiency"),
-    ("dark_rate", _parse_float, "dark_rate_hz"),
-    ("duration", _parse_float, "session_duration_s"),
-    ("disclosure_fraction", _parse_float, "disclosure_fraction"),
-    ("runs", _parse_int, "runs"),
-    ("source_bit", _parse_source_bit, "source_bit"),
-    ("wavelength", _parse_float, "wavelength_nm"),
-    ("scan_span", _parse_float, "scan_span_nm"),
-    ("scan_steps", _parse_int, "scan_steps"),
-    ("shots_per_step", _parse_int, "shots_per_step"),
-    ("extra_delay", _parse_float, "extra_delay_ps"),
-    ("qber_threshold", _parse_float, "qber_threshold"),
-    ("anomaly_threshold", _parse_float, "anomaly_threshold"),
-)
-
-# shared key -> the pair of fields it sets where their own keys are not given
-SHARED_KEYS = {"jitter": ("herald_jitter_sigma_ps", "jitter_sigma_ps"), "visibility": ("visibility_d0", "visibility_d1")}
-
-_KEY_OF_FIELD = {name: key for key, _, name in KEYS if name is not None}
+        raise ConfigError(f"{key}: not {kind}: {raw!r}") from None
 
 
 @contextmanager
@@ -179,30 +168,30 @@ def build_experiment(values: dict[str, str]) -> ExperimentConfig:
     """Validate raw key strings and assemble a full ExperimentConfig.
 
     Every value is parsed first, in KEYS order (a non-finite number parses);
-    the shared keys are then range-checked, and the other ranges as the dataclasses are built:
-    source, detector, session, experiment, each its ranges in field order
-    and then its cross-field rules.
+    the shared keys are then checked against each of their fields' ranges,
+    and the other ranges as the dataclasses are built: source, detector,
+    session, attack, experiment, each its ranges in field order and then its
+    cross-field rules.
     """
-    known = {key for key, _, _ in KEYS}
     for key in values:
-        if key not in known:
+        if key not in KEYS:
             raise ConfigError(f"unknown config key {key}")
-    given = {name or key: parse(key, values[key]) for key, parse, name in KEYS if key in values}
-
-    for key, names in SHARED_KEYS.items():
-        if key in given:
-            shared = dict.fromkeys(names, given.pop(key))
-            # checked under its own key by the fields' owners, also when every field it sets is given
-            with _reported_by_key(dict.fromkeys(names, key)):
-                for cls in (SourceParams, DetectorParams, SessionConfig):
-                    _build(cls, shared)
-            given = shared | given
+    parsed = {key: _parse(key, values[key]) for key in KEYS if key in values}
+    for key, value in parsed.items():
+        if isinstance(KEYS[key], tuple):
+            # checked under its own name against each field it sets, also when every one is given
+            with _reported_by_key(dict.fromkeys(KEYS[key], key)):
+                for f in _FIELDS_OF[key]:
+                    check_range(f, value)
+    # in KEYS order, so a field's own key overrides its shared key
+    given = {f.name: value for key, value in parsed.items() for f in _FIELDS_OF[key]}
 
     with _reported_by_key():
         source = _build(SourceParams, given)
         detector = _build(DetectorParams, given)
         session = _build(SessionConfig, given, source=source, signal_detector=detector)
-        return _build(ExperimentConfig, given, session=session)
+        attack = _build(AttackStrategy, given)
+        return _build(ExperimentConfig, given, session=session, attack=attack)
 
 
 def load_config(path: str | Path | None) -> ExperimentConfig:

@@ -7,7 +7,7 @@ its transcript's stamps to whole ps and stores them as int64.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
@@ -19,10 +19,11 @@ RANGE_RULES = {
     "positive": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
-    ">= 4": lambda v: v >= 4,
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 1)": lambda v: 0 < v < 1,
     "in (0, 2**52)": lambda v: 0 < v < STAMP_HALF_RANGE_PS,
+    "in [1, 2**63)": lambda v: 1 <= v < 2**63,
+    "in [4, 2**63)": lambda v: 4 <= v < 2**63,
 }
 
 
@@ -31,20 +32,25 @@ def ranged(default, rule: str):
     return field(default=default, metadata={"range": rule})
 
 
+def check_range(f: Field, value) -> None:
+    """Raise "<field> must be ..." unless value meets f's declared range (no rule, or None: not given, passes)."""
+    if (rule := f.metadata.get("range")) is None or value is None:
+        return
+    is_int = isinstance(value, (int, np.integer))  # finite, and may be too large for math.isfinite's float
+    if not (is_int or math.isfinite(value)):
+        raise ValueError(f"{f.name} must be finite")
+    if f.type is int and not is_int:
+        raise ValueError(f"{f.name} must be an integer")
+    if not RANGE_RULES[rule](value):
+        raise ValueError(f"{f.name} must be {rule}")
+
+
 class Ranged:
-    """Config dataclass base: checks each ranged field in order (None: not given), before any cross-field rule."""
+    """Config dataclass base: checks each ranged field in order, before any cross-field rule."""
 
     def __post_init__(self):
         for f in fields(self):
-            rule, value = f.metadata.get("range"), getattr(self, f.name)
-            if rule is None or value is None:
-                continue
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
-            if f.type is int and not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer")
-            if not RANGE_RULES[rule](value):
-                raise ValueError(f"{f.name} must be {rule}")
+            check_range(f, getattr(self, f.name))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from gvqkd.analysis import Decision, read_fringe_csv
 from gvqkd.cli import EXIT_ALARM, EXIT_CONFIG, EXIT_OK, main
-from gvqkd.config import KEYS, SHARED_KEYS, ConfigError, ExperimentConfig, build_experiment, load_config, parse_flat
+from gvqkd.config import KEYS, ConfigError, ExperimentConfig, build_experiment, load_config, parse_flat
 from gvqkd.devices import RANGE_RULES, STAMP_HALF_RANGE_PS, DetectorParams, SourceParams
 from gvqkd.adversary import AttackStrategy
 from gvqkd.protocol import SessionConfig, read_transcript_csv, run_session, sift_transcript, write_transcript_csv
@@ -29,9 +29,12 @@ from gvqkd.protocol import SessionConfig, read_transcript_csv, run_session, sift
 REPO_DIR = Path(__file__).resolve().parent.parent
 CONFIGS_DIR = REPO_DIR / "configs"
 
-CONFIG_CLASSES = (SourceParams, DetectorParams, SessionConfig, ExperimentConfig)
+CONFIG_CLASSES = (SourceParams, DetectorParams, SessionConfig, AttackStrategy, ExperimentConfig)
 # (owner, field) of each field declared with a range rule
 RANGED_FIELDS = [(cls, f) for cls in CONFIG_CLASSES for f in fields(cls) if "range" in f.metadata]
+# each field by its name, and its owner
+FIELD_NAMED = {f.name: f for cls in CONFIG_CLASSES for f in fields(cls)}
+OWNER_OF = {f.name: cls for cls in CONFIG_CLASSES for f in fields(cls)}
 
 FAST_SCENARIO = """\
 # small, jitter-free link for quick end-to-end checks
@@ -64,12 +67,19 @@ def tree_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+def key_fields(key: str) -> list:
+    """The fields a key sets: its one field, or a shared key's pair."""
+    names = KEYS[key]
+    return [FIELD_NAMED[name] for name in ([names] if isinstance(names, str) else names)]
+
+
 def key_rule(key: str) -> str | None:
     """The range rule of the field a key sets; a shared key's is its pair's common rule (None: no single-field rule)."""
-    rule_of = {f.name: f.metadata.get("range") for cls in CONFIG_CLASSES for f in fields(cls)}
-    field_of = {key: name for key, _, name in KEYS}
-    (rule,) = {rule_of[name] for name in SHARED_KEYS.get(key, [field_of[key]])}
+    (rule,) = {f.metadata.get("range") for f in key_fields(key)}
     return rule
+
+
+INT_KEYS = [key for key in KEYS if key_fields(key)[0].type is int]
 
 
 class TestDefaults:
@@ -161,13 +171,12 @@ BAD_VALUES = {
     "source_bit": ("01", "must be 0, 1 or random"),
     "wavelength": ("0", "must be positive"),
     "scan_span": ("-1", "must be positive"),
-    "scan_steps": ("1", "must be >= 4"),
-    "shots_per_step": ("0", "must be >= 1"),
+    "scan_steps": ("1", "must be in [4, 2**63)"),
+    "shots_per_step": ("0", "must be in [1, 2**63)"),
     "extra_delay": ("0", "must be in (0, 2**52)"),
     "qber_threshold": ("0", "must be in (0, 1)"),
     "anomaly_threshold": ("1", "must be in (0, 1)"),
 }
-INT_KEYS = ("seed", "runs", "scan_steps", "shots_per_step")
 
 
 # the derived accept window is the 1 ps floor: jitter-free, and with 3 sigma = 0.42 ps
@@ -190,7 +199,7 @@ def rejection_message(values: dict[str, str]) -> str:
 
 
 class TestRejection:
-    @pytest.mark.parametrize("key", [key for key, _, _ in KEYS])
+    @pytest.mark.parametrize("key", list(KEYS))
     def test_every_key_names_itself(self, key):
         bad, rule = BAD_VALUES[key]
         cases = {bad: f"{key}: {rule}"}
@@ -221,6 +230,7 @@ class TestRejection:
             ({"accept_window": "5000", "runs": "0"}, "runs"),  # an experiment's ranges before its w <= tau
             ({"pair_rate": "-1", "tau": "nan"}, "pair_rate"),  # a non-finite value is a range error, in order
             ({"extra_delay": "0", "accept_window": "5000"}, "extra_delay"),  # extra_delay's range before w <= tau
+            ({"runs": "0", "extra_delay": "0"}, "extra_delay"),  # attack before experiment
         ],
     )
     def test_first_invalid_key_in_construction_order(self, values, key):
@@ -340,7 +350,7 @@ class TestRejection:
         build_experiment(sparser)
 
     def test_scan_steps_too_small(self):
-        with pytest.raises(ConfigError, match="scan_steps: must be >= 4"):
+        with pytest.raises(ConfigError, match=re.escape("scan_steps: must be in [4, 2**63)")):
             build_experiment({"scan_steps": "1"})
 
     def test_runs_too_small(self):
@@ -389,6 +399,9 @@ class TestLibraryConstruction:
             ("scan_span_nm", "scan_span", 0.0),
             ("scan_steps", "scan_steps", 1),
             ("shots_per_step", "shots_per_step", 0),
+            # numpy sizes and draws these in int64
+            ("scan_steps", "scan_steps", 2**63),
+            pytest.param("shots_per_step", "shots_per_step", 10**400, id="shots_per_step-shots_per_step-10**400"),
             ("extra_delay_ps", "extra_delay", -1.0),
             ("extra_delay_ps", "extra_delay", 2.0**52),
             ("qber_threshold", "qber_threshold", 1.0),
@@ -397,9 +410,13 @@ class TestLibraryConstruction:
     )
     def test_rejects_what_a_scenario_file_rejects(self, field, key, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
-            ExperimentConfig(SessionConfig(), **{field: value})
+            self.construct(OWNER_OF[field], **{field: value})
         with pytest.raises(ConfigError, match=f"^{key}: must be"):
             build_experiment({key: str(value)})
+
+    def test_an_integer_past_the_float_range_is_finite(self):
+        # math.isfinite cannot take it as a float; the range rule decides
+        assert build_experiment({"seed": str(10**400)}).session.seed == 10**400
 
     def test_accept_window_is_bounded_by_tau_only_with_the_experiment(self):
         # a bare SessionConfig may take a wide window (acceptance test_06
@@ -534,32 +551,29 @@ class TestKeyTable:
         return re.findall(r"^\| `(\w+)` \| (.+?) \| (.+?) \|", section, flags=re.MULTILINE)
 
     def test_every_key_sets_one_dataclass_field(self):
-        owned = [f.name for cls in (SourceParams, DetectorParams, SessionConfig, ExperimentConfig) for f in fields(cls)]
+        owned = [f.name for cls in CONFIG_CLASSES for f in fields(cls)]
         # unique field names let a field's error be reported under its key
         assert len(owned) == len(set(owned))
-        assert all(name in owned for key, _, name in KEYS if key not in SHARED_KEYS)
-        # a shared key sets a pair of owned fields and no field of its own
-        assert all(name is None for key, _, name in KEYS if key in SHARED_KEYS)
-        assert all(name in owned for names in SHARED_KEYS.values() for name in names)
+        # a key sets one owned field; a shared key sets a pair of them and no field of its own
+        for key, names in KEYS.items():
+            assert names in owned if isinstance(names, str) else len(names) == 2 and set(names) <= set(owned), key
 
     def test_readme_lists_every_key_in_order(self):
-        assert [key for key, _, _ in self.readme_rows()] == [key for key, _, _ in KEYS]
+        assert [key for key, _, _ in self.readme_rows()] == list(KEYS)
 
     def test_readme_numeric_defaults_are_the_resolved_ones(self):
         experiment = load_config(None)
         session = experiment.session
-        holders = (experiment, session, session.source, session.signal_detector)
-        field_of = {key: name for key, _, name in KEYS}
+        holders = (experiment, experiment.attack, session, session.source, session.signal_detector)
         checked = []
         for key, default, _ in self.readme_rows():
             number = re.fullmatch(r"`(-?[0-9.]+)`", default)
             if number is None:
                 continue
             # a shared key sets no field of its own, only its pair
-            names = SHARED_KEYS.get(key, [field_of[key]])
-            for name in names:
-                holder = next(h for h in holders if hasattr(h, name))
-                assert getattr(holder, name) == float(number.group(1)), key
+            for f in key_fields(key):
+                holder = next(h for h in holders if hasattr(h, f.name))
+                assert getattr(holder, f.name) == float(number.group(1)), key
             checked.append(key)
         assert len(checked) >= 18
 
@@ -661,14 +675,23 @@ class TestFringeScanCommand:
         [
             ("scan_steps = 3", "scan_steps"),
             ("scan_steps = 2", "scan_steps"),
+            # counts past int64 failed in numpy (linspace, binomial), and past a float's range in the finiteness test
+            ("scan_steps = 9223372036854775808", "scan_steps"),
+            ("scan_steps = 1000000000000000000000000000000", "scan_steps"),
+            pytest.param("scan_steps = 1" + "0" * 400, "scan_steps", id="scan_steps = 10**400-scan_steps"),
+            ("shots_per_step = 9223372036854775808", "shots_per_step"),
+            pytest.param(
+                "shots_per_step = 1" + "0" * 400, "shots_per_step", id="shots_per_step = 10**400-shots_per_step"
+            ),
         ],
     )
     def test_scan_the_fit_cannot_use_exits_2(self, tmp_path, capsys, lines, key):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(FAST_SCENARIO.replace("scan_steps = 9\n", "") + lines + "\n", encoding="utf-8")
+        scenario = FAST_SCENARIO.replace("scan_steps = 9\n", "").replace("shots_per_step = 200\n", "")
+        cfg.write_text(scenario + lines + "\n", encoding="utf-8")
         out_dir = tmp_path / "out"
         assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"config error: {key}: must be >= ")
+        assert capsys.readouterr().err == f"config error: {key}: must be {key_rule(key)}\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -680,6 +703,7 @@ class TestFringeScanCommand:
             "wavelength = 1000\nscan_span = 999",
             "scan_span = 32480",  # steps exactly lambda apart
             "scan_span = 1e308",  # 2 pi span / lambda overflows
+            "scan_steps = 5\nscan_span = 19488.547",  # rank 3, but condition number 2.1e6: the fit failed on seeds 1-3
         ],
     )
     def test_scan_the_fit_cannot_solve_exits_2(self, tmp_path, capsys, line):
@@ -934,7 +958,7 @@ class TestWholePicosecondStamps:
     def test_shipped_transcripts_print_whole_picoseconds(self, tmp_path, config, attack):
         experiment = load_config(CONFIGS_DIR / f"{config}.cfg")
         session = experiment.session
-        strategy = AttackStrategy(kind=attack, extra_delay_ps=experiment.extra_delay_ps)
+        strategy = replace(experiment.attack, kind=attack)
         transcript = run_session(session, strategy, source_bit=experiment.source_bit)
         match, sift = sift_transcript(transcript, session)
         path = tmp_path / "transcript.csv"
@@ -1092,11 +1116,11 @@ class TestFreshProcesses:
 SMALL_SESSION = {"pair_rate": "100.0", "duration": "1.0", "runs": "1"}
 # the sparse fringe scan that leaves a detector's fit without a mean rate at seeds 2 and 8
 SPARSE_SCAN = {"shots_per_step": "1", "scan_steps": "4", "scan_span": "1624.0"}
-# the upper end of each drawn value where the key's declared range has none (1e4 if not listed): sizes
-# stay small (about 200 sends a session, 2 runs, 41 scan steps), times and lengths near the defaults' scale
+# the upper end of each drawn value where the key's declared range has one
+RULE_TOPS = {"in [0, 1]": 1.0, "in (0, 1)": 1.0, "in (0, 2**52)": STAMP_HALF_RANGE_PS, "in [1, 2**63)": 2**63 - 1}
+# and where it has none (1e4 if not listed), or a top whose cost grows with the value: sizes stay small
+# (about 200 sends a session, 2 runs, 41 scan steps), times and lengths near the defaults' scale
 DRAW_TOPS = {"seed": 2**32, "pair_rate": 200.0, "dark_rate": 200.0, "duration": 1.0, "runs": 2, "scan_steps": 41}
-# and where it has one
-RULE_TOPS = {"in [0, 1]": 1.0, "in (0, 1)": 1.0, "in (0, 2**52)": STAMP_HALF_RANGE_PS}
 # keys whose defaults make sessions large, so each draw sets them
 SIZE_KEYS = ("pair_rate", "duration", "runs")
 
@@ -1106,14 +1130,14 @@ def drawn_value(key: str) -> st.SearchStrategy[str]:
     rule = key_rule(key)
     if rule is None:
         return st.sampled_from(["0", "1", "random"])
-    top = RULE_TOPS.get(rule, DRAW_TOPS.get(key, 1e4))
+    top = DRAW_TOPS.get(key, RULE_TOPS.get(rule, 1e4))
     values = st.integers(0, top) if key in INT_KEYS else st.floats(0.0, top)
     return values.filter(RANGE_RULES[rule]).map(repr)
 
 
 SCENARIOS = st.fixed_dictionaries(
     {key: drawn_value(key) for key in SIZE_KEYS},
-    optional={key: drawn_value(key) for key, _, _ in KEYS if key not in SIZE_KEYS},
+    optional={key: drawn_value(key) for key in KEYS if key not in SIZE_KEYS},
 )
 COMMANDS = [["transmit"], ["fringe-scan"]] + [
     ["attack-demo", "--attack", attack, "--fail-on-alarm"] for attack in ("none", "which-path", "store-forward")
