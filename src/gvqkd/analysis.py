@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from gvqkd.optics import apply_phase, canonical_phase, detection_probabilities, make_state, phase_from_path_length
-from gvqkd.protocol import SessionConfig, SiftResult, combined_jitter_ps, false_anomaly_rate
+from gvqkd.protocol import SessionConfig, SiftResult
 
 DEFAULT_QBER_THRESHOLD = 0.11
 
@@ -131,10 +131,7 @@ def qber_from_visibility(visibility: float) -> float:
 
 def default_anomaly_threshold(config: SessionConfig) -> float:
     """Timing alarm threshold: 3x the analytic false-anomaly rate of the clean link."""
-    rate = false_anomaly_rate(
-        config.accept_window_ps, combined_jitter_ps(config.source, config.signal_detector)
-    )
-    return max(3.0 * rate, MIN_ANOMALY_THRESHOLD)
+    return max(3.0 * config.false_anomaly_rate, MIN_ANOMALY_THRESHOLD)
 
 
 def detect_eavesdropping(

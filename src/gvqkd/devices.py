@@ -23,7 +23,7 @@ RANGE_RULES = {
     "in (0, 1)": lambda v: 0 < v < 1,
     "in (0, 2**52)": lambda v: 0 < v < STAMP_HALF_RANGE_PS,
     "in [1, 2**63)": lambda v: 1 <= v < 2**63,
-    "in [4, 2**63)": lambda v: 4 <= v < 2**63,
+    "in [4, 2**16]": lambda v: 4 <= v <= 2**16,
 }
 
 

@@ -43,29 +43,16 @@ from gvqkd.streams import stream
 WAVELENGTH_NM = 812.0
 
 
-def combined_jitter_ps(source: SourceParams, detector: DetectorParams) -> float:
-    """Std dev of t_r - (t_s + tau + T) on a clean link: herald and click jitters in quadrature."""
-    return math.hypot(source.herald_jitter_sigma_ps, detector.jitter_sigma_ps)
-
-
-def false_anomaly_rate(accept_window_ps: float, sigma_ps: float) -> float:
-    """Probability a clean detection falls outside the accept window (two-sided Gaussian tail)."""
-    if not accept_window_ps > 0:
-        raise ValueError("accept_window_ps must be positive")
-    if sigma_ps == 0:
-        return 0.0
-    return math.erfc(accept_window_ps / (sigma_ps * math.sqrt(2.0)))
-
-
 @dataclass(frozen=True)
 class SessionConfig(Ranged):
     """Physical and protocol parameters of one transmission session.
 
     Every field is a value the caller gave (accept_window_given_ps None to
-    derive the window); accept_window_ps and visibility are derived on each
-    read, so dataclasses.replace re-derives them from the replaced fields.
-    tau and a given window share the 1 ps stamp resolution as their floor,
-    so the derived window max(3 sigma, 1) fits under any tau >= 3 sigma.
+    derive the window). The clean link's timing model (sigma_ps, accept_window_ps,
+    false_anomaly_rate, contest_probability) and visibility are derived on each
+    read, so dataclasses.replace re-derives them from the replaced fields. tau
+    and a given window share the 1 ps stamp resolution as their floor, so the
+    derived window max(3 sigma, 1) fits under any tau >= 3 sigma.
     """
 
     tau_ps: float = ranged(2000.0, ">= 1")
@@ -86,8 +73,7 @@ class SessionConfig(Ranged):
         if not self.tau_ps > self.travel_time_ps:
             raise ValueError(f"tau_ps must be > travel time T = {self.travel_time_ps} ps, got {self.tau_ps}")
         # the storage delay must dominate timing noise, or the timing test cannot tell held packets from jitter
-        sigma = combined_jitter_ps(self.source, self.signal_detector)
-        if self.tau_ps < 3.0 * sigma:
+        if self.tau_ps < 3.0 * (sigma := self.sigma_ps):
             raise ValueError(f"tau_ps must be >= 3*combined jitter = {3.0 * sigma:.1f} ps, got {self.tau_ps}")
         # 6 tau covers a 12 sigma jitter tail (sigma <= tau/3), the receiver's tau and store-forward's
         span = self.session_duration_s * PS_PER_S + self.travel_time_ps + 6.0 * self.tau_ps
@@ -96,11 +82,28 @@ class SessionConfig(Ranged):
             raise ValueError(f"{name} must keep duration + T + 6*tau below 2**52 ps, got {span:.6g} ps")
 
     @property
+    def sigma_ps(self) -> float:
+        """Std dev of t_r - (t_s + tau + T) on a clean link: herald and click jitters in quadrature."""
+        return math.hypot(self.source.herald_jitter_sigma_ps, self.signal_detector.jitter_sigma_ps)
+
+    @property
     def accept_window_ps(self) -> float:
         """Timing-test half-width w: the given window, else 3x the combined jitter but at least 1 ps."""
         if self.accept_window_given_ps is not None:
             return self.accept_window_given_ps
-        return max(3.0 * combined_jitter_ps(self.source, self.signal_detector), 1.0)
+        return max(3.0 * self.sigma_ps, 1.0)
+
+    @property
+    def false_anomaly_rate(self) -> float:
+        """Jitter tail: the chance a clean click falls outside the window, erfc(w / (sigma sqrt 2)), 0 at sigma 0."""
+        if (sigma := self.sigma_ps) == 0:
+            return 0.0
+        return math.erfc(self.accept_window_ps / (sigma * math.sqrt(2.0)))
+
+    @property
+    def contest_probability(self) -> float:
+        """The matcher's contest share: about the chance a receive lies within the window of a second send."""
+        return 2.0 * self.accept_window_ps * self.source.pair_rate_hz * self.source.heralding_efficiency / PS_PER_S
 
     @property
     def visibility(self) -> float:

@@ -1,5 +1,6 @@
 """Scenario-file parsing, validation and the three CLI subcommands."""
 
+import ast
 import csv
 import hashlib
 import io
@@ -171,7 +172,7 @@ BAD_VALUES = {
     "source_bit": ("01", "must be 0, 1 or random"),
     "wavelength": ("0", "must be positive"),
     "scan_span": ("-1", "must be positive"),
-    "scan_steps": ("1", "must be in [4, 2**63)"),
+    "scan_steps": ("1", "must be in [4, 2**16]"),
     "shots_per_step": ("0", "must be in [1, 2**63)"),
     "extra_delay": ("0", "must be in (0, 2**52)"),
     "qber_threshold": ("0", "must be in (0, 1)"),
@@ -350,8 +351,11 @@ class TestRejection:
         build_experiment(sparser)
 
     def test_scan_steps_too_small(self):
-        with pytest.raises(ConfigError, match=re.escape("scan_steps: must be in [4, 2**63)")):
+        with pytest.raises(ConfigError, match=re.escape("scan_steps: must be in [4, 2**16]")):
             build_experiment({"scan_steps": "1"})
+
+    def test_scan_steps_top_is_inside(self):
+        assert build_experiment({"scan_steps": str(2**16)}).scan_steps == 2**16
 
     def test_runs_too_small(self):
         with pytest.raises(ConfigError, match="runs: must be >= 1"):
@@ -401,6 +405,11 @@ class TestLibraryConstruction:
             ("shots_per_step", "shots_per_step", 0),
             # numpy sizes and draws these in int64
             ("scan_steps", "scan_steps", 2**63),
+            # the loader builds the whole grid: an IndexError in np.linspace, 745 GiB, and an error under scan_span
+            ("scan_steps", "scan_steps", 2**63 - 1),
+            ("scan_steps", "scan_steps", 10**11),
+            ("scan_steps", "scan_steps", 2**62),
+            ("scan_steps", "scan_steps", 2**16 + 1),
             pytest.param("shots_per_step", "shots_per_step", 10**400, id="shots_per_step-shots_per_step-10**400"),
             ("extra_delay_ps", "extra_delay", -1.0),
             ("extra_delay_ps", "extra_delay", 2.0**52),
@@ -540,6 +549,9 @@ class TestDetectorPairRule:
             assert replaced == fresh, f.name
             assert replaced.accept_window_ps == fresh.accept_window_ps, f.name
             assert replaced.visibility == fresh.visibility, f.name
+            assert replaced.sigma_ps == fresh.sigma_ps, f.name
+            assert replaced.false_anomaly_rate == fresh.false_anomaly_rate, f.name
+            assert replaced.contest_probability == fresh.contest_probability, f.name
 
 
 class TestKeyTable:
@@ -598,6 +610,21 @@ class TestReadme:
         assert 0.4 <= namespace["sift"].qber <= 0.6
         assert namespace["verdict"].decision == Decision.QBER_ALARM
         assert "QBER_ALARM" in capsys.readouterr().out
+
+
+class TestRuntimeDependencies:
+    def test_src_imports_only_the_standard_library_and_numpy(self):
+        allowed = sys.stdlib_module_names | {"numpy", "gvqkd"}
+        for path in sorted((REPO_DIR / "src" / "gvqkd").glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.partition(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
 
 
 class TestTransmitCommand:
@@ -678,6 +705,11 @@ class TestFringeScanCommand:
             # counts past int64 failed in numpy (linspace, binomial), and past a float's range in the finiteness test
             ("scan_steps = 9223372036854775808", "scan_steps"),
             ("scan_steps = 1000000000000000000000000000000", "scan_steps"),
+            # grids the loader could not build (IndexError, 745 GiB) or reported under scan_span
+            ("scan_steps = 9223372036854775807", "scan_steps"),
+            ("scan_steps = 100000000000", "scan_steps"),
+            ("scan_steps = 4611686018427387904", "scan_steps"),
+            ("scan_steps = 65537", "scan_steps"),
             pytest.param("scan_steps = 1" + "0" * 400, "scan_steps", id="scan_steps = 10**400-scan_steps"),
             ("shots_per_step = 9223372036854775808", "shots_per_step"),
             pytest.param(

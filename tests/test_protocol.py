@@ -19,9 +19,7 @@ from gvqkd.protocol import (
     Transcript,
     _stamp_text,
     bob_receive,
-    combined_jitter_ps,
     detection_table,
-    false_anomaly_rate,
     read_transcript_csv,
     run_session,
     sift_and_qber,
@@ -371,26 +369,29 @@ class TestTimingTestAgainstReference:
         assert match.anomalies.size > 0
 
 
+class TestTimingModel:
+    @pytest.mark.parametrize("herald, detector", [(300.0, 300.0), (0.0, 250.0), (123.4, 0.0), (0.0, 0.0)])
+    def test_sigma_is_the_jitters_in_quadrature(self, herald, detector):
+        config = SessionConfig(
+            source=SourceParams(herald_jitter_sigma_ps=herald), signal_detector=DetectorParams(jitter_sigma_ps=detector)
+        )
+        assert config.sigma_ps == math.hypot(herald, detector)
+
+
 class TestFalseAnomalyRate:
     def test_matches_quadrature_oracle(self):
         sigma = math.sqrt(300.0**2 + 300.0**2)
         for window in (sigma, 2.0 * sigma, 3.0 * sigma):
-            assert false_anomaly_rate(window, sigma) == pytest.approx(
+            assert SessionConfig(accept_window_given_ps=window).false_anomaly_rate == pytest.approx(
                 gaussian_two_sided_tail(window, sigma), abs=1e-9
             )
 
     def test_three_sigma_value(self):
-        # frozen: two-sided 3 sigma Gaussian tail
-        sigma = math.sqrt(2.0) * 300.0
-        assert false_anomaly_rate(3.0 * sigma, sigma) == pytest.approx(0.0026998, abs=1e-6)
+        # frozen: two-sided 3 sigma Gaussian tail, at the derived window of the default jitters
+        assert SessionConfig().false_anomaly_rate == pytest.approx(0.0026998, abs=1e-6)
 
     def test_zero_jitter_never_false_alarms(self):
-        assert false_anomaly_rate(100.0, 0.0) == 0.0
-
-    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan])
-    def test_rejects_a_window_that_is_not_positive(self, window):
-        with pytest.raises(ValueError, match="^accept_window_ps must be positive$"):
-            false_anomaly_rate(window, 300.0)
+        assert ideal_config(accept_window_ps=100.0).false_anomaly_rate == 0.0
 
     def test_empirical_rate_on_clean_link(self):
         # default window = 3x combined jitter; observed anomaly fraction
@@ -398,7 +399,7 @@ class TestFalseAnomalyRate:
         config = noisy_config(pair_rate_hz=4000.0, duration_s=5.0, seed=31)
         _, match, _ = run_and_sift(config)
         total = match.send.size + match.anomalies.size
-        expected = false_anomaly_rate(config.accept_window_ps, combined_jitter_ps(config.source, config.signal_detector))
+        expected = config.false_anomaly_rate
         assert abs(match.anomalies.size / total - expected) <= 4.0 * binomial_sigma(expected, total)
 
 
