@@ -46,11 +46,9 @@ class FringeFit:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of the two public security tests on one sifted session."""
+    """Outcome of the two public security tests on one sifted session; its QBER stays on the SiftResult."""
 
     anomaly_fraction: float
-    qber: float | None
-    qber_sigma: float | None
     decision: Decision
 
 
@@ -163,15 +161,10 @@ def detect_eavesdropping(
         decision = Decision.QBER_ALARM
     else:
         decision = Decision.CLEAN
-    return Verdict(
-        anomaly_fraction=anomaly_fraction,
-        qber=sift.qber,
-        qber_sigma=sift.qber_sigma,
-        decision=decision,
-    )
+    return Verdict(anomaly_fraction=anomaly_fraction, decision=decision)
 
 
-# --- reports and fringe serialization ----------------------------------------
+# --- fringe serialization ----------------------------------------------------
 
 FRINGE_COLUMNS = ["delta_l_nm", "counts_d0", "counts_d1"]
 
@@ -203,29 +196,3 @@ def read_fringe_csv(path) -> tuple[np.ndarray, np.ndarray]:
             rows.append(values)
     table = np.array(rows).reshape(-1, 3)
     return table[:, 0], table[:, 1:]
-
-
-def fit_report(fit_d0: FringeFit, fit_d1: FringeFit) -> dict:
-    """Fit summary with fixed keys; phase_offset_rad is the D0 fringe's offset."""
-    difference = canonical_phase(fit_d1.phase_offset_rad - fit_d0.phase_offset_rad)
-    return {
-        "visibility_d0": fit_d0.visibility,
-        "visibility_d1": fit_d1.visibility,
-        "phase_offset_rad": fit_d0.phase_offset_rad,
-        "phase_offset_d1_rad": fit_d1.phase_offset_rad,
-        "phase_difference_rad": difference,
-        "mean_rate_d0": fit_d0.mean_rate,
-        "mean_rate_d1": fit_d1.mean_rate,
-        "residual_rms_d0": fit_d0.residual_rms,
-        "residual_rms_d1": fit_d1.residual_rms,
-    }
-
-
-def verdict_report(verdict: Verdict) -> dict:
-    """Verdict summary with fixed keys."""
-    return {
-        "qber": verdict.qber,
-        "qber_sigma": verdict.qber_sigma,
-        "anomaly_fraction": verdict.anomaly_fraction,
-        "decision": verdict.decision.value,
-    }

@@ -4,11 +4,12 @@ Every subcommand reads one scenario file (--config, defaults apply when
 omitted), writes its outputs into --out, and is byte-for-byte reproducible
 for a fixed seed. Each subcommand is one handler that writes its files,
 prints its stdout and returns the exit code; transmit and attack-demo run
-every session through _session. Exit codes: 0 success, 2 configuration or
-usage error (also an attack-demo session with no sends or no receives: its
-transcript.csv is written, no verdict.json; and a fringe-scan source whose
-fit finds a non-positive mean rate: its fringe CSV is written, no fit JSON),
-3 an alarm was raised and --fail-on-alarm was given.
+every session through _session, and only this module knows the JSON outputs'
+keys. Exit codes: 0 success, 2 configuration or usage error (also an
+attack-demo session with no sends or no receives: its transcript.csv is
+written, no verdict.json; and a fringe-scan source whose fit finds a
+non-positive mean rate: its fringe CSV is written, no fit JSON), 3 an alarm
+was raised and --fail-on-alarm was given.
 """
 
 import argparse
@@ -20,15 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from gvqkd.adversary import KINDS, NO_ATTACK, eve_information
-from gvqkd.analysis import (
-    detect_eavesdropping,
-    fit_fringe,
-    fit_report,
-    fringe_scan,
-    verdict_report,
-    write_fringe_csv,
-)
+from gvqkd.analysis import Decision, FringeFit, detect_eavesdropping, fit_fringe, fringe_scan, write_fringe_csv
 from gvqkd.config import ConfigError, ExperimentConfig, load_config
+from gvqkd.optics import canonical_phase
 from gvqkd.protocol import run_session, sift_transcript, write_transcript_csv
 from gvqkd.streams import stream
 
@@ -41,6 +36,22 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
+
+
+def fit_report(fit_d0: FringeFit, fit_d1: FringeFit) -> dict:
+    """fringe_fit_s{bit}.json's keys; phase_offset_rad is the D0 fringe's offset."""
+    difference = canonical_phase(fit_d1.phase_offset_rad - fit_d0.phase_offset_rad)
+    return {
+        "visibility_d0": fit_d0.visibility,
+        "visibility_d1": fit_d1.visibility,
+        "phase_offset_rad": fit_d0.phase_offset_rad,
+        "phase_offset_d1_rad": fit_d1.phase_offset_rad,
+        "phase_difference_rad": difference,
+        "mean_rate_d0": fit_d0.mean_rate,
+        "mean_rate_d1": fit_d1.mean_rate,
+        "residual_rms_d0": fit_d0.residual_rms,
+        "residual_rms_d1": fit_d1.residual_rms,
+    }
 
 
 def _session(session, strategy, run_index, source_bit, path):
@@ -125,7 +136,10 @@ def run_attack_demo(experiment: ExperimentConfig, args: argparse.Namespace, out_
     verdict = detect_eavesdropping(sift, experiment.resolved_anomaly_threshold(), experiment.qber_threshold)
     info = eve_information(transcript.eve_guess, transcript.bit)
     report = {
-        **verdict_report(verdict),
+        "qber": sift.qber,
+        "qber_sigma": sift.qber_sigma,
+        "anomaly_fraction": verdict.anomaly_fraction,
+        "decision": verdict.decision.value,
         "strategy": args.attack,
         "eve_information_bits": info,
         "matched": sift.matched,
@@ -138,7 +152,7 @@ def run_attack_demo(experiment: ExperimentConfig, args: argparse.Namespace, out_
         f"QBER {report['qber']}, anomaly fraction {report['anomaly_fraction']:.4f}, "
         f"Eve information {info:.4f} bits"
     )
-    return EXIT_ALARM if args.fail_on_alarm and report["decision"] != "Clean" else EXIT_OK
+    return EXIT_ALARM if args.fail_on_alarm and verdict.decision is not Decision.CLEAN else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

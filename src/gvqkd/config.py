@@ -27,6 +27,8 @@ from gvqkd.protocol import SessionConfig
 
 # largest accepted chance that a receive lies within the window of a second send
 MAX_CONTEST_PROBABILITY = 1e-2
+# largest expected count of one session's draws; the top runs in about 7 s and 1 GiB (README)
+MAX_SESSION_DRAWS = 2**23
 
 
 class ConfigError(ValueError):
@@ -64,6 +66,13 @@ class ExperimentConfig(Ranged):
         if not (contest := self.session.contest_probability) <= MAX_CONTEST_PROBABILITY:
             raise ValueError(
                 f"pair_rate_hz must keep 2 * accept_window * send rate <= {MAX_CONTEST_PROBABILITY}, got {contest:.3g}"
+            )
+        # a session's arrays must fit in memory: every emission is drawn before heralding, and each detector's darks
+        pair_rate, dark_rate = self.session.source.pair_rate_hz, self.session.signal_detector.dark_rate_hz
+        if not (draws := (pair_rate + 2.0 * dark_rate) * self.session.session_duration_s) <= MAX_SESSION_DRAWS:
+            name = "pair_rate_hz" if pair_rate >= 2.0 * dark_rate else "dark_rate_hz"
+            raise ValueError(
+                f"{name} must keep (pair_rate + 2 * dark_rate) * duration <= {MAX_SESSION_DRAWS}, got {draws:.3g}"
             )
         if self.source_bit not in (None, 0, 1):
             raise ValueError("source_bit must be 0, 1 or random")

@@ -7,16 +7,13 @@ import pytest
 
 from gvqkd.analysis import (
     Decision,
-    FringeFit,
     canonical_phase,
     default_anomaly_threshold,
     detect_eavesdropping,
     fit_fringe,
-    fit_report,
     fringe_scan,
     qber_from_visibility,
     read_fringe_csv,
-    verdict_report,
     write_fringe_csv,
 )
 from gvqkd.protocol import SessionConfig, SiftResult
@@ -271,7 +268,6 @@ class TestVerdicts:
         sift.qber_sigma = None
         verdict = detect_eavesdropping(sift, 0.01, 0.11)
         assert verdict.decision is Decision.TIMING_ALARM
-        assert verdict.qber is None
 
     def test_rejects_empty_session(self):
         with pytest.raises(ValueError):
@@ -360,24 +356,3 @@ class TestSerializationAndReports:
         path.write_text("delta_l,d0,d1\r\n0.0,1,1\r\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
             read_fringe_csv(path)
-
-    def test_fit_report_keys(self):
-        fit = FringeFit(visibility=0.89, phase_offset_rad=0.0, mean_rate=1000.0, residual_rms=1.0)
-        fit1 = FringeFit(visibility=0.82, phase_offset_rad=math.pi, mean_rate=1000.0, residual_rms=1.0)
-        report = fit_report(fit, fit1)
-        assert list(report)[:3] == ["visibility_d0", "visibility_d1", "phase_offset_rad"]
-        assert report["visibility_d0"] == 0.89
-        assert report["phase_difference_rad"] == pytest.approx(math.pi)
-
-    def test_verdict_report_keys(self):
-        sift = SiftResult(
-            matched=1,
-            anomalies=0,
-            qber=0.0,
-            qber_sigma=0.0,
-            disclosed_mask=np.array([True]),
-        )
-        verdict = detect_eavesdropping(sift, 0.01, 0.11)
-        report = verdict_report(verdict)
-        assert list(report) == ["qber", "qber_sigma", "anomaly_fraction", "decision"]
-        assert report["decision"] == "Clean"

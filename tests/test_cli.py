@@ -3,6 +3,7 @@
 import ast
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -20,8 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gvqkd.analysis import Decision, read_fringe_csv
-from gvqkd.cli import EXIT_ALARM, EXIT_CONFIG, EXIT_OK, main
+from gvqkd.analysis import Decision, FringeFit, read_fringe_csv
+from gvqkd.cli import EXIT_ALARM, EXIT_CONFIG, EXIT_OK, fit_report, main
 from gvqkd.config import KEYS, ConfigError, ExperimentConfig, build_experiment, load_config, parse_flat
 from gvqkd.devices import RANGE_RULES, STAMP_HALF_RANGE_PS, DetectorParams, SourceParams
 from gvqkd.adversary import AttackStrategy
@@ -345,10 +346,10 @@ class TestRejection:
         ],
     )
     def test_dense_sends(self, dense, sparser, got):
-        # the greedy matcher could hand a receive to a neighbouring send
+        # the greedy matcher could hand a receive to a neighbouring send; 0.01 s keeps the sessions small
         message = f"pair_rate: must keep 2 * accept_window * send rate <= 0.01, got {got}"
-        assert rejection_message(dense) == message
-        build_experiment(sparser)
+        assert rejection_message({**dense, "duration": "0.01"}) == message
+        build_experiment({**sparser, "duration": "0.01"})
 
     def test_scan_steps_too_small(self):
         with pytest.raises(ConfigError, match=re.escape("scan_steps: must be in [4, 2**16]")):
@@ -627,6 +628,36 @@ class TestRuntimeDependencies:
                     assert name.partition(".")[0] in allowed, f"{path.name}:{node.lineno} imports {name}"
 
 
+# the modules perfbench traces, and what it imports or times in each (ROADMAP: what must stay)
+TRACED_MODULES = ("optics", "devices", "streams", "protocol", "adversary", "analysis", "config")
+BENCHMARK_NAMES = {
+    "cli": ("load_config", "main"),
+    "protocol": (
+        "run_session",
+        "bob_receive",
+        "timing_test",
+        "sift_and_qber",
+        "write_transcript_csv",
+        "read_transcript_csv",
+    ),
+    "devices": ("generate_emissions", "herald", "dark_clicks", "detector_click"),
+    "adversary": ("apply_attack", "eve_information"),
+    "analysis": ("detect_eavesdropping",),
+}
+
+
+class TestBenchmarkNames:
+    def test_the_names_the_benchmark_uses_exist(self):
+        # a lost name fails the benchmark run, or leaves a per-layer row silently at 0
+        modules = {short: importlib.import_module(f"gvqkd.{short}") for short in (*TRACED_MODULES, "cli")}
+        for short, names in BENCHMARK_NAMES.items():
+            for name in names:
+                function = getattr(modules[short], name, None)
+                assert callable(function), f"gvqkd.{short}.{name}"
+                # the tracer times a function only in the module that defines it
+                assert short == "cli" or function.__module__ == f"gvqkd.{short}", f"gvqkd.{short}.{name}"
+
+
 class TestTransmitCommand:
     def test_outputs_and_summary(self, fast_config, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -777,6 +808,14 @@ class TestFringeScanCommand:
         assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
         assert (out_dir / "fringe_fit_s1.json").is_file()
 
+    def test_fit_report_keys(self):
+        fit = FringeFit(visibility=0.89, phase_offset_rad=0.0, mean_rate=1000.0, residual_rms=1.0)
+        fit1 = FringeFit(visibility=0.82, phase_offset_rad=math.pi, mean_rate=1000.0, residual_rms=1.0)
+        report = fit_report(fit, fit1)
+        assert list(report)[:3] == ["visibility_d0", "visibility_d1", "phase_offset_rad"]
+        assert report["visibility_d0"] == 0.89
+        assert report["phase_difference_rad"] == pytest.approx(math.pi)
+
 
 class TestAttackDemoCommand:
     def run(self, fast_config, out_dir, attack, *extra):
@@ -789,6 +828,17 @@ class TestAttackDemoCommand:
         code = self.run(fast_config, out_dir, "none", "--fail-on-alarm")
         assert code == EXIT_OK
         report = json.loads((out_dir / "verdict.json").read_text(encoding="utf-8"))
+        assert list(report) == [
+            "qber",
+            "qber_sigma",
+            "anomaly_fraction",
+            "decision",
+            "strategy",
+            "eve_information_bits",
+            "matched",
+            "anomalies",
+            "key_bits",
+        ]
         assert report["decision"] == "Clean"
         assert report["qber"] == 0.0
         assert report["anomaly_fraction"] == 0.0
@@ -851,6 +901,9 @@ class TestAttackDemoCommand:
     def test_unknown_attack_rejected_by_parser(self, fast_config, tmp_path):
         with pytest.raises(SystemExit):
             self.run(fast_config, tmp_path / "out", "beamsplit")
+
+
+DRAW_RULE = "must keep (pair_rate + 2 * dark_rate) * duration"
 
 
 class TestExitCodes:
@@ -927,6 +980,29 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("config error: accept_window: must keep the derived anomaly threshold below 1, got ")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "lines, key, got",
+        [
+            # 15.6e9 emissions asked for 116 GiB, and 1e10 dark counts for 37.3 GiB: both exited 1
+            pytest.param("pair_rate = 3.9e6\nduration = 4000\n", "pair_rate", "1.56e+10", id="emissions"),
+            pytest.param("dark_rate = 1e9\nduration = 5\n", "dark_rate", "1e+10", id="dark-counts"),
+        ],
+    )
+    def test_session_too_large_to_allocate_exits_2(self, tmp_path, capsys, lines, key, got):
+        cfg = tmp_path / "large.cfg"
+        cfg.write_text(lines + "runs = 1\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key}: {DRAW_RULE} <= 8388608, got {got}\n"
+        assert not out_dir.exists()
+
+    def test_session_at_the_draw_top_loads(self):
+        # 2**23 expected draws, emissions or dark counts on the two detectors; one more is rejected
+        build_experiment({"pair_rate": "2097152", "duration": "4"})
+        build_experiment({"pair_rate": "0", "dark_rate": "4194304", "duration": "1"})
+        message = rejection_message({"pair_rate": "2097153", "duration": "4"})
+        assert message.startswith(f"pair_rate: {DRAW_RULE} <= 8388608, got ")
 
     def test_window_just_wide_enough_loads(self):
         assert build_experiment({"accept_window": "411"}).resolved_anomaly_threshold() == pytest.approx(0.998, abs=1e-3)
