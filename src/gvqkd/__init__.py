@@ -8,7 +8,7 @@ every detection and the error rate of a disclosed subset of the key.
 
 Modules
 -------
-optics     two-mode state algebra (preparation, phase, recombination)
+optics     link-state amplitudes, detection rule, phase
 devices    stochastic source / detector models, picosecond timestamps
 protocol   columnar session engine: transmit, receive, timing test, sift, CSV
 adversary  intercept-resend and store-and-forward attack models

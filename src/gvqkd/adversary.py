@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gvqkd.devices import Ranged, ranged
-from gvqkd.optics import STATE_MODE_A, STATE_MODE_B, beam_splitter, link_states
+from gvqkd.optics import LINK_STATES, SQRT1_2, STATE_MODE_A, STATE_MODE_B
 
 KIND_NONE = "none"
 KIND_WHICH_PATH = "which-path"
@@ -45,6 +45,12 @@ class AttackStrategy(Ranged):
 
 NO_ATTACK = AttackStrategy(KIND_NONE)
 
+# Eve's ideal optics on each link state: which-path finds the photon in
+# packet a with probability |a|^2; store-forward's recombiner sends it to
+# her D0 with probability |(a + b) / sqrt 2|^2, the Born rule on port a
+WHICH_PATH_P_A = np.abs(LINK_STATES[:, 0]) ** 2
+STORE_FORWARD_P0 = np.abs((LINK_STATES[:, 0] + LINK_STATES[:, 1]) * SQRT1_2) ** 2
+
 
 # Eve's guess for a photon she took no guess on
 NO_GUESS = -1
@@ -60,7 +66,7 @@ def apply_attack(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pass every photon of a session through the channel under a strategy.
 
-    state holds link-state indices (see optics.link_states). Returns
+    state holds link-state indices (rows of optics.LINK_STATES). Returns
     (state at the receiver, arrival, Eve's guess), one entry per photon.
     arrival is when packet b reaches the receiver, where it recombines with
     packet a: every strategy delays both packets or neither. The guess is
@@ -71,12 +77,10 @@ def apply_attack(
     if strategy.kind == KIND_NONE:
         return state, arrival, np.full(n, NO_GUESS)
 
-    states = link_states()
     if strategy.kind == KIND_WHICH_PATH:
         # the localized packet is resent on schedule; nothing to learn,
         # the guess is a coin flip
-        p_a = np.array([abs(s.amp_a) ** 2 for s in states])
-        found_a = rng.random(n) < p_a[state]
+        found_a = rng.random(n) < WHICH_PATH_P_A[state]
         guess = rng.integers(0, 2, size=n)
         return np.where(found_a, STATE_MODE_A, STATE_MODE_B), arrival, guess
 
@@ -84,8 +88,7 @@ def apply_attack(
     # she observes, interferes the pair on her own ideal recombiner, and
     # forwards a fresh copy. Holding packet a until b exists costs the
     # separation itself; extra_delay is her processing overhead.
-    p0 = np.array([abs(beam_splitter(s).amp_a) ** 2 for s in states])
-    learned = (rng.random(n) >= p0[state]).astype(np.int64)
+    learned = (rng.random(n) >= STORE_FORWARD_P0[state]).astype(np.int64)
     delay = (launch_b_ps - launch_a_ps) + strategy.extra_delay_ps
     return learned, arrival + delay, learned
 

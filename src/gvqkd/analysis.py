@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from gvqkd.optics import apply_phase, canonical_phase, detection_probabilities, make_state, phase_from_path_length
+from gvqkd.optics import LINK_STATES, canonical_phase, detection_p0, phase_from_path_length
 from gvqkd.protocol import SessionConfig, SiftResult
 
 DEFAULT_QBER_THRESHOLD = 0.11
@@ -73,12 +73,18 @@ def fringe_scan(
         raise ValueError("n_steps must be >= 2")
     if shots_per_step < 1:
         raise ValueError("shots_per_step must be >= 1")
-    state0 = make_state(source_bit)
+    if source_bit not in (0, 1):
+        raise ValueError(f"source_bit must be 0 or 1, got {source_bit!r}")
     delta_l_nm = np.linspace(lo, hi, n_steps)
-    states = [apply_phase(state0, phase_from_path_length(dl, config.wavelength_nm)) for dl in delta_l_nm.tolist()]
-    vis_d0, vis_d1 = config.visibility_d0, config.visibility_d1
-    p = [(detection_probabilities(s, vis_d0)[0], detection_probabilities(s, vis_d1)[1]) for s in states]
-    return delta_l_nm, rng.binomial(shots_per_step, p)
+    with np.errstate(over="ignore"):  # an overflowed phase is rejected below, before exp sees it
+        phase = phase_from_path_length(delta_l_nm, config.wavelength_nm)
+    if not np.isfinite(phase).all():
+        raise ValueError("phase must be finite")
+    amp_a, amp_b = LINK_STATES[source_bit]
+    amp_b = amp_b * np.exp(1j * phase)
+    p_d0 = detection_p0(amp_a, amp_b, config.visibility_d0)
+    p_d1 = 1.0 - detection_p0(amp_a, amp_b, config.visibility_d1)
+    return delta_l_nm, rng.binomial(shots_per_step, np.column_stack([p_d0, p_d1]))
 
 
 def fringe_design(delta_l_nm: np.ndarray, wavelength_nm: float) -> np.ndarray:

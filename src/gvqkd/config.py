@@ -44,7 +44,7 @@ class ExperimentConfig(Ranged):
     runs: int = ranged(60, ">= 1")
     source_bit: int | None = None
     scan_span_nm: float = ranged(1624.0, "positive")
-    scan_steps: int = ranged(41, "in [4, 2**16]")  # the top scans in about 1.3 s and 62 MiB (README)
+    scan_steps: int = ranged(41, "in [4, 2**16]")  # the top scans in about 0.7 s and 56 MiB (README)
     shots_per_step: int = ranged(5000, "in [1, 2**63)")
     qber_threshold: float = ranged(DEFAULT_QBER_THRESHOLD, "in (0, 1)")
     anomaly_threshold: float | None = ranged(None, "in (0, 1)")

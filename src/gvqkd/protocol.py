@@ -37,7 +37,7 @@ from gvqkd.devices import (
     herald,
     ranged,
 )
-from gvqkd.optics import detection_probabilities, link_states
+from gvqkd.optics import LINK_STATES, detection_p0
 from gvqkd.streams import stream
 
 WAVELENGTH_NM = 812.0
@@ -162,12 +162,8 @@ class SiftResult:
 
 
 def detection_table(visibility: float) -> np.ndarray:
-    """P(D0) of each link state at effective visibility V.
-
-    Built from the scalar optics so the engine carries no copy of the
-    detection rule.
-    """
-    return np.array([detection_probabilities(s, visibility)[0] for s in link_states()])
+    """P(D0) of each link state at effective visibility V: optics' detection rule, of which the engine keeps no copy."""
+    return detection_p0(LINK_STATES[:, 0], LINK_STATES[:, 1], visibility)
 
 
 def bob_receive(

@@ -1,26 +1,114 @@
 """Independent reference computations the tests freeze their expectations against.
 
-Each oracle takes a different route than the implementation: detection
-probabilities via explicit 2x2 density matrices instead of the scalar
-cross-term formula, the splitter via a literal Hadamard matrix product,
-the false-anomaly rate via numerical quadrature of the Gaussian density
-instead of erfc, the timing test as a scalar loop over receives instead of
-array searches, the transcript CSV through csv.writer one row at a time
-instead of joined column chunks, and the fringe scan as one scalar binomial
-draw per detector per step instead of one draw over the whole table. The
-inner product of two states and the textbook visibility from fringe
-extremes are kept here as spec: the simulator itself never needs them.
+The scalar two-mode state algebra is the spec that the amplitude arrays of
+`gvqkd.optics` are checked against: one validated `PathState` per photon,
+with preparation, the phase shift, recombination on the splitter and the
+scalar detection rule. The tests hold `LINK_STATES`, `detection_p0`, the
+attack tables and the fringe scan to it.
+
+Each other oracle takes a different route than the implementation:
+detection probabilities via explicit 2x2 density matrices instead of the
+scalar cross-term formula, the splitter via a literal Hadamard matrix
+product, the false-anomaly rate via numerical quadrature of the Gaussian
+density instead of erfc, the timing test as a scalar loop over receives
+instead of array searches, the transcript CSV through csv.writer one row
+at a time instead of joined column chunks, and the fringe scan as one
+scalar binomial draw per detector per step instead of one draw over the
+whole table. The inner product of two states and the textbook visibility
+from fringe extremes are kept here as spec: the simulator itself never
+needs them.
 """
 
+import cmath
 import csv
 import io
 import math
 from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from gvqkd.optics import apply_phase, detection_probabilities, make_state, phase_from_path_length
+from gvqkd.optics import SQRT1_2, phase_from_path_length
+
+# --- scalar state algebra: the spec of gvqkd.optics ---------------------------
+
+# Normalization slack for fp roundoff; chains of splitter/phase ops stay
+# well inside this.
+NORM_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class PathState:
+    """Normalized amplitudes over the leading (a) and delayed (b) wave-packet modes."""
+
+    amp_a: complex
+    amp_b: complex
+
+    def __post_init__(self):
+        amp_a = complex(self.amp_a)
+        amp_b = complex(self.amp_b)
+        for amp in (amp_a, amp_b):
+            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
+                raise ValueError("amplitudes must be finite")
+        object.__setattr__(self, "amp_a", amp_a)
+        object.__setattr__(self, "amp_b", amp_b)
+        norm_sq = self.norm_squared()
+        if abs(norm_sq - 1.0) > NORM_TOL:
+            raise ValueError(f"state not normalized: |a|^2 + |b|^2 = {norm_sq!r}")
+
+    def norm_squared(self) -> float:
+        return abs(self.amp_a) ** 2 + abs(self.amp_b) ** 2
+
+
+def make_state(bit: int) -> PathState:
+    """Encoding state for a key bit: equal-weight superposition, bit 1 flips the sign of mode b."""
+    if bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    sign = 1.0 if bit == 0 else -1.0
+    return PathState(SQRT1_2, sign * SQRT1_2)
+
+
+def link_states() -> tuple[PathState, PathState, PathState, PathState]:
+    """Every state a photon can carry through the link, in state-index order."""
+    return make_state(0), make_state(1), PathState(1.0, 0.0), PathState(0.0, 1.0)
+
+
+def beam_splitter(state: PathState) -> PathState:
+    """Recombine the two modes on a balanced splitter (real Hadamard).
+
+    out_a = (a + b) / sqrt(2), out_b = (a - b) / sqrt(2). Output port a
+    feeds detector D0, port b feeds detector D1.
+    """
+    return PathState(
+        (state.amp_a + state.amp_b) * SQRT1_2,
+        (state.amp_a - state.amp_b) * SQRT1_2,
+    )
+
+
+def apply_phase(state: PathState, phi_rad: float) -> PathState:
+    """Phase shift on the delayed mode only: amp_b -> amp_b * exp(i phi)."""
+    if not math.isfinite(phi_rad):
+        raise ValueError("phase must be finite")
+    return PathState(state.amp_a, state.amp_b * cmath.exp(1j * phi_rad))
+
+
+def detection_probabilities(state: PathState, visibility: float) -> tuple[float, float]:
+    """Click probabilities (p_D0, p_D1) after recombination at effective visibility V.
+
+    p_D0 = (|a|^2 + |b|^2)/2 + V * Re(a conj(b)); p_D1 = 1 - p_D0. Equals
+    the Born rule on beam_splitter output at V = 1; V < 1 scales only the
+    interference cross term, leaving a which-path mixture at V = 0.
+    """
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError(f"visibility must be in [0, 1], got {visibility!r}")
+    p0 = state.norm_squared() / 2.0 + visibility * (state.amp_a * state.amp_b.conjugate()).real
+    # clamp: fp roundoff can push the ideal points a few ulp outside [0, 1]
+    p0 = min(1.0, max(0.0, p0))
+    return p0, 1.0 - p0
+
+
+# --- other oracles ------------------------------------------------------------
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 

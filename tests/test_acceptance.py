@@ -25,12 +25,11 @@ from gvqkd.analysis import (
 )
 from gvqkd.cli import EXIT_OK, main
 from gvqkd.config import load_config
-from gvqkd.optics import beam_splitter
 from gvqkd.protocol import run_session, sift_transcript
 from gvqkd.streams import stream
 
 from helpers import ideal_config, noisy_config, run_and_sift
-from oracles import binomial_sigma
+from oracles import beam_splitter, binomial_sigma
 from test_optics import random_states
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"

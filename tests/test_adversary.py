@@ -13,11 +13,11 @@ from gvqkd.adversary import (
     eve_information,
 )
 from gvqkd.analysis import Decision, default_anomaly_threshold, detect_eavesdropping
-from gvqkd.optics import STATE_MODE_A, STATE_MODE_B, PathState, link_states
+from gvqkd.optics import STATE_MODE_A, STATE_MODE_B
 from gvqkd.protocol import run_session
 
 from helpers import ideal_config, run_and_sift
-from oracles import binomial_sigma
+from oracles import PathState, binomial_sigma, link_states
 
 
 class TestStrategy:

@@ -102,6 +102,17 @@ class TestFringeScan:
         with pytest.raises(ValueError):
             fringe_scan(config, 0, (0.0, 1624.0), 5, 0, rng)
 
+    @pytest.mark.parametrize("span", [(0.0, 1e308), (1e307, 1e308)])
+    def test_rejects_a_span_whose_phases_overflow(self, span):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            fringe_scan(ideal_config(), 0, span, 5, 100, np.random.default_rng(6))
+
+    @pytest.mark.parametrize("source_bit", [2, 3, -1, None])
+    def test_rejects_a_source_bit_that_is_not_a_bit(self, source_bit):
+        # the link-state table has rows past the two encodings; a scan must not index them
+        with pytest.raises(ValueError, match="source_bit must be 0 or 1"):
+            fringe_scan(ideal_config(), source_bit, (0.0, 1624.0), 5, 100, np.random.default_rng(6))
+
 
 class TestFringeScanAgainstReference:
     @pytest.mark.parametrize("source_bit", [0, 1])

@@ -1,24 +1,41 @@
-"""Core state algebra: preparation, recombination, phase, detection."""
+"""The scalar state algebra (the spec, kept in oracles) and the amplitude arrays of gvqkd.optics held to it."""
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gvqkd.adversary import STORE_FORWARD_P0, WHICH_PATH_P_A
+from gvqkd.analysis import fringe_scan
+from gvqkd.config import load_config
 from gvqkd.optics import (
+    LINK_STATES,
+    STATE_MODE_A,
+    STATE_MODE_B,
+    canonical_phase,
+    detection_p0,
+    phase_from_path_length,
+)
+from gvqkd.streams import stream
+
+from oracles import (
     PathState,
     apply_phase,
     beam_splitter,
-    canonical_phase,
+    born_probabilities,
     detection_probabilities,
+    hadamard_apply,
+    link_states,
     make_state,
-    phase_from_path_length,
+    overlap,
+    reference_fringe_scan,
 )
 
-from oracles import born_probabilities, hadamard_apply, overlap
-
 TOL = 1e-12
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_states(count: int, seed: int = 123) -> list[PathState]:
@@ -194,3 +211,53 @@ class TestDetectionProbabilities:
             with pytest.raises(ValueError):
                 detection_probabilities(make_state(0), bad)
 
+
+def amplitudes(states: list[PathState]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([s.amp_a for s in states]), np.array([s.amp_b for s in states])
+
+
+class TestArraysAgainstTheSpec:
+    def test_link_state_rows_are_the_spec_states(self):
+        assert LINK_STATES.shape == (4, 2)
+        for row, state in zip(LINK_STATES.tolist(), link_states()):
+            assert row == [state.amp_a, state.amp_b]
+        assert link_states()[STATE_MODE_A] == PathState(1.0, 0.0)
+        assert link_states()[STATE_MODE_B] == PathState(0.0, 1.0)
+
+    @pytest.mark.parametrize("visibility", [0.0, 0.3, 0.855, 1.0])
+    def test_detection_p0_equals_the_scalar_rule_bit_for_bit(self, visibility):
+        states = random_states(1000)
+        expected = [detection_probabilities(s, visibility)[0] for s in states]
+        assert detection_p0(*amplitudes(states), visibility).tolist() == expected
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+    def test_detection_p0_rejects_bad_visibility(self, bad):
+        with pytest.raises(ValueError, match=r"visibility must be in \[0, 1\]"):
+            detection_p0(LINK_STATES[:, 0], LINK_STATES[:, 1], bad)
+
+    def test_ideal_detection_p0_is_the_born_rule_on_port_a(self):
+        states = random_states(1000, seed=77)
+        p0 = detection_p0(*amplitudes(states), 1.0)
+        assert ((0.0 <= p0) & (p0 <= 1.0)).all()
+        born = [abs(beam_splitter(s).amp_a) ** 2 for s in states]
+        np.testing.assert_allclose(p0, born, rtol=0.0, atol=TOL)
+
+    def test_attack_tables_equal_the_spec_bit_for_bit(self):
+        # Eve's draws compare against these, so a last-bit change would move them
+        assert STORE_FORWARD_P0.tolist() == [abs(beam_splitter(s).amp_a) ** 2 for s in link_states()]
+        assert WHICH_PATH_P_A.tolist() == [abs(s.amp_a) ** 2 for s in link_states()]
+
+    @pytest.mark.parametrize("source_bit", [0, 1])
+    @pytest.mark.parametrize("name", ["attack_demo", "ideal", "measured_s0", "measured_s1"])
+    def test_fringe_scan_equals_the_per_step_spec_on_shipped_configs(self, name, source_bit):
+        # the scan fringe-scan runs on this config: same steps, same counts, same generator state after
+        experiment = load_config(CONFIGS_DIR / f"{name}.cfg")
+        session = experiment.session
+        scan = (session, source_bit, (0.0, experiment.scan_span_nm), experiment.scan_steps, experiment.shots_per_step)
+        scan_rng = stream(session.seed, "fringe", run_index=source_bit)
+        reference_rng = stream(session.seed, "fringe", run_index=source_bit)
+        delta_l, counts = fringe_scan(*scan, scan_rng)
+        ref_delta_l, ref_counts = reference_fringe_scan(*scan, reference_rng)
+        assert delta_l.tolist() == ref_delta_l
+        assert [tuple(row) for row in counts.tolist()] == ref_counts
+        assert scan_rng.random() == reference_rng.random()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from gvqkd.adversary import AttackStrategy
 from gvqkd.devices import DetectorParams, SourceParams
-from gvqkd.optics import PathState, detection_probabilities, link_states, make_state
 from gvqkd.protocol import (
     Match,
     SessionConfig,
@@ -29,7 +28,16 @@ from gvqkd.protocol import (
 )
 
 from helpers import ideal_config, noisy_config, run_and_sift
-from oracles import binomial_sigma, gaussian_two_sided_tail, reference_timing_test, reference_transcript_csv
+from oracles import (
+    PathState,
+    binomial_sigma,
+    detection_probabilities,
+    gaussian_two_sided_tail,
+    link_states,
+    make_state,
+    reference_timing_test,
+    reference_transcript_csv,
+)
 
 TRANSCRIPT_COLUMNS = ("t_s", "bit", "t_r", "detector", "eve_guess")
 
