@@ -1,9 +1,9 @@
 """Flat key = value scenario files -> validated run configuration.
 
-Format: UTF-8 text, one `key = value` per line, blank lines and `#`
-comments (full-line or trailing) ignored. Unknown keys, malformed lines,
-duplicate keys and out-of-range values are rejected with a message naming
-the offending key. Every key is optional.
+Format: UTF-8 text, one `key = value` per line, blank lines, a leading
+byte-order mark and `#` comments (full-line or trailing) ignored. Unknown
+keys, malformed lines, duplicate keys and out-of-range values are rejected
+with a message naming the offending key. Every key is optional.
 
 KEYS maps each key, in the README's order, to the dataclass field it sets (a
 shared key: a pair). A key's text parses as its field's type, int or float;
@@ -209,7 +209,7 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     if not file_path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        text = file_path.read_text(encoding="utf-8")
+        text = file_path.read_text(encoding="utf-8").removeprefix("\ufeff")  # utf-8-sig's error offsets skip the BOM
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
     return build_experiment(parse_flat(text))

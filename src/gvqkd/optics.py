@@ -44,11 +44,15 @@ def detection_p0(amp_a: np.ndarray, amp_b: np.ndarray, visibility: float) -> np.
     return np.clip(p0, 0.0, 1.0)
 
 
-def phase_from_path_length(delta_l_nm: float, wavelength_nm: float) -> float:
-    """Interferometric phase of a path-length difference: 2 pi delta_l / lambda."""
+def phase_from_path_length(delta_l_nm: float | np.ndarray, wavelength_nm: float) -> float | np.ndarray:
+    """Interferometric phase of a path-length difference, elementwise over an array: 2 pi delta_l / lambda."""
     if wavelength_nm <= 0:
         raise ValueError("wavelength must be positive")
-    return 2.0 * math.pi * delta_l_nm / wavelength_nm
+    with np.errstate(over="ignore"):  # an overflowed phase is rejected below, before a caller's exp or cos sees it
+        phase = 2.0 * math.pi * delta_l_nm / wavelength_nm
+    if not np.isfinite(phase).all():
+        raise ValueError("phase must be finite")
+    return phase
 
 
 def canonical_phase(phi_rad: float) -> float:

@@ -161,11 +161,6 @@ class SiftResult:
         return self.matched - int(np.count_nonzero(self.disclosed_mask))
 
 
-def detection_table(visibility: float) -> np.ndarray:
-    """P(D0) of each link state at effective visibility V: optics' detection rule, of which the engine keeps no copy."""
-    return detection_p0(LINK_STATES[:, 0], LINK_STATES[:, 1], visibility)
-
-
 def bob_receive(
     state: np.ndarray, arrival_ps: np.ndarray, config: SessionConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +171,7 @@ def bob_receive(
     visibility. Draws one detector choice per photon, then the detector's
     efficiency and jitter draws.
     """
-    p0 = detection_table(config.visibility)[state]
+    p0 = detection_p0(LINK_STATES[:, 0], LINK_STATES[:, 1], config.visibility)[state]
     detector = (rng.random(state.size) >= p0).astype(np.int64)
     hit, t_click = detector_click(arrival_ps, config.signal_detector, rng)
     return detector[hit], t_click

@@ -181,7 +181,7 @@ class TestFitFringe:
 
     def test_rejects_phases_that_overflow(self):
         # 2 pi dl / lambda is inf at dl = 1e308: rejected before cos, with no RuntimeWarning
-        with pytest.raises(ValueError, match="finite phases"):
+        with pytest.raises(ValueError, match="phase must be finite"):
             fit_fringe(np.linspace(0.0, 1e308, 5), np.full((5, 2), 100.0), WAVELENGTH)
 
     def test_rejects_rank_deficient_design(self):

@@ -181,143 +181,263 @@ BAD_VALUES = {
 }
 
 
+def bad_value_cases(key: str) -> dict[str, str]:
+    """value -> message: the key's BAD_VALUES entry, and the values its type cannot parse or take."""
+    bad, rule = BAD_VALUES[key]
+    cases = {bad: f"{key}: {rule}"}
+    if key in INT_KEYS:
+        cases["2.5"] = f"{key}: not an integer: '2.5'"
+    elif key == "source_bit":
+        cases["2"] = f"{key}: {rule}"
+    else:
+        cases["fast"] = f"{key}: not a number: 'fast'"
+        cases.update({value: f"{key}: must be finite" for value in ("nan", "inf", "-inf")})
+    return cases
+
+
+def rejected(scenario: str | bytes | None, message: str, *argv: str, prefix=False, leaves=None, id: str):
+    """One row of REJECTED.
+
+    scenario: the file's text, its raw bytes, or None for a --config naming no file. message: the text after
+    "config error: ", with {cfg} for the file's path; with prefix, only its start. argv: the subcommand and its
+    options (default transmit). leaves: the files a rejection at run time leaves in --out (None: no --out).
+    """
+    return pytest.param(scenario, argv or ("transmit",), message, prefix, leaves, id=id)
+
+
+ATTACK_NONE = ("attack-demo", "--attack", "none")
+STORE_FORWARD = ("attack-demo", "--attack", "store-forward")
 # the derived accept window is the 1 ps floor: jitter-free, and with 3 sigma = 0.42 ps
 SUB_PICOSECOND_TAU = FAST_SCENARIO + "travel_time = 0.5\ntau = 0.9\n"
-SUB_PICOSECOND_TAUS = (SUB_PICOSECOND_TAU, SUB_PICOSECOND_TAU.replace("jitter = 0\n", "jitter = 0.1\n"))
-# tau and a given window share one floor, the 1 ps stamp resolution
-SUB_PICOSECOND_TAU_ERROR = "tau: must be >= 1"
-SUB_PICOSECOND_WINDOW_ERROR = "accept_window: must be >= 1"
+SUB_PICOSECOND_TAUS = {
+    "jitter-free": SUB_PICOSECOND_TAU,
+    "jitter 0.1": SUB_PICOSECOND_TAU.replace("jitter = 0\n", "jitter = 0.1\n"),
+}
+UNSCANNED = FAST_SCENARIO.replace("scan_steps = 9\n", "")
+FIT_RULE = "scan_span: must give a scan the fit can use at scan_steps = "
+SHORT_SCAN = "(fringe fit needs a scan spanning at least one period)"
+ILL_CONDITIONED = "(degenerate fringe fit: condition number "
+# one photon a step
+SPARSE_SCAN_SCENARIO = UNSCANNED.replace("shots_per_step = 200", "scan_steps = 4\nscan_span = 1624\nshots_per_step = 1")
+WIDE_WINDOW = "accept_window: must be <= tau = "
+DENSE_SENDS = "pair_rate: must keep 2 * accept_window * send rate <= 0.01, got "
+DRAW_RULE = "must keep (pair_rate + 2 * dark_rate) * duration <= 8388608, got "
 
-
-def at_the_floor(scenario: str) -> str:
-    """The scenario with tau at the 1 ps floor, which loads, and a window below it."""
-    return scenario.replace("tau = 0.9\n", "tau = 1\n") + "accept_window = 0.5\n"
-
-
-def rejection_message(values: dict[str, str]) -> str:
-    with pytest.raises(ConfigError) as info:
-        build_experiment(values)
-    return str(info.value)
-
-
-class TestRejection:
-    @pytest.mark.parametrize("key", list(KEYS))
-    def test_every_key_names_itself(self, key):
-        bad, rule = BAD_VALUES[key]
-        cases = {bad: f"{key}: {rule}"}
-        if key in INT_KEYS:
-            cases["2.5"] = f"{key}: not an integer: '2.5'"
-        elif key == "source_bit":
-            cases["2"] = f"{key}: {rule}"
-        else:
-            cases["fast"] = f"{key}: not a number: 'fast'"
-            cases.update({value: f"{key}: must be finite" for value in ("nan", "inf", "-inf")})
-        for value, message in cases.items():
-            assert rejection_message({key: value}) == message
-
-    def test_unused_shared_jitter_is_still_checked(self):
-        values = {"jitter": "-1", "herald_jitter": "100", "signal_jitter": "100"}
-        assert rejection_message(values) == "jitter: must be >= 0"
-        values = {"visibility": "1.5", "visibility_d0": "0.9", "visibility_d1": "0.9"}
-        assert rejection_message(values) == "visibility: must be in [0, 1]"
-
-    @pytest.mark.parametrize(
-        "values, key",
-        [
-            ({"dark_rate": "-1", "pair_rate": "-1"}, "pair_rate"),  # source before detector
-            ({"tau": "0", "dark_rate": "-1"}, "dark_rate"),  # detector before session
-            ({"runs": "0", "dark_rate": "-1"}, "dark_rate"),  # detector before experiment
-            ({"scan_steps": "1", "pair_rate": "fast"}, "pair_rate"),  # parsing before ranges
-            ({"tau": "1000", "duration": "0"}, "duration"),  # a session's ranges before its tau > T
-            ({"accept_window": "5000", "runs": "0"}, "runs"),  # an experiment's ranges before its w <= tau
-            ({"pair_rate": "-1", "tau": "nan"}, "pair_rate"),  # a non-finite value is a range error, in order
-            ({"extra_delay": "0", "accept_window": "5000"}, "extra_delay"),  # extra_delay's range before w <= tau
-            ({"runs": "0", "extra_delay": "0"}, "extra_delay"),  # attack before experiment
-        ],
-    )
-    def test_first_invalid_key_in_construction_order(self, values, key):
-        assert rejection_message(values).startswith(f"{key}:")
-
-    def test_short_scan_names_the_fit_rule(self):
-        # fringe_design alone decides which scans the fit can use, span included
-        assert rejection_message({"scan_span": "811.9"}) == (
-            "scan_span: must give a scan the fit can use at scan_steps = 41"
-            " (fringe fit needs a scan spanning at least one period)"
+# Every scenario a command must refuse, each checked end to end through main; a new load rule is one more row.
+REJECTED = [
+    *(
+        rejected(f"{key} = {value}\n", message, *argv, id=f"{key} = {value}, {argv[0]}")
+        for key in BAD_VALUES
+        for value, message in bad_value_cases(key).items()
+        for argv in (("transmit",), ("fringe-scan",), ATTACK_NONE)
+    ),
+    # a shared key is checked under its own name, also when each of its fields is given
+    rejected("jitter = -1\nherald_jitter = 100\nsignal_jitter = 100\n", "jitter: must be >= 0", id="unused jitter"),
+    rejected(
+        "visibility = 1.5\nvisibility_d0 = 0.9\nvisibility_d1 = 0.9\n",
+        "visibility: must be in [0, 1]",
+        id="unused visibility",
+    ),
+    # the first invalid key in construction order is the one named
+    rejected("dark_rate = -1\npair_rate = -1\n", "pair_rate:", prefix=True, id="source before detector"),
+    rejected("tau = 0\ndark_rate = -1\n", "dark_rate:", prefix=True, id="detector before session"),
+    rejected("runs = 0\ndark_rate = -1\n", "dark_rate:", prefix=True, id="detector before experiment"),
+    rejected("scan_steps = 1\npair_rate = fast\n", "pair_rate:", prefix=True, id="parsing before ranges"),
+    rejected("tau = 1000\nduration = 0\n", "duration:", prefix=True, id="session ranges before tau > T"),
+    rejected("accept_window = 5000\nruns = 0\n", "runs:", prefix=True, id="experiment ranges before w <= tau"),
+    # a non-finite value is a range error, in order
+    rejected("pair_rate = -1\ntau = nan\n", "pair_rate:", prefix=True, id="non-finite value in order"),
+    rejected("extra_delay = 0\naccept_window = 5000\n", "extra_delay:", prefix=True, id="extra_delay before w <= tau"),
+    rejected("runs = 0\nextra_delay = 0\n", "extra_delay:", prefix=True, id="attack before experiment"),
+    rejected("visibility = 1.5\nruns = 0\n", "visibility: must be in [0, 1]", id="session before runs"),
+    # fringe_design alone decides which scans the fit can use, span included
+    rejected("scan_span = 811.9\n", f"{FIT_RULE}41 {SHORT_SCAN}", id="short scan"),
+    # a file that still sets the retired coherence_window key must not run
+    *(
+        rejected(FAST_SCENARIO + f"{key} = 10\n", f"unknown config key {key}", id=f"unknown key {key}")
+        for key in ("tilt", "coherence_window")
+    ),
+    rejected("tau = 2000\njust words\n", "line 2: expected 'key = value', got 'just words'", id="malformed line"),
+    *(
+        rejected(f"tau = 2000\n{line}\n", f"line 2: expected 'key = value', got {line.strip()!r}", id=f"line {line!r}")
+        for line in ("seed =", "= 5", " = ")
+    ),
+    rejected("tau = 2000\ntau = 2500\n", "duplicate config key tau", id="duplicate key"),
+    # tau = 500 ps is inside the timing noise at 300 ps jitters; with T below tau, the jitter rule is what rejects it
+    rejected("tau = 500\n", "tau: must be > travel time T = 1000.0 ps, got 500.0", id="tau inside the jitter"),
+    rejected(
+        "tau = 500\ntravel_time = 400\n",
+        "tau: must be >= 3*combined jitter = 1272.8 ps, got 500.0",
+        id="tau inside the jitter, T below it",
+    ),
+    # tau <= T breaks the scheme's premise, whatever the jitter
+    rejected("jitter = 0\ntau = 1000\n", "tau: must be > travel time T = 1000.0 ps, got 1000.0", id="tau = T"),
+    rejected("jitter = 0\ntau = 999\n", "tau: must be > travel time T = 1000.0 ps, got 999.0", id="tau = 999"),
+    rejected("jitter = 0\ntravel_time = 2000\n", "tau: must be > travel time T = 2000.0 ps, got 2000.0", id="T = tau"),
+    rejected("jitter = 0\ntravel_time = 2500\n", "tau: must be > travel time T = 2500.0 ps, got 2000.0", id="T = 2500"),
+    # a store-forward photon is at least tau late; a wider window passes it
+    rejected("accept_window = 2000.001\n", f"{WIDE_WINDOW}2000.0 ps, got 2000.001", id="window 2000.001"),
+    rejected("accept_window = 5000\njitter = 0\n", f"{WIDE_WINDOW}2000.0 ps, got 5000.0", id="window 5000 jitter-free"),
+    rejected("tau = 1500\naccept_window = 1600\n", f"{WIDE_WINDOW}1500.0 ps, got 1600.0", id="window 1600, tau 1500"),
+    # the window that let store-forward pass as Clean with Eve at 1 bit
+    rejected(
+        FAST_SCENARIO + "accept_window = 5000\n",
+        f"{WIDE_WINDOW}2000.0 ps, got 5000.0",
+        *STORE_FORWARD,
+        id="window 5000, store-forward",
+    ),
+    # the greedy matcher could hand a receive to a neighbouring send (the default window is 3 * sqrt(2) * 300 ps);
+    # 0.01 s keeps the sessions small. TestLoadsAtTheEdge loads the sparser neighbour of each.
+    rejected("pair_rate = 4e6\nduration = 0.01\n", f"{DENSE_SENDS}0.0102", id="dense sends 4e6"),
+    rejected("pair_rate = 8e6\nheralding_efficiency = 0.5\nduration = 0.01\n", f"{DENSE_SENDS}0.0102", id="8e6 at 0.5"),
+    rejected("pair_rate = 2.6e6\naccept_window = 2e3\nduration = 0.01\n", f"{DENSE_SENDS}0.0104", id="2.6e6, w = tau"),
+    # the derived window is 1.0 ps: the message names tau, not the accept_window nobody set; tau and a given
+    # window share one floor, the 1 ps stamp resolution (tau at the floor loads: TestLoadsAtTheEdge)
+    *(rejected(text, "tau: must be >= 1", id=f"sub-ps tau, {name}") for name, text in SUB_PICOSECOND_TAUS.items()),
+    *(
+        rejected(
+            text.replace("tau = 0.9\n", "tau = 1\n") + "accept_window = 0.5\n",
+            "accept_window: must be >= 1",
+            id=f"sub-ps window at tau = 1, {name}",
         )
+        for name, text in SUB_PICOSECOND_TAUS.items()
+    ),
+    rejected(None, "config file not found: {cfg}", id="missing file"),
+    rejected("# café\nseed = 5\n".encode("latin-1"), "config file {cfg} is not UTF-8: ", prefix=True, id="not UTF-8"),
+    rejected("visibility = 2\n", "visibility: must be in [0, 1]", id="visibility = 2"),
+    rejected(FAST_SCENARIO, "seed: must be >= 0", "transmit", "--seed", "-1", id="--seed -1"),
+    # above 2**53 ps float64 spacing is 2 ps, so a stamp there is not whole-ps exact
+    rejected(
+        FAST_SCENARIO + "tau = 1e16\n",
+        "tau: must keep duration + T + 6*tau below 2**52 ps, got 6.0001e+16 ps",
+        id="stamps past 2**52 ps, tau",
+    ),
+    rejected(
+        FAST_SCENARIO + "extra_delay = 1e17\n",
+        "extra_delay: must be in (0, 2**52)",
+        *STORE_FORWARD,
+        id="stamps past 2**52 ps, extra_delay",
+    ),
+    # a delay that is no number at all stamps nothing
+    rejected(FAST_SCENARIO + "extra_delay = nan\n", "extra_delay: must be finite", *STORE_FORWARD, id="delay nan"),
+    # at the default jitters sigma = 424.26 ps, and 3 erfc(w / (sigma sqrt 2)) is 1.0016 at w = 410 ps
+    *(
+        rejected(
+            f"duration = 0.1\naccept_window = {window}\n",
+            f"accept_window: must keep the derived anomaly threshold below 1, got {got} at {window}.0 ps"
+            " (widen it or give anomaly_threshold)",
+            *ATTACK_NONE,
+            id=f"window {window} too narrow for the derived threshold",
+        )
+        for window, got in [("1", "2.994"), ("300", "1.439"), ("410", "1.002")]
+    ),
+    # 15.6e9 emissions asked for 116 GiB, and 1e10 dark counts for 37.3 GiB: both exited 1
+    rejected("pair_rate = 3.9e6\nduration = 4000\nruns = 1\n", f"pair_rate: {DRAW_RULE}1.56e+10", id="emissions"),
+    rejected("dark_rate = 1e9\nduration = 5\nruns = 1\n", f"dark_rate: {DRAW_RULE}1e+10", id="dark-counts"),
+    # one pair a second past 2**23 expected draws (TestLoadsAtTheEdge loads the top)
+    rejected("pair_rate = 2097153\nduration = 4\n", f"pair_rate: {DRAW_RULE}8.39e+06", id="one past the draw top"),
+    # scans the fit cannot use; counts past int64 failed in numpy (linspace, binomial), and past a float's range in
+    # the finiteness test; the loader could not build some grids (2**63 - 1: an IndexError in np.linspace;
+    # 10**11: 745 GiB) or reported them under scan_span
+    *(
+        rejected(
+            UNSCANNED.replace("shots_per_step = 200\n", "") + f"{key} = {value}\n",
+            f"{key}: must be {key_rule(key)}",
+            "fringe-scan",
+            id=f"fringe-scan {key} = {label}",
+        )
+        for key, value, label in [
+            ("scan_steps", 3, "3"),
+            ("scan_steps", 2, "2"),
+            ("scan_steps", 2**63, "2**63"),
+            ("scan_steps", 10**30, "10**30"),
+            ("scan_steps", 2**63 - 1, "2**63 - 1"),
+            ("scan_steps", 10**11, "10**11"),
+            ("scan_steps", 2**62, "2**62"),
+            ("scan_steps", 2**16 + 1, "2**16 + 1"),
+            ("scan_steps", 10**400, "10**400"),
+            ("shots_per_step", 2**63, "2**63"),
+            ("shots_per_step", 10**400, "10**400"),
+        ]
+    ),
+    *(
+        rejected(
+            UNSCANNED + lines, FIT_RULE + rule, "fringe-scan", prefix=ILL_CONDITIONED in rule, id=f"fringe-scan {why}"
+        )
+        for lines, rule, why in [
+            ("scan_steps = 5\n", f"5 {ILL_CONDITIONED}", "steps lambda/2 apart: every phase a multiple of pi, rank 2"),
+            ("scan_span = 100\n", f"41 {SHORT_SCAN}", "shorter than one wavelength"),
+            ("scan_span = 811.9\n", f"41 {SHORT_SCAN}", "811.9"),
+            ("wavelength = 1000\nscan_span = 999\n", f"41 {SHORT_SCAN}", "999 at lambda = 1000"),
+            ("scan_span = 32480\n", f"41 {ILL_CONDITIONED}", "steps exactly lambda apart"),
+            ("scan_span = 1e308\n", "41 (phase must be finite)", "2 pi span / lambda overflows"),
+            # rank 3, but condition number 2.1e6: the fit failed on seeds 1-3
+            ("scan_steps = 5\nscan_span = 19488.547\n", f"5 {ILL_CONDITIONED}", "rank 3, ill-conditioned"),
+        ]
+    ),
+    # the scan passes the loader; one photon a step leaves a detector's fitted mean rate at 0. At seed 8, s0 fits
+    # and then s1's D0 counts nothing.
+    *(
+        rejected(
+            SPARSE_SCAN_SCENARIO,
+            f"fringe-scan: source s{source}: degenerate fringe fit: D{detector}'s fitted mean rate is not positive"
+            " (raise shots_per_step, or spread the scan's phases)",
+            "fringe-scan",
+            "--seed",
+            str(seed),
+            leaves=leaves,
+            id=f"seed {seed}, s{source} D{detector}",
+        )
+        for seed, source, detector, leaves in [
+            (2, 0, 1, ["fringe_s0.csv"]),
+            (8, 1, 0, ["fringe_fit_s0.json", "fringe_s0.csv", "fringe_s1.csv"]),
+        ]
+    ),
+    # a session with no receives or no sends has no verdict; dark counts give receives but no sends
+    *(
+        rejected(
+            FAST_SCENARIO.replace("pair_rate = 400\n", "") + lines,
+            "attack-demo: no receives or no sends in the session, so no verdict (is pair_rate or an efficiency 0?)",
+            *ATTACK_NONE,
+            leaves=["transcript.csv"],
+            id="no verdict, " + lines.strip().replace("\n", "; "),
+        )
+        for lines in (
+            "pair_rate = 0\n",
+            "detector_efficiency = 0\n",
+            "heralding_efficiency = 0\n",
+            "pair_rate = 0\ndark_rate = 100\n",
+            "heralding_efficiency = 0\ndark_rate = 100\n",
+        )
+    ),
+]
 
-    def test_unknown_key(self, tmp_path, capsys):
-        # a file that still sets the retired coherence_window key must not run
-        for key in ("tilt", "coherence_window"):
-            with pytest.raises(ConfigError, match=f"^unknown config key {key}$"):
-                build_experiment({key: "3"})
-            cfg = tmp_path / f"{key}.cfg"
-            cfg.write_text(FAST_SCENARIO + f"{key} = 10\n", encoding="utf-8")
-            assert main(["transmit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-            assert capsys.readouterr().err == f"config error: unknown config key {key}\n"
 
-    def test_malformed_line_names_line_number(self):
-        with pytest.raises(ConfigError, match="line 2"):
-            parse_flat("tau = 2000\njust words\n")
+class TestRejectedScenarios:
+    def test_every_key_has_a_bad_value(self):
+        assert list(BAD_VALUES) == list(KEYS)
 
-    @pytest.mark.parametrize("line", ["seed =", "= 5", " = "])
-    def test_line_without_a_key_or_a_value(self, line):
-        with pytest.raises(ConfigError, match=rf"^line 2: expected 'key = value', got {re.escape(repr(line.strip()))}$"):
-            parse_flat(f"tau = 2000\n{line}\n")
+    @pytest.mark.parametrize("scenario, argv, message, prefix, leaves", REJECTED)
+    def test_exits_2_with_one_line(self, tmp_path, capsys, scenario, argv, message, prefix, leaves):
+        cfg, out_dir = tmp_path / "scenario.cfg", tmp_path / "out"
+        if isinstance(scenario, str):
+            cfg.write_text(scenario, encoding="utf-8")
+        elif scenario is not None:
+            cfg.write_bytes(scenario)
+        assert main([*argv, "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        line = "config error: " + message.replace("{cfg}", str(cfg))
+        if prefix:
+            assert err.startswith(line) and err.endswith("\n") and err.count("\n") == 1, err
+        else:
+            assert err == line + "\n"
+        assert (sorted(p.name for p in out_dir.iterdir()) if out_dir.exists() else None) == leaves
 
-    def test_duplicate_key(self):
-        with pytest.raises(ConfigError, match="duplicate config key tau"):
-            parse_flat("tau = 2000\ntau = 2500\n")
 
-    def test_first_invalid_key_is_named(self):
-        with pytest.raises(ConfigError, match="visibility: must be in"):
-            build_experiment({"visibility": "1.5", "runs": "0"})
-
-    def test_non_numeric_value(self):
-        with pytest.raises(ConfigError, match="pair_rate: not a number"):
-            build_experiment({"pair_rate": "fast"})
-
-    def test_bad_source_bit(self):
-        with pytest.raises(ConfigError, match="source_bit"):
-            build_experiment({"source_bit": "2"})
-
-    def test_cross_field_tau_versus_jitter(self):
-        # tau = 500 ps is inside the timing noise at 300 ps jitters
-        with pytest.raises(ConfigError, match="tau"):
-            build_experiment({"tau": "500"})
-
-    def test_cross_field_tau_versus_jitter_below_tau(self):
-        # with T below tau, the jitter rule is what rejects tau = 500 ps
-        message = rejection_message({"tau": "500", "travel_time": "400"})
-        assert message.startswith("tau: must be >= 3*combined jitter")
-
-    @pytest.mark.parametrize(
-        "values, got",
-        [
-            ({"tau": "1000"}, "T = 1000.0 ps, got 1000.0"),
-            ({"tau": "999"}, "T = 1000.0 ps, got 999.0"),
-            ({"travel_time": "2000"}, "T = 2000.0 ps, got 2000.0"),
-            ({"travel_time": "2500"}, "T = 2500.0 ps, got 2000.0"),
-        ],
-    )
-    def test_tau_not_above_travel_time(self, values, got):
-        # tau <= T breaks the scheme's premise, whatever the jitter
-        assert rejection_message({"jitter": "0", **values}) == f"tau: must be > travel time {got}"
-
+class TestLoadsAtTheEdge:
     def test_tau_just_above_travel_time_loads(self):
         session = build_experiment({"jitter": "0", "tau": "1000.001"}).session
         assert session.tau_ps > session.travel_time_ps == 1000.0
-
-    @pytest.mark.parametrize(
-        "values, got",
-        [
-            ({"accept_window": "2000.001"}, "2000.0 ps, got 2000.001"),
-            ({"accept_window": "5000", "jitter": "0"}, "2000.0 ps, got 5000.0"),
-            ({"tau": "1500", "accept_window": "1600"}, "1500.0 ps, got 1600.0"),
-        ],
-    )
-    def test_accept_window_wider_than_tau(self, values, got):
-        # a store-forward photon is at least tau late; a wider window passes it
-        assert rejection_message(values) == f"accept_window: must be <= tau = {got}"
 
     @pytest.mark.parametrize(
         "values",
@@ -325,74 +445,43 @@ class TestRejection:
             {"accept_window": "2000"},
             # tau = 3 sigma exactly: the derived window 3 sigma equals tau
             {"herald_jitter": "300", "signal_jitter": "400", "tau": "1500"},
+            # tau at the 1 ps floor, and the derived window is the floor
+            *({**parse_flat(text), "tau": "1"} for text in SUB_PICOSECOND_TAUS.values()),
         ],
     )
     def test_accept_window_equal_to_tau_loads(self, values):
         session = build_experiment(values).session
         assert session.accept_window_ps == session.tau_ps
 
-    @pytest.mark.parametrize(
-        "dense, sparser, got",
-        [
-            # the default window is 3 * sqrt(2) * 300 ps = 1272.8 ps
-            ({"pair_rate": "4e6"}, {"pair_rate": "3.9e6"}, "0.0102"),
-            (
-                {"pair_rate": "8e6", "heralding_efficiency": "0.5"},
-                {"pair_rate": "8e6", "heralding_efficiency": "0.45"},
-                "0.0102",
-            ),
-            # the sparser one is exactly at the bound
-            ({"pair_rate": "2.6e6", "accept_window": "2e3"}, {"pair_rate": "2.5e6", "accept_window": "2e3"}, "0.0104"),
-        ],
-    )
-    def test_dense_sends(self, dense, sparser, got):
-        # the greedy matcher could hand a receive to a neighbouring send; 0.01 s keeps the sessions small
-        message = f"pair_rate: must keep 2 * accept_window * send rate <= 0.01, got {got}"
-        assert rejection_message({**dense, "duration": "0.01"}) == message
-        build_experiment({**sparser, "duration": "0.01"})
-
-    def test_scan_steps_too_small(self):
-        with pytest.raises(ConfigError, match=re.escape("scan_steps: must be in [4, 2**16]")):
-            build_experiment({"scan_steps": "1"})
-
     def test_scan_steps_top_is_inside(self):
         assert build_experiment({"scan_steps": str(2**16)}).scan_steps == 2**16
 
-    def test_runs_too_small(self):
-        with pytest.raises(ConfigError, match="runs: must be >= 1"):
-            build_experiment({"runs": "0"})
+    def test_window_just_wide_enough_loads(self):
+        assert build_experiment({"accept_window": "411"}).resolved_anomaly_threshold() == pytest.approx(0.998, abs=1e-3)
+        # a given threshold takes the derived one's place, so the rule does not apply
+        assert build_experiment({"accept_window": "1", "anomaly_threshold": "0.5"}).resolved_anomaly_threshold() == 0.5
 
-    def test_missing_file(self):
-        with pytest.raises(ConfigError, match="not found"):
-            load_config("/nonexistent/scenario.cfg")
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # the sparser neighbour of each dense-send row of REJECTED; the last is exactly at the bound
+            {"pair_rate": "3.9e6", "duration": "0.01"},
+            {"pair_rate": "8e6", "heralding_efficiency": "0.45", "duration": "0.01"},
+            {"pair_rate": "2.5e6", "accept_window": "2e3", "duration": "0.01"},
+            # 2**23 expected draws, emissions or dark counts on the two detectors
+            {"pair_rate": "2097152", "duration": "4"},
+            {"pair_rate": "0", "dark_rate": "4194304", "duration": "1"},
+        ],
+    )
+    def test_a_session_at_a_size_top_loads(self, values):
+        build_experiment(values)
 
-    def test_wide_accept_window_in_a_scenario_file(self, tmp_path):
-        path = tmp_path / "wide.cfg"
-        path.write_text(FAST_SCENARIO + "accept_window = 5000\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match=r"^accept_window: must be <= tau = 2000.0 ps, got 5000.0$"):
-            load_config(path)
-
-    def test_tau_below_the_jitter_free_default_window(self, tmp_path):
-        # the derived window is 1.0 ps: the message names tau, not the accept_window nobody set
-        path = tmp_path / "short.cfg"
-        for scenario in SUB_PICOSECOND_TAUS:
-            path.write_text(scenario, encoding="utf-8")
-            with pytest.raises(ConfigError, match=rf"^{re.escape(SUB_PICOSECOND_TAU_ERROR)}$"):
-                load_config(path)
-            # tau at the floor loads, with the derived window equal to it
-            path.write_text(scenario.replace("tau = 0.9\n", "tau = 1\n"), encoding="utf-8")
-            session = load_config(path).session
-            assert session.accept_window_ps == session.tau_ps == 1.0
-            # an explicit window below the same floor is rejected too
-            path.write_text(at_the_floor(scenario), encoding="utf-8")
-            with pytest.raises(ConfigError, match=rf"^{re.escape(SUB_PICOSECOND_WINDOW_ERROR)}$"):
-                load_config(path)
-
-    def test_file_that_is_not_utf8(self, tmp_path):
-        path = tmp_path / "latin1.cfg"
-        path.write_bytes("# caf\u00e9\nseed = 5\n".encode("latin-1"))
-        with pytest.raises(ConfigError, match=f"^config file {re.escape(str(path))} is not UTF-8: "):
-            load_config(path)
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path):
+        # it read as part of the first key: "unknown config key \ufeffseed"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text("seed = 7\nruns = 2\n", encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_config(marked) == load_config(plain)
 
 
 class TestLibraryConstruction:
@@ -728,78 +817,6 @@ class TestFringeScanCommand:
         main(["fringe-scan", "--config", str(fast_config), "--out", str(out_b)])
         assert read_tree(out_a) == read_tree(out_b)
 
-    @pytest.mark.parametrize(
-        "lines, key",
-        [
-            ("scan_steps = 3", "scan_steps"),
-            ("scan_steps = 2", "scan_steps"),
-            # counts past int64 failed in numpy (linspace, binomial), and past a float's range in the finiteness test
-            ("scan_steps = 9223372036854775808", "scan_steps"),
-            ("scan_steps = 1000000000000000000000000000000", "scan_steps"),
-            # grids the loader could not build (IndexError, 745 GiB) or reported under scan_span
-            ("scan_steps = 9223372036854775807", "scan_steps"),
-            ("scan_steps = 100000000000", "scan_steps"),
-            ("scan_steps = 4611686018427387904", "scan_steps"),
-            ("scan_steps = 65537", "scan_steps"),
-            pytest.param("scan_steps = 1" + "0" * 400, "scan_steps", id="scan_steps = 10**400-scan_steps"),
-            ("shots_per_step = 9223372036854775808", "shots_per_step"),
-            pytest.param(
-                "shots_per_step = 1" + "0" * 400, "shots_per_step", id="shots_per_step = 10**400-shots_per_step"
-            ),
-        ],
-    )
-    def test_scan_the_fit_cannot_use_exits_2(self, tmp_path, capsys, lines, key):
-        cfg = tmp_path / "bad.cfg"
-        scenario = FAST_SCENARIO.replace("scan_steps = 9\n", "").replace("shots_per_step = 200\n", "")
-        cfg.write_text(scenario + lines + "\n", encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: {key}: must be {key_rule(key)}\n"
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "scan_steps = 5",  # steps lambda/2 apart: every phase a multiple of pi, so the design has rank 2
-            "scan_span = 100",  # shorter than one wavelength
-            "scan_span = 811.9",
-            "wavelength = 1000\nscan_span = 999",
-            "scan_span = 32480",  # steps exactly lambda apart
-            "scan_span = 1e308",  # 2 pi span / lambda overflows
-            "scan_steps = 5\nscan_span = 19488.547",  # rank 3, but condition number 2.1e6: the fit failed on seeds 1-3
-        ],
-    )
-    def test_scan_the_fit_cannot_solve_exits_2(self, tmp_path, capsys, line):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(FAST_SCENARIO.replace("scan_steps = 9\n", "") + line + "\n", encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("config error: scan_span: must give a scan the fit can use at scan_steps = ")
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize(
-        "seed, source, detector, written",
-        [
-            pytest.param(2, 0, 1, ["fringe_s0.csv"], id="seed 2, s0 D1"),
-            # s0 fits; then s1's D0 counts nothing
-            pytest.param(8, 1, 0, ["fringe_fit_s0.json", "fringe_s0.csv", "fringe_s1.csv"], id="seed 8, s1 D0"),
-        ],
-    )
-    def test_a_fit_without_a_mean_rate_exits_2(self, tmp_path, capsys, seed, source, detector, written):
-        # the scan passes the loader; one photon a step leaves a detector's fitted mean rate at 0
-        cfg = tmp_path / "sparse.cfg"
-        scenario = FAST_SCENARIO.replace("scan_steps = 9\n", "scan_steps = 4\nscan_span = 1624\n")
-        cfg.write_text(scenario.replace("shots_per_step = 200\n", "shots_per_step = 1\n"), encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir), "--seed", str(seed)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            f"config error: fringe-scan: source s{source}: degenerate fringe fit: D{detector}'s fitted mean rate "
-            "is not positive (raise shots_per_step, or spread the scan's phases)\n"
-        )
-        assert sorted(p.name for p in out_dir.iterdir()) == written
-
     def test_smallest_scan_the_fit_can_use(self, tmp_path):
         cfg = tmp_path / "edge.cfg"
         scenario = FAST_SCENARIO.replace("scan_steps = 9\n", "") + "scan_steps = 4\nscan_span = 812\n"
@@ -877,148 +894,12 @@ class TestAttackDemoCommand:
         code = self.run(fast_config, tmp_path / "out", "store-forward")
         assert code == EXIT_OK
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "pair_rate = 0",
-            "detector_efficiency = 0",
-            "heralding_efficiency = 0",
-            # dark counts give receives but no sends
-            pytest.param("pair_rate = 0\ndark_rate = 100", id="pair_rate = 0, dark_rate = 100"),
-            pytest.param("heralding_efficiency = 0\ndark_rate = 100", id="heralding_efficiency = 0, dark_rate = 100"),
-        ],
-    )
-    def test_no_receives_exits_2_without_verdict(self, tmp_path, capsys, line):
-        cfg = tmp_path / "silent.cfg"
-        cfg.write_text(FAST_SCENARIO.replace("pair_rate = 400\n", "") + line + "\n", encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert self.run(cfg, out_dir, "none") == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("config error: attack-demo: no receives")
-        assert not (out_dir / "verdict.json").exists()
-
     def test_unknown_attack_rejected_by_parser(self, fast_config, tmp_path):
         with pytest.raises(SystemExit):
             self.run(fast_config, tmp_path / "out", "beamsplit")
 
 
-DRAW_RULE = "must keep (pair_rate + 2 * dark_rate) * duration"
-
-
 class TestExitCodes:
-    def test_config_error_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("visibility = 2\n", encoding="utf-8")
-        code = main(["transmit", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == EXIT_CONFIG
-        assert "config error: visibility" in capsys.readouterr().err
-
-    def test_missing_config_file_exits_2(self, tmp_path, capsys):
-        code = main(["transmit", "--config", str(tmp_path / "no.cfg"), "--out", str(tmp_path / "out")])
-        assert code == EXIT_CONFIG
-        assert "not found" in capsys.readouterr().err
-
-    def test_negative_seed_override_exits_2(self, fast_config, tmp_path, capsys):
-        code = main(["transmit", "--config", str(fast_config), "--out", str(tmp_path / "out"), "--seed", "-1"])
-        assert code == EXIT_CONFIG
-        assert "seed" in capsys.readouterr().err
-
-    def test_accept_window_wider_than_tau_exits_2(self, tmp_path, capsys):
-        # the window that let store-forward pass as Clean with Eve at 1 bit
-        cfg = tmp_path / "wide.cfg"
-        cfg.write_text(FAST_SCENARIO + "accept_window = 5000\n", encoding="utf-8")
-        out_dir = tmp_path / "out"
-        argv = ["attack-demo", "--config", str(cfg), "--out", str(out_dir), "--attack", "store-forward"]
-        assert main(argv) == EXIT_CONFIG
-        assert capsys.readouterr().err == "config error: accept_window: must be <= tau = 2000.0 ps, got 5000.0\n"
-        assert not out_dir.exists()
-
-    def test_tau_below_the_jitter_free_default_window_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "short.cfg"
-        out_dir = tmp_path / "out"
-        for scenario in SUB_PICOSECOND_TAUS:
-            cfg.write_text(scenario, encoding="utf-8")
-            assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
-            assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_TAU_ERROR}\n"
-            assert not out_dir.exists()
-            cfg.write_text(at_the_floor(scenario), encoding="utf-8")
-            assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
-            assert capsys.readouterr().err == f"config error: {SUB_PICOSECOND_WINDOW_ERROR}\n"
-            assert not out_dir.exists()
-
-    @pytest.mark.parametrize(
-        "command, line, error",
-        [
-            (["transmit"], "tau = 1e16\n", "tau: must keep duration + T + 6*tau below 2**52 ps, got 6.0001e+16 ps"),
-            (
-                ["attack-demo", "--attack", "store-forward"],
-                "extra_delay = 1e17\n",
-                "extra_delay: must be in (0, 2**52)",
-            ),
-            # a delay that is no number at all stamps nothing
-            (["attack-demo", "--attack", "store-forward"], "extra_delay = nan\n", "extra_delay: must be finite"),
-        ],
-    )
-    def test_stamps_past_the_whole_ps_range_exit_2(self, tmp_path, capsys, command, line, error):
-        # above 2**53 ps float64 spacing is 2 ps, so a stamp there is not whole-ps exact
-        cfg = tmp_path / "far.cfg"
-        cfg.write_text(FAST_SCENARIO + line, encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert main([*command, "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: {error}\n"
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize("window", ["1", "300", "410"])
-    def test_window_too_narrow_for_the_derived_threshold_exits_2(self, tmp_path, capsys, window):
-        # at the default jitters sigma = 424.26 ps, and 3 erfc(w / (sigma sqrt 2)) is 1.0016 at w = 410 ps
-        cfg = tmp_path / "narrow.cfg"
-        cfg.write_text(f"duration = 0.1\naccept_window = {window}\n", encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert main(["attack-demo", "--config", str(cfg), "--out", str(out_dir), "--attack", "none"]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("config error: accept_window: must keep the derived anomaly threshold below 1, got ")
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize(
-        "lines, key, got",
-        [
-            # 15.6e9 emissions asked for 116 GiB, and 1e10 dark counts for 37.3 GiB: both exited 1
-            pytest.param("pair_rate = 3.9e6\nduration = 4000\n", "pair_rate", "1.56e+10", id="emissions"),
-            pytest.param("dark_rate = 1e9\nduration = 5\n", "dark_rate", "1e+10", id="dark-counts"),
-        ],
-    )
-    def test_session_too_large_to_allocate_exits_2(self, tmp_path, capsys, lines, key, got):
-        cfg = tmp_path / "large.cfg"
-        cfg.write_text(lines + "runs = 1\n", encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: {key}: {DRAW_RULE} <= 8388608, got {got}\n"
-        assert not out_dir.exists()
-
-    def test_session_at_the_draw_top_loads(self):
-        # 2**23 expected draws, emissions or dark counts on the two detectors; one more is rejected
-        build_experiment({"pair_rate": "2097152", "duration": "4"})
-        build_experiment({"pair_rate": "0", "dark_rate": "4194304", "duration": "1"})
-        message = rejection_message({"pair_rate": "2097153", "duration": "4"})
-        assert message.startswith(f"pair_rate: {DRAW_RULE} <= 8388608, got ")
-
-    def test_window_just_wide_enough_loads(self):
-        assert build_experiment({"accept_window": "411"}).resolved_anomaly_threshold() == pytest.approx(0.998, abs=1e-3)
-        # a given threshold takes the derived one's place, so the rule does not apply
-        assert build_experiment({"accept_window": "1", "anomaly_threshold": "0.5"}).resolved_anomaly_threshold() == 0.5
-
-    def test_config_file_not_utf8_exits_2(self, tmp_path, capsys):
-        cfg = tmp_path / "latin1.cfg"
-        cfg.write_bytes("# caf\u00e9\nseed = 5\n".encode("latin-1"))
-        out_dir = tmp_path / "out"
-        assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith(f"config error: config file {cfg} is not UTF-8: ")
-        assert not out_dir.exists()
-
     def test_out_naming_a_file_exits_2(self, fast_config, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("keep\n", encoding="utf-8")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from gvqkd.adversary import AttackStrategy
 from gvqkd.devices import DetectorParams, SourceParams
+from gvqkd.optics import LINK_STATES, detection_p0
 from gvqkd.protocol import (
     Match,
     SessionConfig,
@@ -18,7 +19,6 @@ from gvqkd.protocol import (
     Transcript,
     _stamp_text,
     bob_receive,
-    detection_table,
     read_transcript_csv,
     run_session,
     sift_and_qber,
@@ -112,7 +112,7 @@ class TestSessionConfig:
         assert SessionConfig().expected_offset_ps() == 3000.0
 
 
-class TestAlicePrepare:
+class TestSendTimes:
     def test_launches_are_tau_apart(self):
         # store-forward Eve holds packet a exactly until packet b launches,
         # so every click is late by tau plus her overhead, and her ideal
@@ -142,6 +142,11 @@ class TestAlicePrepare:
         n = residual.size
         assert n - np.count_nonzero(residual) <= n * p_zero + 6.0 * n * binomial_sigma(p_zero, n) + 36
         assert abs(residual.std() - 300.0) <= 0.05 * 300.0
+
+
+def detection_table(visibility: float) -> np.ndarray:
+    """P(D0) of each link state, as bob_receive looks it up."""
+    return detection_p0(LINK_STATES[:, 0], LINK_STATES[:, 1], visibility)
 
 
 class TestDetectionTable:
@@ -711,7 +716,7 @@ STAMP_MAX = 2**53 - 1
 STAMP_EDGES = [0, -1, -12] + [sign * (10**k + d) for k in range(16) for d in (-1, 1) for sign in (1, -1)]
 
 
-class TestFloatText:
+class TestStampText:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.integers(-STAMP_MAX, STAMP_MAX), min_size=1, max_size=40))
     @example(STAMP_EDGES + [STAMP_MAX, -STAMP_MAX])
