@@ -179,9 +179,9 @@ def write_fringe_csv(path, delta_l_nm: np.ndarray, counts: np.ndarray) -> None:
 
 def read_fringe_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse a fringe CSV back into (delta_l_nm, counts), counts as floats."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
-        if (header := next(reader)) != FRINGE_COLUMNS:
+        if (header := next(reader, [])) != FRINGE_COLUMNS:
             raise ValueError(f"unexpected fringe header: {header!r}")
         rows = []
         for row in reader:

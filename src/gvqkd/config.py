@@ -205,11 +205,12 @@ def load_config(path: str | Path | None) -> ExperimentConfig:
     """Load and validate a scenario file; None yields the all-defaults scenario."""
     if path is None:
         return build_experiment({})
-    file_path = Path(path)
-    if not file_path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        text = file_path.read_text(encoding="utf-8").removeprefix("\ufeff")  # utf-8-sig's error offsets skip the BOM
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")  # utf-8-sig's error offsets skip the BOM
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     return build_experiment(parse_flat(text))

@@ -1,8 +1,45 @@
-"""Shared builders for the test suite."""
+"""Shared builders and config tables for the test suite."""
 
-from gvqkd.adversary import NO_ATTACK
+from dataclasses import fields
+
+from gvqkd.adversary import NO_ATTACK, AttackStrategy
+from gvqkd.config import ExperimentConfig
 from gvqkd.devices import DetectorParams, SourceParams
 from gvqkd.protocol import SessionConfig, run_session, sift_transcript
+
+CONFIG_CLASSES = (SourceParams, DetectorParams, SessionConfig, AttackStrategy, ExperimentConfig)
+# (owner, field) of each field declared with a range rule
+RANGED_FIELDS = [(cls, f) for cls in CONFIG_CLASSES for f in fields(cls) if "range" in f.metadata]
+
+# one out-of-range or malformed value per scenario key and the rule it breaks
+BAD_VALUES = {
+    "seed": ("-1", "must be >= 0"),
+    "tau": ("0", "must be >= 1"),
+    "travel_time": ("-5", "must be positive"),
+    "jitter": ("-1", "must be >= 0"),
+    "herald_jitter": ("-1", "must be >= 0"),
+    "signal_jitter": ("-1", "must be >= 0"),
+    "accept_window": ("0", "must be >= 1"),
+    "visibility": ("1.5", "must be in [0, 1]"),
+    # alone, it makes the derived session visibility 1.5, a key never written
+    "visibility_d0": ("2", "must be in [0, 1]"),
+    "visibility_d1": ("-0.5", "must be in [0, 1]"),
+    "pair_rate": ("-1", "must be >= 0"),
+    "heralding_efficiency": ("1.5", "must be in [0, 1]"),
+    "detector_efficiency": ("-0.1", "must be in [0, 1]"),
+    "dark_rate": ("-1", "must be >= 0"),
+    "duration": ("0", "must be positive"),
+    "disclosure_fraction": ("1", "must be in (0, 1)"),
+    "runs": ("0", "must be >= 1"),
+    "source_bit": ("01", "must be 0, 1 or random"),
+    "wavelength": ("0", "must be positive"),
+    "scan_span": ("-1", "must be positive"),
+    "scan_steps": ("1", "must be in [4, 2**16]"),
+    "shots_per_step": ("0", "must be in [1, 2**63)"),
+    "extra_delay": ("0", "must be in (0, 2**52)"),
+    "qber_threshold": ("0", "must be in (0, 1)"),
+    "anomaly_threshold": ("1", "must be in (0, 1)"),
+}
 
 
 def _link_config(

@@ -1,7 +1,5 @@
 """Attack models and their detection signatures."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -18,23 +16,6 @@ from gvqkd.protocol import run_session
 
 from helpers import ideal_config, run_and_sift
 from oracles import PathState, binomial_sigma, link_states
-
-
-class TestStrategy:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            AttackStrategy(kind="replay")
-
-    def test_rejects_non_positive_delay(self):
-        with pytest.raises(ValueError):
-            AttackStrategy(kind="store-forward", extra_delay_ps=0.0)
-
-    def test_rejects_delay_past_half_the_whole_ps_range(self):
-        with pytest.raises(ValueError, match=r"^extra_delay_ps must be in \(0, 2\*\*52\)$"):
-            AttackStrategy(kind="store-forward", extra_delay_ps=2.0**52)
-        with pytest.raises(ValueError, match=r"^extra_delay_ps must be finite$"):
-            AttackStrategy(kind="store-forward", extra_delay_ps=math.nan)
-        AttackStrategy(kind="store-forward", extra_delay_ps=2.0**52 - 1.0)
 
 
 def photons(bits, t_emit=0.0, tau=2000.0):
@@ -168,10 +149,6 @@ class TestStoreMeasureForward:
 
 
 class TestEveInformation:
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            eve_information([], [])
-
     def test_no_guesses_is_zero(self):
         assert eve_information([NO_GUESS] * 10, [0, 1] * 5) == 0.0
 
@@ -183,10 +160,6 @@ class TestEveInformation:
 
     def test_photons_without_a_guess_are_skipped(self):
         assert eve_information([0, NO_GUESS, 1, NO_GUESS], [0, 0, 1, 1]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_misaligned_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            eve_information([NO_GUESS], [0, 1])
 
 
 class TestSecurityDichotomy:

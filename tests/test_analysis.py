@@ -92,27 +92,6 @@ class TestFringeScan:
         fringe_scan(table_config(), 0, (0.0, 1624.0), 41, 5000, rng)
         assert rng.calls == 1
 
-    def test_rejects_bad_arguments(self):
-        config = ideal_config()
-        rng = np.random.default_rng(6)
-        with pytest.raises(ValueError):
-            fringe_scan(config, 0, (100.0, 100.0), 5, 100, rng)
-        with pytest.raises(ValueError):
-            fringe_scan(config, 0, (0.0, 1624.0), 1, 100, rng)
-        with pytest.raises(ValueError):
-            fringe_scan(config, 0, (0.0, 1624.0), 5, 0, rng)
-
-    @pytest.mark.parametrize("span", [(0.0, 1e308), (1e307, 1e308)])
-    def test_rejects_a_span_whose_phases_overflow(self, span):
-        with pytest.raises(ValueError, match="phase must be finite"):
-            fringe_scan(ideal_config(), 0, span, 5, 100, np.random.default_rng(6))
-
-    @pytest.mark.parametrize("source_bit", [2, 3, -1, None])
-    def test_rejects_a_source_bit_that_is_not_a_bit(self, source_bit):
-        # the link-state table has rows past the two encodings; a scan must not index them
-        with pytest.raises(ValueError, match="source_bit must be 0 or 1"):
-            fringe_scan(ideal_config(), source_bit, (0.0, 1624.0), 5, 100, np.random.default_rng(6))
-
 
 class TestFringeScanAgainstReference:
     @pytest.mark.parametrize("source_bit", [0, 1])
@@ -157,38 +136,6 @@ class TestFitFringe:
         assert fit_d0.visibility == pytest.approx(0.89, abs=0.02)
         assert fit_d1.visibility == pytest.approx(0.82, abs=0.02)
 
-    def test_rejects_too_few_points(self):
-        delta_l, counts = synthetic_scan(100.0, 0.9, 0.9, 0.0)
-        with pytest.raises(ValueError, match="4 points"):
-            fit_fringe(delta_l[:3], counts[:3], WAVELENGTH)
-
-    def test_rejects_short_span(self):
-        with pytest.raises(ValueError, match="period"):
-            fit_fringe(*synthetic_scan(100.0, 0.9, 0.9, 0.0, n_steps=10, span=(0.0, 400.0)), WAVELENGTH)
-
-    @pytest.mark.parametrize(
-        "column, row, value",
-        [(1, 3, math.nan), (2, 5, math.inf), (0, 2, math.nan)],
-        ids=["nan-count", "inf-count", "nan-delta-l"],
-    )
-    def test_rejects_non_finite_data(self, column, row, value):
-        # column 0 is delta_l_nm; columns 1 and 2 are the D0 and D1 counts
-        delta_l, counts = synthetic_scan(1000.0, 0.9, 0.9, 0.0)
-        table = np.column_stack([delta_l, counts])
-        table[row, column] = value
-        with pytest.raises(ValueError, match="finite"):
-            fit_fringe(table[:, 0], table[:, 1:], WAVELENGTH)
-
-    def test_rejects_phases_that_overflow(self):
-        # 2 pi dl / lambda is inf at dl = 1e308: rejected before cos, with no RuntimeWarning
-        with pytest.raises(ValueError, match="phase must be finite"):
-            fit_fringe(np.linspace(0.0, 1e308, 5), np.full((5, 2), 100.0), WAVELENGTH)
-
-    def test_rejects_rank_deficient_design(self):
-        # only full-wavelength steps: cos is constant, sin is zero
-        with pytest.raises(ValueError, match="degenerate"):
-            fit_fringe(np.arange(4) * WAVELENGTH, np.full((4, 2), 100.0), WAVELENGTH)
-
 
 class TestVisibilityFromExtremes:
     def test_spec_point(self):
@@ -221,11 +168,6 @@ class TestQberFromVisibility:
         assert qber_from_visibility(0.86) == pytest.approx(0.07, abs=1e-12)
         assert qber_from_visibility(1.0) == 0.0
         assert qber_from_visibility(0.0) == 0.5
-
-    def test_validation(self):
-        for bad in (-0.1, 1.0001):
-            with pytest.raises(ValueError):
-                qber_from_visibility(bad)
 
     def test_consistent_with_sifted_qber(self):
         # fit a noisy fringe, predict the QBER, compare with an actual
@@ -280,15 +222,6 @@ class TestVerdicts:
         verdict = detect_eavesdropping(sift, 0.01, 0.11)
         assert verdict.decision is Decision.TIMING_ALARM
 
-    def test_rejects_empty_session(self):
-        with pytest.raises(ValueError):
-            detect_eavesdropping(self._sift(n_matched=0, anomalies=0), 0.01, 0.11)
-
-    def test_rejects_bad_thresholds(self):
-        for anomaly_threshold, qber_threshold in ((0.0, 0.11), (1.0, 0.11), (0.01, 0.0), (0.01, 1.5)):
-            with pytest.raises(ValueError):
-                detect_eavesdropping(self._sift(), anomaly_threshold, qber_threshold)
-
     def test_default_anomaly_threshold(self):
         # 3x the analytic false-anomaly rate at the default window
         config = SessionConfig()
@@ -316,54 +249,8 @@ class TestSerializationAndReports:
         write_fringe_csv(path, np.array([0.0, 81.2, 1e-05]), np.array([[2412, 0], [7, 5000], [1, 2]]))
         assert path.read_bytes() == b"delta_l_nm,counts_d0,counts_d1\r\n0.0,2412,0\r\n81.2,7,5000\r\n1e-05,1,2\r\n"
 
-    def test_negative_count_in_a_file_is_rejected(self, tmp_path):
-        path = tmp_path / "fringe.csv"
-        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,12,5\r\n81.2,-1,5\r\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="non-negative"):
-            read_fringe_csv(path)
-
-    def test_nan_count_in_a_file_is_rejected(self, tmp_path):
-        path = tmp_path / "fringe.csv"
-        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,12,5\r\n81.2,nan,5\r\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="non-negative"):
-            read_fringe_csv(path)
-
-    def test_inf_count_in_a_file_is_rejected(self, tmp_path):
-        path = tmp_path / "fringe.csv"
-        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,inf,5\r\n81.2,1,2\r\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^line 2: .*finite"):
-            read_fringe_csv(path)
-
-    def test_nan_delta_l_in_a_file_is_rejected(self, tmp_path):
-        path = tmp_path / "fringe.csv"
-        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,12,5\r\nnan,1,2\r\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^line 3: .*finite"):
-            read_fringe_csv(path)
-
-    def test_non_numeric_field_in_a_file_is_rejected(self, tmp_path):
-        path = tmp_path / "fringe.csv"
-        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,12,5\r\n1.0,abc,2\r\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"^line 3: values must be numbers, got \['1.0', 'abc', '2'\]$"):
-            read_fringe_csv(path)
-
-    def test_row_without_three_fields_is_rejected(self, tmp_path):
-        # three 2-field rows hold six values: they must not be read as two 3-field rows
-        path = tmp_path / "fringe.csv"
-        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,5\r\n1.0,6\r\n2.0,7\r\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^line 2: expected 3 fields, got 2$"):
-            read_fringe_csv(path)
-        path.write_text("delta_l_nm,counts_d0,counts_d1\r\n0.0,5,1\r\n1.0,6,1,9\r\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="^line 3: expected 3 fields, got 4$"):
-            read_fringe_csv(path)
-
     def test_header_only_file_is_empty(self, tmp_path):
         path = tmp_path / "fringe.csv"
         path.write_text("delta_l_nm,counts_d0,counts_d1\r\n", encoding="utf-8")
         delta_l, counts = read_fringe_csv(path)
         assert (delta_l.shape, counts.shape) == ((0,), (0, 2))
-
-    def test_unexpected_header_is_rejected(self, tmp_path):
-        path = tmp_path / "fringe.csv"
-        path.write_text("delta_l,d0,d1\r\n0.0,1,1\r\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="header"):
-            read_fringe_csv(path)

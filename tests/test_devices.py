@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from gvqkd.devices import (
@@ -17,24 +16,6 @@ from gvqkd.devices import (
 )
 
 from oracles import binomial_sigma
-
-
-class TestParams:
-    def test_source_validation(self):
-        with pytest.raises(ValueError):
-            SourceParams(pair_rate_hz=-1.0)
-        with pytest.raises(ValueError):
-            SourceParams(heralding_efficiency=1.5)
-        with pytest.raises(ValueError):
-            SourceParams(herald_jitter_sigma_ps=-10.0)
-
-    def test_detector_validation(self):
-        with pytest.raises(ValueError):
-            DetectorParams(efficiency=-0.1)
-        with pytest.raises(ValueError):
-            DetectorParams(jitter_sigma_ps=-1.0)
-        with pytest.raises(ValueError):
-            DetectorParams(dark_rate_hz=-5.0)
 
 
 class TestGenerateEmissions:
@@ -55,12 +36,6 @@ class TestGenerateEmissions:
     def test_zero_rate_gives_empty(self):
         rng = np.random.default_rng(44)
         assert generate_emissions(SourceParams(pair_rate_hz=0.0), 5.0, rng).size == 0
-
-    def test_rejects_non_positive_duration(self):
-        rng = np.random.default_rng(45)
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError):
-                generate_emissions(SourceParams(pair_rate_hz=100.0), bad, rng)
 
     def test_deterministic_for_seed(self):
         params = SourceParams(pair_rate_hz=5000.0)
@@ -173,8 +148,3 @@ class TestDarkClicks:
         mean = 400.0 * 5.0
         assert abs(times.size - mean) <= 4.0 * math.sqrt(mean)
         assert np.all(np.diff(times) >= 0.0)
-
-    def test_rejects_non_positive_duration(self):
-        rng = np.random.default_rng(72)
-        with pytest.raises(ValueError):
-            dark_clicks(DetectorParams(dark_rate_hz=10.0), 0.0, rng)

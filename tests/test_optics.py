@@ -153,10 +153,6 @@ class TestPhaseHelpers:
     def test_half_wavelength_is_pi(self):
         assert phase_from_path_length(406.0, 812.0) == pytest.approx(math.pi, abs=TOL)
 
-    def test_rejects_bad_wavelength(self):
-        with pytest.raises(ValueError):
-            phase_from_path_length(100.0, 0.0)
-
     def test_canonical_phase_range(self):
         for phi in (-7.0, -math.pi, 0.0, 1.0, 2.0 * math.pi, 9.5, -1e-9):
             reduced = canonical_phase(phi)
@@ -229,11 +225,6 @@ class TestArraysAgainstTheSpec:
         states = random_states(1000)
         expected = [detection_probabilities(s, visibility)[0] for s in states]
         assert detection_p0(*amplitudes(states), visibility).tolist() == expected
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
-    def test_detection_p0_rejects_bad_visibility(self, bad):
-        with pytest.raises(ValueError, match=r"visibility must be in \[0, 1\]"):
-            detection_p0(LINK_STATES[:, 0], LINK_STATES[:, 1], bad)
 
     def test_ideal_detection_p0_is_the_born_rule_on_port_a(self):
         states = random_states(1000, seed=77)

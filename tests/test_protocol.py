@@ -58,55 +58,16 @@ class TestSessionConfig:
         # both detector visibilities default to 1.0, and so does their mean, the session visibility
         assert config.visibility_d0 == config.visibility_d1 == config.visibility == 1.0
 
-    def test_rejects_tau_below_timing_noise(self):
-        # tau = 500 ps against 300/300 ps jitters: the timing test could
-        # not tell a held packet from ordinary jitter
-        with pytest.raises(ValueError, match="tau"):
-            SessionConfig(tau_ps=500.0)
-
     def test_tau_invariant_scales_with_jitter(self):
         source = SourceParams(herald_jitter_sigma_ps=100.0)
         detector = DetectorParams(jitter_sigma_ps=100.0)
         SessionConfig(tau_ps=500.0, travel_time_ps=400.0, source=source, signal_detector=detector)
-
-    def test_jitter_rule_holds_with_travel_time_below_tau(self):
-        with pytest.raises(ValueError, match="combined jitter"):
-            SessionConfig(tau_ps=500.0, travel_time_ps=400.0)
-
-    @pytest.mark.parametrize("tau_ps", [1000.0, 999.0, 1.0])
-    def test_rejects_tau_not_above_travel_time(self, tau_ps):
-        # the GV premise tau > T: both packets of a pair would share the channel
-        source = SourceParams(herald_jitter_sigma_ps=0.0)
-        detector = DetectorParams(jitter_sigma_ps=0.0)
-        with pytest.raises(ValueError, match=rf"^tau_ps must be > travel time T = 1000.0 ps, got {tau_ps}$"):
-            SessionConfig(tau_ps=tau_ps, source=source, signal_detector=detector)
 
     def test_tau_just_above_travel_time_is_accepted(self):
         source = SourceParams(herald_jitter_sigma_ps=0.0)
         detector = DetectorParams(jitter_sigma_ps=0.0)
         tau_ps = math.nextafter(1000.0, math.inf)
         assert SessionConfig(tau_ps=tau_ps, source=source, signal_detector=detector).tau_ps == tau_ps
-
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            SessionConfig(visibility_d1=1.5)
-        with pytest.raises(ValueError):
-            SessionConfig(disclosure_fraction=0.0)
-        with pytest.raises(ValueError):
-            SessionConfig(tau_ps=-1.0)
-        with pytest.raises(ValueError):
-            SessionConfig(session_duration_s=0.0)
-
-    def test_rejects_stamps_past_half_the_whole_ps_range(self):
-        # duration + T + 6 tau must stay below 2**52 ps, named by the larger of its two terms
-        with pytest.raises(ValueError, match=r"^tau_ps must keep duration \+ T \+ 6\*tau below 2\*\*52 ps"):
-            SessionConfig(tau_ps=1e16)
-        with pytest.raises(ValueError, match=r"^session_duration_s must keep"):
-            SessionConfig(session_duration_s=4600.0)
-        # a NaN tau, which would cast to int64 as -2**63, fails the range checker, under its own name
-        with pytest.raises(ValueError, match=r"^tau_ps must be finite$"):
-            SessionConfig(tau_ps=math.nan)
-        SessionConfig(session_duration_s=4500.0)
 
     def test_expected_offset(self):
         assert SessionConfig().expected_offset_ps() == 3000.0
@@ -251,10 +212,6 @@ class TestRunSession:
         assert d0.size and d1.size
         assert not np.array_equal(d0, d1)
 
-    def test_rejects_bad_source_bit(self):
-        with pytest.raises(ValueError):
-            run_session(ideal_config(pair_rate_hz=10.0, duration_s=0.1), source_bit=2)
-
 
 def pairs(match):
     return list(zip(match.send.tolist(), match.receive.tolist()))
@@ -293,15 +250,6 @@ class TestTimingTest:
         match = timing_test([0.0], [offset + 1.0, offset + 2.0], config)
         assert pairs(match) == [(0, 0)]
         assert match.anomalies.tolist() == [1]
-
-    def test_unsorted_stamps_are_rejected(self):
-        # two clean receives: an unsorted column would leave one of them an anomaly
-        config = self._config()
-        offset = config.expected_offset_ps()
-        with pytest.raises(ValueError, match="t_s"):
-            timing_test([1e6, 0.0], [offset + 1.0, offset + 1e6 + 1.0], config)
-        with pytest.raises(ValueError, match="t_r"):
-            timing_test([0.0, 1e6], [offset + 1e6 + 1.0, offset + 1.0], config)
 
     def test_picks_nearest_send(self):
         config = self._config()
@@ -470,20 +418,6 @@ class TestSiftAndQber:
         assert sift.matched == 0
         assert sift.key_bits == 0
 
-    def test_anomaly_count_must_be_named(self):
-        # a left-out count would read as a clean link and silence the timing alarm
-        rng = np.random.default_rng(29)
-        with pytest.raises(TypeError, match="anomalies"):
-            sift_and_qber(*self._pairs(10), 0.5, rng)
-        with pytest.raises(TypeError):
-            sift_and_qber(*self._pairs(10), 0.5, rng, 3)
-
-    def test_rejects_bad_fraction(self):
-        rng = np.random.default_rng(24)
-        for bad in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError):
-                sift_and_qber(*self._pairs(10), bad, rng, anomalies=0)
-
     def test_deterministic_for_seed(self):
         alice, bob = self._pairs(100)
         a = sift_and_qber(alice, bob, 0.5, np.random.default_rng(25), anomalies=0)
@@ -635,12 +569,6 @@ class TestTranscriptRoundTrip:
         sends, _, _, _, anomalies = read_transcript_csv(path)
         assert [t for _, _, t in sends] == transcript.t_s.tolist()
         assert [t for t, _ in anomalies] == transcript.t_r[match.anomalies].tolist()
-
-    def test_wrong_header_is_rejected(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("index,bit,t_s_ps\r\n0,1,5.0\r\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=r"^unexpected transcript header: \['index', 'bit', 't_s_ps'\]$"):
-            read_transcript_csv(path)
 
     # the text after the header and send 0; its last line is the one rejected ("\udcff" writes the byte 0xff)
     MALFORMED_ROWS = {
