@@ -97,7 +97,8 @@ def eve_information(guesses: np.ndarray, alice_bits: np.ndarray) -> float:
     """Empirical mutual information (bits) between Eve's guesses and the sent bits.
 
     Photons without a guess (NO_GUESS) contribute nothing; if none carries
-    a guess the information is 0. Raises on empty input (undefined).
+    a guess the information is 0. Raises on empty input (undefined), and on
+    a guess other than 0, 1 or NO_GUESS or a bit other than 0 or 1.
     """
     guesses = np.asarray(guesses)
     alice_bits = np.asarray(alice_bits)
@@ -105,6 +106,10 @@ def eve_information(guesses: np.ndarray, alice_bits: np.ndarray) -> float:
         raise ValueError("eve_information undefined on empty input")
     if guesses.shape != alice_bits.shape:
         raise ValueError("guesses and alice_bits must be aligned")
+    if not np.all(np.isin(guesses, (0, 1, NO_GUESS))):
+        raise ValueError("guesses must be 0, 1 or NO_GUESS")
+    if not np.all(np.isin(alice_bits, (0, 1))):
+        raise ValueError("alice_bits must be 0 or 1")
     guessed = guesses != NO_GUESS
     joint = np.bincount(2 * guesses[guessed] + alice_bits[guessed], minlength=4).reshape(2, 2).astype(float)
     total = joint.sum()

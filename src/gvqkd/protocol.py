@@ -237,8 +237,8 @@ def run_session(
 def timing_test(t_s: np.ndarray, t_r: np.ndarray, config: SessionConfig) -> Match:
     """Match receives to sends at the nominal delay; the rest are anomalies.
 
-    t_s and t_r must be sorted (else ValueError), as run_session returns
-    them. Taking receives in time order, each claims the send nearest to
+    t_s and t_r must be finite and sorted (else ValueError), as run_session
+    returns them. Taking receives in time order, each claims the send nearest to
     t_r - (tau + T) among its two neighbours in t_s, the earlier one on a
     tie. The claim matches when the deviation is within the accept window
     and no earlier receive matched that send; otherwise the receive is an
@@ -246,6 +246,9 @@ def timing_test(t_s: np.ndarray, t_r: np.ndarray, config: SessionConfig) -> Matc
     """
     t_s, t_r = np.asarray(t_s), np.asarray(t_r)
     for name, t in (("t_s", t_s), ("t_r", t_r)):
+        # a NaN compares False both ways, so the sort rule alone would pass it
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"{name} must be finite")
         if np.any(t[1:] < t[:-1]):
             raise ValueError(f"{name} must be sorted")
     target = t_r - config.expected_offset_ps()
@@ -282,6 +285,8 @@ def sift_and_qber(
         raise ValueError("disclosure_fraction must be in (0, 1)")
     alice_bits = np.asarray(alice_bits)
     bob_bits = np.asarray(bob_bits)
+    if alice_bits.shape != bob_bits.shape:
+        raise ValueError("alice_bits and bob_bits must be aligned")
     n = alice_bits.size
     n_disclosed = int(round(n * disclosure_fraction))
     disclosed_mask = np.zeros(n, dtype=bool)

@@ -20,11 +20,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gvqkd.adversary import KINDS
 from gvqkd.analysis import Decision, FringeFit, read_fringe_csv
 from gvqkd.cli import EXIT_ALARM, EXIT_CONFIG, EXIT_OK, fit_report, main
 from gvqkd.config import KEYS, ExperimentConfig, build_experiment, load_config, parse_flat
 from gvqkd.devices import RANGE_RULES, STAMP_HALF_RANGE_PS, DetectorParams, SourceParams
-from gvqkd.protocol import SessionConfig, read_transcript_csv, run_session, sift_transcript, write_transcript_csv
+from gvqkd.protocol import SessionConfig, read_transcript_csv
 
 from helpers import BAD_VALUES, CONFIG_CLASSES, RANGED_FIELDS
 
@@ -53,15 +54,12 @@ def fast_config(tmp_path):
     return path
 
 
-def read_tree(root: Path) -> dict[str, bytes]:
-    return {p.name: p.read_bytes() for p in sorted(root.iterdir()) if p.is_file()}
-
-
 def tree_digest(root: Path) -> str:
     """sha256 over every file name and its bytes, in name order."""
     h = hashlib.sha256()
-    for name, data in read_tree(root).items():
-        h.update(name.encode() + b"\0" + data)
+    for path in sorted(root.iterdir()):
+        if path.is_file():
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
 
 
@@ -671,84 +669,195 @@ class TestBenchmarkNames:
                 assert short == "cli" or function.__module__ == f"gvqkd.{short}", f"gvqkd.{short}.{name}"
 
 
-class TestTransmitCommand:
-    def test_outputs_and_summary(self, fast_config, tmp_path, capsys):
+def no_constant(name: str):
+    raise ValueError(f"not JSON: {name}")
+
+
+def check_outputs(out_dir: Path) -> None:
+    """Every file parses; per transcript, matched + anomalies = receives, disclosed <= matched, errors <= disclosed."""
+    reports, matched, anomalies = {}, 0, 0
+    for path in sorted(out_dir.iterdir()):
+        if path.suffix == ".json":
+            reports[path.name] = json.loads(path.read_text(encoding="utf-8"), parse_constant=no_constant)
+        elif path.name.startswith("fringe_s"):
+            read_fringe_csv(path)
+        else:
+            assert path.name.startswith("transcript"), path.name
+            _, matches, disclosed, errors, unmatched = read_transcript_csv(path)
+            with open(path, newline="", encoding="utf-8") as fh:
+                receives = sum(row["t_r_ps"] != "" for row in csv.DictReader(fh))
+            assert len(matches) + len(unmatched) == receives
+            assert disclosed <= matches.keys() and errors <= disclosed
+            matched, anomalies = matched + len(matches), anomalies + len(unmatched)
+    if summary := reports.get("summary.json"):
+        assert (summary["matched_total"], summary["anomaly_total"]) == (matched, anomalies)
+    if verdict := reports.get("verdict.json"):
+        assert (verdict["matched"], verdict["anomalies"]) == (matched, anomalies)
+
+
+def scenario_file(tmp_path: Path, scenario: Path | str) -> Path:
+    """A shipped config as it is, or scenario text written to a file."""
+    if isinstance(scenario, Path):
+        return scenario
+    path = tmp_path / "scenario.cfg"
+    path.write_text(scenario, encoding="utf-8")
+    return path
+
+
+def pinned(scenario: Path | str, command: str, code: int, digest: str, stdout: str, *, id: str | None = None):
+    """One row of RUNS: scenario (a shipped config's path, or the file's text) under command (the subcommand and its
+    options) exits code, prints exactly stdout and nothing on stderr, and leaves an output tree of digest. A shipped
+    config's row is named <name>-<command>."""
+    return pytest.param(scenario, tuple(command.split()), code, digest, stdout, id=id or f"{scenario.stem}-{command}")
+
+
+IDEAL, MEASURED_S0, MEASURED_S1, ATTACK_DEMO = (
+    CONFIGS_DIR / f"{name}.cfg" for name in ("ideal", "measured_s0", "measured_s1", "attack_demo")
+)
+SHIPPED_COMMANDS = ["transmit", "fringe-scan", *(f"attack-demo --attack {kind}" for kind in KINDS)]
+PROBE = "seed = 17\njitter = 300\npair_rate = 2000\nduration = 5\n"
+
+# Every CLI run whose outputs are pinned, each run through main and checked by check_outputs. A change to an RNG draw
+# order, the engine's arithmetic or a file format shows here; a deliberate one edits the row's digest and stdout.
+# fmt: off
+RUNS = [
+    pinned(FAST_SCENARIO, "transmit", EXIT_OK,
+           "e8e2dc85c897554a66f7e227f6ea2515868db555354c5a860b25ecba51c1e1c3",
+           "transmit: 3 runs, mean QBER 0.0000, anomaly fraction 0.0\n", id="transmit"),
+    pinned(FAST_SCENARIO, "fringe-scan", EXIT_OK,
+           "56245d1d9c1e8ad702796459b04794dbe495d6c45b1040e1dd9cd000652c3f7e",
+           "fringe s0: V_D0 1.000, V_D1 0.989, phase offset 6.266 rad\n"
+           "fringe s1: V_D0 1.000, V_D1 1.000, phase offset 3.144 rad\n", id="fringe-scan"),
+    pinned(FAST_SCENARIO, "attack-demo --attack none --fail-on-alarm", EXIT_OK,
+           "f9b3adcbca9125a7efe042afed3de88b4dbfdf6ec8cf8435157f42661a5cec9d",
+           "attack-demo [none]: decision Clean, QBER 0.0, anomaly fraction 0.0000, Eve information 0.0000 bits\n",
+           id="attack-demo-none"),
+    pinned(FAST_SCENARIO, "attack-demo --attack which-path --fail-on-alarm", EXIT_ALARM,
+           "bdf3a0c8dadd67c86602946d7e6cdb9f81c07fb5e272b06b0a7b9376201de668",
+           "attack-demo [which-path]: decision QberAlarm, QBER 0.46226415094339623, anomaly fraction 0.0000, "
+           "Eve information 0.0000 bits\n", id="attack-demo-which-path"),
+    # an alarm without --fail-on-alarm exits 0; TestFreshProcesses adds the flag
+    pinned(FAST_SCENARIO, "attack-demo --attack store-forward", EXIT_OK,
+           "d55283720b606674aa192da4ee08310aa54c1f24e78c260077795c4ee2df175e",
+           "attack-demo [store-forward]: decision TimingAlarm, QBER None, anomaly fraction 1.0000, "
+           "Eve information 0.9926 bits\n", id="attack-demo"),
+    pinned(FAST_SCENARIO, "transmit --seed 6", EXIT_OK,
+           "1884ce2e7e15720c69db43498f46c859ca2e8196d0a5da15a658a75c4e33e844",
+           "transmit: 3 runs, mean QBER 0.0000, anomaly fraction 0.0\n", id="transmit --seed 6"),
+    pinned("runs = 1\nduration = 0.2\npair_rate = 100\n", "transmit", EXIT_OK,
+           "eaa56015de5ca15f7c0e4959489c5bd9898af67639f9054849476008c5f57630",
+           "transmit: 1 runs, mean QBER 0.0000, anomaly fraction 0.0\n", id="transmit, runs = 1"),
+    # a fixed source_bit scans that source alone
+    pinned(FAST_SCENARIO + "source_bit = 1\n", "fringe-scan", EXIT_OK,
+           "397b31932cdf1c70bf262345038437ac7948d047a12d38acf64a1006fdc6d93f",
+           "fringe s1: V_D0 1.000, V_D1 1.000, phase offset 3.144 rad\n", id="fringe-scan, source_bit = 1"),
+    pinned(UNSCANNED + "scan_steps = 4\nscan_span = 812\n", "fringe-scan", EXIT_OK,
+           "683f7ef6d81fb3ddced2d9aee69621428ad869c2dbf1839f8ae50b23d85b28e0",
+           "fringe s0: V_D0 1.000, V_D1 1.000, phase offset 6.260 rad\n"
+           "fringe s1: V_D0 1.000, V_D1 0.961, phase offset 3.153 rad\n", id="fringe-scan, smallest usable scan"),
+    # anomaly fraction 0.0024: below the derived threshold 0.0081, above a given 0.001
+    pinned(PROBE, "attack-demo --attack none --fail-on-alarm", EXIT_OK,
+           "e42ac1dffc39483603c2cf17ceead1e6c637dc4252987d2b939da1774897b156",
+           "attack-demo [none]: decision Clean, QBER 0.0, anomaly fraction 0.0024, Eve information 0.0000 bits\n",
+           id="probe, derived anomaly threshold"),
+    pinned(PROBE + "anomaly_threshold = 0.001\n", "attack-demo --attack none --fail-on-alarm", EXIT_ALARM,
+           "15e929cd693b43f2ed6acf398e3db2bc02e7fd8d792e7de774ec839012321b1f",
+           "attack-demo [none]: decision TimingAlarm, QBER 0.0, anomaly fraction 0.0024, "
+           "Eve information 0.0000 bits\n", id="probe, anomaly_threshold = 0.001"),
+    # tau + T = 3000.7 ps: whole-ps stamps put each deviation at -0.7 or +0.3 ps, inside the 1 ps window
+    pinned(FAST_SCENARIO + "tau = 2000.3\ntravel_time = 1000.4\n", "attack-demo --attack none --fail-on-alarm", EXIT_OK,
+           "c8565fd600eed18e2d33785eb0321e31cfb8686e76b234ae260461be4ed8188c",
+           "attack-demo [none]: decision Clean, QBER 0.0, anomaly fraction 0.0000, Eve information 0.0000 bits\n",
+           id="fractional offset, jitter-free"),
+    # every shipped config under every command (SHIPPED_COMMANDS)
+    pinned(IDEAL, "transmit", EXIT_OK,
+           "fb84abfceb4a7a47a7612692c628fe1ee302235e1c978193fa27db8c4d62b559",
+           "transmit: 1 runs, mean QBER 0.0000, anomaly fraction 0.0\n"),
+    pinned(IDEAL, "fringe-scan", EXIT_OK,
+           "e42803db86102ddc8b600d0204030d9c17adbfd3506cb87db5beb72f92275899",
+           "fringe s0: V_D0 1.000, V_D1 1.000, phase offset 6.283 rad\n"
+           "fringe s1: V_D0 1.000, V_D1 0.999, phase offset 3.142 rad\n"),
+    pinned(IDEAL, "attack-demo --attack none", EXIT_OK,
+           "633aa1b8c9bec644cae98fc8be52fa1e6e0ee0eba855bb8b81c8862aa9f7148d",
+           "attack-demo [none]: decision Clean, QBER 0.0, anomaly fraction 0.0000, Eve information 0.0000 bits\n"),
+    pinned(IDEAL, "attack-demo --attack which-path", EXIT_OK,
+           "d18ecd00d600f217dc3daf445ac1045ca98a6416d2486eba1d96d75e4957bc8a",
+           "attack-demo [which-path]: decision QberAlarm, QBER 0.49526877390779145, anomaly fraction 0.0000, "
+           "Eve information 0.0000 bits\n"),
+    pinned(IDEAL, "attack-demo --attack store-forward", EXIT_OK,
+           "f75579c69688afa5ea6c807bf2b7ee3fc99415e1583ce8776622bbbaa85898d3",
+           "attack-demo [store-forward]: decision TimingAlarm, QBER None, anomaly fraction 1.0000, "
+           "Eve information 1.0000 bits\n"),
+    pinned(MEASURED_S0, "transmit", EXIT_OK,
+           "4a52a5c22e30aca9ce453439f78a05e6cbf5b919399bb5c9ef715a2df5a13ac9",
+           "transmit: 60 runs, mean QBER 0.0732, anomaly fraction 0.002695552838848027\n"),
+    pinned(MEASURED_S0, "fringe-scan", EXIT_OK,
+           "28a2700387691accaf1c6fe0c1219af9f17854e63192b040936ead9c5827331c",
+           "fringe s0: V_D0 0.895, V_D1 0.823, phase offset 6.283 rad\n"),
+    pinned(MEASURED_S0, "attack-demo --attack none", EXIT_OK,
+           "890d4140c14aca7a39c344684e1266f309c5b52b2b22cd29c46c88836631ee76",
+           "attack-demo [none]: decision Clean, QBER 0.07934560327198364, anomaly fraction 0.0033, "
+           "Eve information 0.0000 bits\n"),
+    pinned(MEASURED_S0, "attack-demo --attack which-path", EXIT_OK,
+           "9286284e8495116f107ee2029a0b377f703786df5ec67ec1ec380f14e6f04b42",
+           "attack-demo [which-path]: decision QberAlarm, QBER 0.5128834355828221, anomaly fraction 0.0033, "
+           "Eve information 0.0000 bits\n"),
+    pinned(MEASURED_S0, "attack-demo --attack store-forward", EXIT_OK,
+           "1e433e20968763eb1ef1e9e64662473f3a1ac591eb64e697e99de3e8c054a024",
+           "attack-demo [store-forward]: decision TimingAlarm, QBER 0.0, anomaly fraction 0.9971, "
+           "Eve information 0.0000 bits\n"),
+    pinned(MEASURED_S1, "transmit", EXIT_OK,
+           "ead0d1bbad5928cde6771c7a30187da6bb7ac7b2bbf4c16acce4416cd4793c1a",
+           "transmit: 60 runs, mean QBER 0.0675, anomaly fraction 0.0028113569527147683\n"),
+    pinned(MEASURED_S1, "fringe-scan", EXIT_OK,
+           "64454f93917ce1d020980decbc585bdcbceba0ccac95fe55c0910e39233934d7",
+           "fringe s1: V_D0 0.878, V_D1 0.852, phase offset 3.139 rad\n"),
+    pinned(MEASURED_S1, "attack-demo --attack none", EXIT_OK,
+           "4e552ccc621a15318b47bc836a5b0615be5886cd29016740bd66c5690d11c3d7",
+           "attack-demo [none]: decision Clean, QBER 0.06685017695635077, anomaly fraction 0.0024, "
+           "Eve information 0.0000 bits\n"),
+    pinned(MEASURED_S1, "attack-demo --attack which-path", EXIT_OK,
+           "ebf0c1e47ef4d790761138f92f5cea757e5ffaf8ca7b5ddb134bbbce953047c9",
+           "attack-demo [which-path]: decision QberAlarm, QBER 0.5045222178529296, anomaly fraction 0.0024, "
+           "Eve information 0.0000 bits\n"),
+    pinned(MEASURED_S1, "attack-demo --attack store-forward", EXIT_OK,
+           "f02612b7de48f7c85bef7119ae420de3b2f23c6f5a69f1bb2231142c1bda8726",
+           "attack-demo [store-forward]: decision TimingAlarm, QBER 0.0, anomaly fraction 0.9978, "
+           "Eve information 0.0000 bits\n"),
+    pinned(ATTACK_DEMO, "transmit", EXIT_OK,
+           "574e32455c9fec7143b7475bbd9cb9223c6ad53e030a576a3f3d390cbbd78793",
+           "transmit: 60 runs, mean QBER 0.0000, anomaly fraction 0.0\n"),
+    pinned(ATTACK_DEMO, "fringe-scan", EXIT_OK,
+           "230b516ba569d44a0b2449033804cefcb6d0ed7dc7ddce99c74b2e303a878503",
+           "fringe s0: V_D0 0.999, V_D1 1.000, phase offset 0.004 rad\n"
+           "fringe s1: V_D0 1.000, V_D1 0.997, phase offset 3.139 rad\n"),
+    pinned(ATTACK_DEMO, "attack-demo --attack none", EXIT_OK,
+           "245f541fbf347ecf15ac717d53941c62a3f16e8e4a4595c1f80229b66f9c8292",
+           "attack-demo [none]: decision Clean, QBER 0.0, anomaly fraction 0.0000, Eve information 0.0000 bits\n"),
+    pinned(ATTACK_DEMO, "attack-demo --attack which-path", EXIT_OK,
+           "8a12f9b459cd1d8bd216cda201428ba0e2b0cb54507b7b0076616c97bf5e3539",
+           "attack-demo [which-path]: decision QberAlarm, QBER 0.5038121990369181, anomaly fraction 0.0000, "
+           "Eve information 0.0000 bits\n"),
+    pinned(ATTACK_DEMO, "attack-demo --attack store-forward", EXIT_OK,
+           "0efb7744b2f918dc18791f3767551a38643ac4ffc314d2b27eda28777b58498b",
+           "attack-demo [store-forward]: decision TimingAlarm, QBER None, anomaly fraction 1.0000, "
+           "Eve information 1.0000 bits\n"),
+]
+# fmt: on
+PINNED = {row.id: row.values for row in RUNS}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("scenario, argv, code, digest, stdout", RUNS)
+    def test_output_digest(self, tmp_path, capsys, scenario, argv, code, digest, stdout):
         out_dir = tmp_path / "out"
-        code = main(["transmit", "--config", str(fast_config), "--out", str(out_dir)])
-        assert code == EXIT_OK
-        for run_index in range(3):
-            assert (out_dir / f"transcript_run{run_index:03d}.csv").is_file()
-        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
-        assert summary["runs"] == 3
-        assert summary["source_bit"] == "random"
-        assert summary["qber_mean"] == 0.0
-        assert summary["anomaly_fraction"] == 0.0
-        assert summary["matched_total"] > 0
-        assert summary["key_bits_total"] > 0
-        assert "transmit: 3 runs" in capsys.readouterr().out
-
-    def test_byte_identical_reruns(self, fast_config, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        assert main(["transmit", "--config", str(fast_config), "--out", str(out_a)]) == EXIT_OK
-        assert main(["transmit", "--config", str(fast_config), "--out", str(out_b)]) == EXIT_OK
-        assert read_tree(out_a) == read_tree(out_b)
-
-    def test_seed_override_changes_data(self, fast_config, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        main(["transmit", "--config", str(fast_config), "--out", str(out_a)])
-        main(["transmit", "--config", str(fast_config), "--out", str(out_b), "--seed", "6"])
-        name = "transcript_run000.csv"
-        assert (out_a / name).read_bytes() != (out_b / name).read_bytes()
-
-    def test_works_without_config_file(self, tmp_path):
-        # all-defaults scenario, shrunk via seed only; keep it quick by
-        # pointing --config at a tiny file instead of the 60-run default
-        out_dir = tmp_path / "out"
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text("runs = 1\nduration = 0.2\npair_rate = 100\n", encoding="utf-8")
-        assert main(["transmit", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
-        assert (out_dir / "summary.json").is_file()
+        assert main([*argv, "--config", str(scenario_file(tmp_path, scenario)), "--out", str(out_dir)]) == code
+        assert capsys.readouterr() == (stdout, "")
+        assert tree_digest(out_dir) == digest
+        check_outputs(out_dir)
 
 
 class TestFringeScanCommand:
-    def test_scans_both_sources_by_default(self, fast_config, tmp_path, capsys):
-        out_dir = tmp_path / "out"
-        code = main(["fringe-scan", "--config", str(fast_config), "--out", str(out_dir)])
-        assert code == EXIT_OK
-        for bit in (0, 1):
-            assert (out_dir / f"fringe_s{bit}.csv").is_file()
-            report = json.loads((out_dir / f"fringe_fit_s{bit}.json").read_text(encoding="utf-8"))
-            assert report["visibility_d0"] == pytest.approx(1.0, abs=0.05)
-            assert report["visibility_d1"] == pytest.approx(1.0, abs=0.05)
-            assert report["phase_difference_rad"] == pytest.approx(math.pi, abs=0.1)
-        out = capsys.readouterr().out
-        assert "fringe s0:" in out and "fringe s1:" in out
-
-    def test_single_source_when_bit_fixed(self, tmp_path):
-        cfg = tmp_path / "one.cfg"
-        cfg.write_text(FAST_SCENARIO + "source_bit = 1\n", encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
-        assert (out_dir / "fringe_s1.csv").is_file()
-        assert not (out_dir / "fringe_s0.csv").exists()
-
-    def test_byte_identical_reruns(self, fast_config, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        main(["fringe-scan", "--config", str(fast_config), "--out", str(out_a)])
-        main(["fringe-scan", "--config", str(fast_config), "--out", str(out_b)])
-        assert read_tree(out_a) == read_tree(out_b)
-
-    def test_smallest_scan_the_fit_can_use(self, tmp_path):
-        cfg = tmp_path / "edge.cfg"
-        scenario = FAST_SCENARIO.replace("scan_steps = 9\n", "") + "scan_steps = 4\nscan_span = 812\n"
-        cfg.write_text(scenario, encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert main(["fringe-scan", "--config", str(cfg), "--out", str(out_dir)]) == EXIT_OK
-        assert (out_dir / "fringe_fit_s1.json").is_file()
-
     def test_fit_report_keys(self):
         fit = FringeFit(visibility=0.89, phase_offset_rad=0.0, mean_rate=1000.0, residual_rms=1.0)
         fit1 = FringeFit(visibility=0.82, phase_offset_rad=math.pi, mean_rate=1000.0, residual_rms=1.0)
@@ -756,71 +865,6 @@ class TestFringeScanCommand:
         assert list(report)[:3] == ["visibility_d0", "visibility_d1", "phase_offset_rad"]
         assert report["visibility_d0"] == 0.89
         assert report["phase_difference_rad"] == pytest.approx(math.pi)
-
-
-class TestAttackDemoCommand:
-    def run(self, fast_config, out_dir, attack, *extra):
-        return main(
-            ["attack-demo", "--config", str(fast_config), "--out", str(out_dir), "--attack", attack, *extra]
-        )
-
-    def test_clean_link_passes(self, fast_config, tmp_path):
-        out_dir = tmp_path / "out"
-        code = self.run(fast_config, out_dir, "none", "--fail-on-alarm")
-        assert code == EXIT_OK
-        report = json.loads((out_dir / "verdict.json").read_text(encoding="utf-8"))
-        assert list(report) == [
-            "qber",
-            "qber_sigma",
-            "anomaly_fraction",
-            "decision",
-            "strategy",
-            "eve_information_bits",
-            "matched",
-            "anomalies",
-            "key_bits",
-        ]
-        assert report["decision"] == "Clean"
-        assert report["qber"] == 0.0
-        assert report["anomaly_fraction"] == 0.0
-        assert report["eve_information_bits"] == 0.0
-
-    def test_which_path_raises_qber_alarm(self, fast_config, tmp_path):
-        out_dir = tmp_path / "out"
-        code = self.run(fast_config, out_dir, "which-path", "--fail-on-alarm")
-        assert code == EXIT_ALARM
-        report = json.loads((out_dir / "verdict.json").read_text(encoding="utf-8"))
-        assert report["decision"] == "QberAlarm"
-        assert report["qber"] == pytest.approx(0.5, abs=0.1)
-        assert report["anomaly_fraction"] == 0.0
-
-    def test_store_forward_raises_timing_alarm(self, fast_config, tmp_path):
-        out_dir = tmp_path / "out"
-        code = self.run(fast_config, out_dir, "store-forward", "--fail-on-alarm")
-        assert code == EXIT_ALARM
-        report = json.loads((out_dir / "verdict.json").read_text(encoding="utf-8"))
-        assert report["decision"] == "TimingAlarm"
-        assert report["anomaly_fraction"] == 1.0
-        assert report["eve_information_bits"] == pytest.approx(1.0, abs=0.01)
-        assert (out_dir / "transcript.csv").is_file()
-
-    def test_explicit_anomaly_threshold_decides_the_verdict(self, tmp_path):
-        # anomaly fraction 0.0024: below the derived threshold 0.0081, above an explicit 0.001
-        cfg = tmp_path / "probe.cfg"
-        for line, code, decision in [("", EXIT_OK, "Clean"), ("anomaly_threshold = 0.001\n", EXIT_ALARM, "TimingAlarm")]:
-            cfg.write_text("seed = 17\njitter = 300\npair_rate = 2000\nduration = 5\n" + line, encoding="utf-8")
-            out_dir = tmp_path / decision
-            assert self.run(cfg, out_dir, "none", "--fail-on-alarm") == code
-            report = json.loads((out_dir / "verdict.json").read_text(encoding="utf-8"))
-            assert (report["decision"], report["anomalies"], report["matched"]) == (decision, 24, 9943)
-
-    def test_alarm_without_flag_still_exits_zero(self, fast_config, tmp_path):
-        code = self.run(fast_config, tmp_path / "out", "store-forward")
-        assert code == EXIT_OK
-
-    def test_unknown_attack_rejected_by_parser(self, fast_config, tmp_path):
-        with pytest.raises(SystemExit):
-            self.run(fast_config, tmp_path / "out", "beamsplit")
 
 
 class TestExitCodes:
@@ -841,16 +885,24 @@ class TestExitCodes:
             main(["transmit", "--config", str(fast_config), "--out", str(out_dir)])
 
     def test_missing_out_is_usage_error(self, fast_config):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["transmit", "--config", str(fast_config)])
+        assert exc.value.code == EXIT_CONFIG
+
+    def test_unknown_attack_rejected_by_parser(self, fast_config, tmp_path):
+        argv = ["attack-demo", "--config", str(fast_config), "--out", str(tmp_path / "out"), "--attack", "beamsplit"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
 
 
 class TestShippedScenarios:
     def test_all_shipped_configs_parse(self):
-        paths = sorted(CONFIGS_DIR.glob("*.cfg"))
-        assert len(paths) >= 4
-        for path in paths:
+        # and each has a RUNS row under every command
+        ran = {(scenario, " ".join(argv)) for scenario, argv, *_ in PINNED.values()}
+        for path in sorted(CONFIGS_DIR.glob("*.cfg")):
             load_config(path)
+            assert [command for command in SHIPPED_COMMANDS if (path, command) not in ran] == [], path.name
 
     def test_measured_source_scenarios_match_reported_link(self):
         s0 = load_config(CONFIGS_DIR / "measured_s0.cfg")
@@ -866,120 +918,11 @@ class TestShippedScenarios:
 
 
 class TestWholePicosecondStamps:
-    @pytest.mark.parametrize("attack", ["none", "store-forward", "which-path"])
-    @pytest.mark.parametrize("config", ["ideal", "measured_s0", "measured_s1", "attack_demo"])
-    def test_shipped_transcripts_print_whole_picoseconds(self, tmp_path, config, attack):
-        experiment = load_config(CONFIGS_DIR / f"{config}.cfg")
-        session = experiment.session
-        strategy = replace(experiment.attack, kind=attack)
-        transcript = run_session(session, strategy, source_bit=experiment.source_bit)
-        match, sift = sift_transcript(transcript, session)
-        path = tmp_path / "transcript.csv"
-        write_transcript_csv(path, transcript, match, sift)
-        rows = [line.split(",") for line in path.read_bytes().decode("ascii").split("\r\n")[1:-1]]
-        times = [row[column] for row in rows for column in (2, 4) if row[column]]
-        assert len(times) == transcript.t_s.size + transcript.t_r.size
-        assert all(text.endswith(".0") for text in times)
-        sends, matches, _, _, anomalies = read_transcript_csv(path)
-        assert sends == list(zip(range(transcript.t_s.size), transcript.bit.tolist(), transcript.t_s.tolist()))
-        t_r, detector = transcript.t_r.tolist(), transcript.detector.tolist()
-        assert matches == {s: (t_r[r], detector[r]) for s, r in zip(match.send.tolist(), match.receive.tolist())}
-        assert anomalies == [(t_r[r], detector[r]) for r in match.anomalies.tolist()]
-
-    def test_fractional_offset_on_a_jitter_free_link_is_clean(self, tmp_path):
-        # tau + T = 3000.7 ps: whole-ps stamps put each deviation at -0.7 or +0.3 ps, inside the 1 ps window
-        cfg = tmp_path / "fractional.cfg"
-        cfg.write_text(FAST_SCENARIO + "tau = 2000.3\ntravel_time = 1000.4\n", encoding="utf-8")
-        out_dir = tmp_path / "out"
-        argv = ["attack-demo", "--config", str(cfg), "--out", str(out_dir), "--attack", "none", "--fail-on-alarm"]
-        assert main(argv) == EXIT_OK
-        report = json.loads((out_dir / "verdict.json").read_text(encoding="utf-8"))
-        assert (report["decision"], report["anomalies"]) == ("Clean", 0)
-        assert report["matched"] > 0
-
     def test_sub_picosecond_jitter_derives_the_1_ps_window(self):
         # 3 sigma = 0.42 ps would be narrower than the stamp resolution
         session = build_experiment({"jitter": "0.1"}).session
         assert 3.0 * math.hypot(0.1, 0.1) < 1.0
         assert session.accept_window_ps == 1.0
-
-
-class TestGoldenOutputs:
-    """Pinned digests of FAST_SCENARIO's outputs: any change to an RNG draw
-    order, the engine's arithmetic or the file formats shows up here, and
-    must be a deliberate, documented break."""
-
-    # test id -> (argv, digest of the output tree, exact stdout)
-    GOLDEN = {
-        "transmit": (
-            ("transmit",),
-            "e8e2dc85c897554a66f7e227f6ea2515868db555354c5a860b25ecba51c1e1c3",
-            "transmit: 3 runs, mean QBER 0.0000, anomaly fraction 0.0\n",
-        ),
-        "fringe-scan": (
-            ("fringe-scan",),
-            "56245d1d9c1e8ad702796459b04794dbe495d6c45b1040e1dd9cd000652c3f7e",
-            "fringe s0: V_D0 1.000, V_D1 0.989, phase offset 6.266 rad\n"
-            "fringe s1: V_D0 1.000, V_D1 1.000, phase offset 3.144 rad\n",
-        ),
-        "attack-demo-none": (
-            ("attack-demo", "--attack", "none"),
-            "f9b3adcbca9125a7efe042afed3de88b4dbfdf6ec8cf8435157f42661a5cec9d",
-            "attack-demo [none]: decision Clean, QBER 0.0, anomaly fraction 0.0000, Eve information 0.0000 bits\n",
-        ),
-        "attack-demo-which-path": (
-            ("attack-demo", "--attack", "which-path"),
-            "bdf3a0c8dadd67c86602946d7e6cdb9f81c07fb5e272b06b0a7b9376201de668",
-            "attack-demo [which-path]: decision QberAlarm, QBER 0.46226415094339623, anomaly fraction 0.0000, "
-            "Eve information 0.0000 bits\n",
-        ),
-        "attack-demo": (
-            ("attack-demo", "--attack", "store-forward"),
-            "d55283720b606674aa192da4ee08310aa54c1f24e78c260077795c4ee2df175e",
-            "attack-demo [store-forward]: decision TimingAlarm, QBER None, anomaly fraction 1.0000, "
-            "Eve information 0.9926 bits\n",
-        ),
-    }
-
-    @pytest.mark.parametrize("name", list(GOLDEN))
-    def test_output_digest(self, fast_config, tmp_path, capsys, name):
-        argv, digest, stdout = self.GOLDEN[name]
-        out_dir = tmp_path / "out"
-        assert main([*argv, "--config", str(fast_config), "--out", str(out_dir)]) == EXIT_OK
-        assert tree_digest(out_dir) == digest
-        assert capsys.readouterr().out == stdout
-
-    # every shipped config under every command, pinned before a refactor
-    # that must keep the bytes
-    SHIPPED = {
-        ("ideal", "transmit"): "fb84abfceb4a7a47a7612692c628fe1ee302235e1c978193fa27db8c4d62b559",
-        ("ideal", "fringe-scan"): "e42803db86102ddc8b600d0204030d9c17adbfd3506cb87db5beb72f92275899",
-        ("ideal", "attack-demo --attack none"): "633aa1b8c9bec644cae98fc8be52fa1e6e0ee0eba855bb8b81c8862aa9f7148d",
-        ("ideal", "attack-demo --attack which-path"): "d18ecd00d600f217dc3daf445ac1045ca98a6416d2486eba1d96d75e4957bc8a",
-        ("ideal", "attack-demo --attack store-forward"): "f75579c69688afa5ea6c807bf2b7ee3fc99415e1583ce8776622bbbaa85898d3",
-        ("measured_s0", "transmit"): "4a52a5c22e30aca9ce453439f78a05e6cbf5b919399bb5c9ef715a2df5a13ac9",
-        ("measured_s0", "fringe-scan"): "28a2700387691accaf1c6fe0c1219af9f17854e63192b040936ead9c5827331c",
-        ("measured_s0", "attack-demo --attack none"): "890d4140c14aca7a39c344684e1266f309c5b52b2b22cd29c46c88836631ee76",
-        ("measured_s0", "attack-demo --attack which-path"): "9286284e8495116f107ee2029a0b377f703786df5ec67ec1ec380f14e6f04b42",
-        ("measured_s0", "attack-demo --attack store-forward"): "1e433e20968763eb1ef1e9e64662473f3a1ac591eb64e697e99de3e8c054a024",
-        ("measured_s1", "transmit"): "ead0d1bbad5928cde6771c7a30187da6bb7ac7b2bbf4c16acce4416cd4793c1a",
-        ("measured_s1", "fringe-scan"): "64454f93917ce1d020980decbc585bdcbceba0ccac95fe55c0910e39233934d7",
-        ("measured_s1", "attack-demo --attack none"): "4e552ccc621a15318b47bc836a5b0615be5886cd29016740bd66c5690d11c3d7",
-        ("measured_s1", "attack-demo --attack which-path"): "ebf0c1e47ef4d790761138f92f5cea757e5ffaf8ca7b5ddb134bbbce953047c9",
-        ("measured_s1", "attack-demo --attack store-forward"): "f02612b7de48f7c85bef7119ae420de3b2f23c6f5a69f1bb2231142c1bda8726",
-        ("attack_demo", "transmit"): "574e32455c9fec7143b7475bbd9cb9223c6ad53e030a576a3f3d390cbbd78793",
-        ("attack_demo", "fringe-scan"): "230b516ba569d44a0b2449033804cefcb6d0ed7dc7ddce99c74b2e303a878503",
-        ("attack_demo", "attack-demo --attack none"): "245f541fbf347ecf15ac717d53941c62a3f16e8e4a4595c1f80229b66f9c8292",
-        ("attack_demo", "attack-demo --attack which-path"): "8a12f9b459cd1d8bd216cda201428ba0e2b0cb54507b7b0076616c97bf5e3539",
-        ("attack_demo", "attack-demo --attack store-forward"): "0efb7744b2f918dc18791f3767551a38643ac4ffc314d2b27eda28777b58498b",
-    }
-
-    @pytest.mark.parametrize("config, command", list(SHIPPED))
-    def test_shipped_config_digest(self, tmp_path, config, command):
-        out_dir = tmp_path / "out"
-        argv = [*command.split(), "--config", str(CONFIGS_DIR / f"{config}.cfg"), "--out", str(out_dir)]
-        assert main(argv) == EXIT_OK
-        assert tree_digest(out_dir) == self.SHIPPED[config, command]
 
 
 class TestFreshProcesses:
@@ -992,11 +935,12 @@ class TestFreshProcesses:
         command = [sys.executable, "-m", "gvqkd.cli", *argv]
         return subprocess.Popen(command, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
-    def test_transmit_writes_the_pinned_bytes_in_every_process(self, fast_config, tmp_path):
+    def test_transmit_writes_the_pinned_bytes_in_every_process(self, tmp_path):
         # the second process hashes strings differently and is given --seed at the scenario's own seed
-        argv, digest, stdout = TestGoldenOutputs.GOLDEN["transmit"]
+        scenario, argv, _, digest, stdout = PINNED["transmit"]
+        cfg = scenario_file(tmp_path, scenario)
         runs = {
-            out_dir: self.spawn(tmp_path, hash_seed, *argv, "--config", str(fast_config), "--out", str(out_dir), *extra)
+            out_dir: self.spawn(tmp_path, hash_seed, *argv, "--config", str(cfg), "--out", str(out_dir), *extra)
             for out_dir, hash_seed, extra in [(tmp_path / "first", 0, []), (tmp_path / "second", 1, ["--seed", "5"])]
         }
         for out_dir, proc in runs.items():
@@ -1008,10 +952,10 @@ class TestFreshProcesses:
             for path in transcripts:
                 read_transcript_csv(path)
 
-    def test_an_alarm_exits_3(self, fast_config, tmp_path):
-        argv, digest, _ = TestGoldenOutputs.GOLDEN["attack-demo"]
-        out_dir = tmp_path / "out"
-        proc = self.spawn(tmp_path, 0, *argv, "--fail-on-alarm", "--config", str(fast_config), "--out", str(out_dir))
+    def test_an_alarm_exits_3(self, tmp_path):
+        scenario, argv, _, digest, _ = PINNED["attack-demo"]
+        cfg, out_dir = scenario_file(tmp_path, scenario), tmp_path / "out"
+        proc = self.spawn(tmp_path, 0, *argv, "--fail-on-alarm", "--config", str(cfg), "--out", str(out_dir))
         assert proc.communicate(timeout=60)[1] == ""
         assert proc.returncode == EXIT_ALARM
         assert tree_digest(out_dir) == digest
@@ -1052,35 +996,7 @@ SCENARIOS = st.fixed_dictionaries(
     {key: drawn_value(key) for key in SIZE_KEYS},
     optional={key: drawn_value(key) for key in KEYS if key not in SIZE_KEYS},
 )
-COMMANDS = [["transmit"], ["fringe-scan"]] + [
-    ["attack-demo", "--attack", attack, "--fail-on-alarm"] for attack in ("none", "which-path", "store-forward")
-]
-
-
-def no_constant(name: str):
-    raise ValueError(f"not JSON: {name}")
-
-
-def check_outputs(out_dir: Path) -> None:
-    """Every file parses; per transcript, matched + anomalies = receives, disclosed <= matched, errors <= disclosed."""
-    reports, matched, anomalies = {}, 0, 0
-    for path in sorted(out_dir.iterdir()):
-        if path.suffix == ".json":
-            reports[path.name] = json.loads(path.read_text(encoding="utf-8"), parse_constant=no_constant)
-        elif path.name.startswith("fringe_s"):
-            read_fringe_csv(path)
-        else:
-            assert path.name.startswith("transcript"), path.name
-            _, matches, disclosed, errors, unmatched = read_transcript_csv(path)
-            with open(path, newline="", encoding="utf-8") as fh:
-                receives = sum(row["t_r_ps"] != "" for row in csv.DictReader(fh))
-            assert len(matches) + len(unmatched) == receives
-            assert disclosed <= matches.keys() and errors <= disclosed
-            matched, anomalies = matched + len(matches), anomalies + len(unmatched)
-    if summary := reports.get("summary.json"):
-        assert (summary["matched_total"], summary["anomaly_total"]) == (matched, anomalies)
-    if verdict := reports.get("verdict.json"):
-        assert (verdict["matched"], verdict["anomalies"]) == (matched, anomalies)
+COMMANDS = [["transmit"], ["fringe-scan"]] + [["attack-demo", "--attack", kind, "--fail-on-alarm"] for kind in KINDS]
 
 
 class TestAcceptedScenarios:

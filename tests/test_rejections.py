@@ -42,6 +42,7 @@ DELAY = "extra_delay_ps must be in (0, 2**52)"
 VISIBILITY = "visibility must be in [0, 1]"
 DURATION = "duration_s must be positive"
 DISCLOSURE = "disclosure_fraction must be in (0, 1)"
+ALIGNED = "alice_bits and bob_bits must be aligned"
 DEGENERATE = "degenerate fringe fit: condition number "
 FRINGE_VALUES = "line {}: values must be finite and counts non-negative, got {}"
 NOT_NUMBERS = "line {}: values must be numbers, got {}"
@@ -127,6 +128,10 @@ LIBRARY_REJECTED = [
     rejected(partial(AttackStrategy, "store-forward", extra_delay_ps=nan), "extra_delay_ps must be finite", id="nan"),
     rejected(partial(eve_information, [], []), "eve_information undefined on empty input", id="Eve, no photons"),
     rejected(partial(eve_information, [NO_GUESS], [0, 1]), "guesses and alice_bits must be aligned", id="Eve, 1 of 2"),
+    # values outside the two bits reached numpy's reshape or bincount, which named no argument
+    rejected(partial(eve_information, [2], [0]), "guesses must be 0, 1 or NO_GUESS", id="Eve, guess 2"),
+    rejected(partial(eve_information, [0, 1], [0, 3]), "alice_bits must be 0 or 1", id="Eve, bit 3"),
+    rejected(partial(eve_information, [0], [-1]), "alice_bits must be 0 or 1", id="Eve, bit -1"),
     rejected(partial(phase_from_path_length, 100.0, 0.0), "wavelength must be positive", id="wavelength 0"),
     rejected(partial(detection_p0, *LINK_STATES.T, -0.1), f"{VISIBILITY}, got -0.1", id="V -0.1"),
     rejected(partial(detection_p0, *LINK_STATES.T, 1.1), f"{VISIBILITY}, got 1.1", id="V 1.1"),
@@ -178,10 +183,16 @@ LIBRARY_REJECTED = [
     rejected(partial(run_session, ideal_config(), source_bit=2), "source_bit must be None, 0 or 1", id="session bit 2"),
     rejected(partial(timing_test, [1e6, 0.0], [3001.0, 1003001.0], ideal_config()), "t_s must be sorted", id="t_s"),
     rejected(partial(timing_test, [0.0, 1e6], [1003001.0, 3001.0], ideal_config()), "t_r must be sorted", id="t_r"),
+    # a NaN passes the sort rule: it matched the receive to send 0, or made it an anomaly
+    rejected(partial(timing_test, [0.0, nan, 5.0], [3000.0], ideal_config()), "t_s must be finite", id="t_s nan"),
+    rejected(partial(timing_test, [nan], [3000.0], ideal_config()), "t_s must be finite", id="t_s only nan"),
+    rejected(partial(timing_test, [0.0], [nan, 3000.0], ideal_config()), "t_r must be finite", id="t_r nan"),
     # a left-out anomaly count would read as a clean link and silence the timing alarm
     rejected(partial(sift_and_qber, *PAIRS, 0.5, RNG), NO_COUNT, TypeError, prefix=True, id="sift, no count"),
     rejected(partial(sift_and_qber, *PAIRS, 0.5, RNG, 3), POSITIONAL_COUNT, TypeError, prefix=True, id="sift, 5 args"),
     *(rejected(partial(sift_and_qber, *PAIRS, f, RNG, anomalies=0), DISCLOSURE, id=f"f {f}") for f in (0.0, 1.0, -0.5)),
+    # 10 bits against 4 raised numpy's IndexError from the disclosed mask
+    rejected(partial(sift_and_qber, PAIRS[0], PAIRS[1][:4], 0.5, RNG, anomalies=0), ALIGNED, id="sift, 10 and 4 bits"),
     rejected(read_transcript_csv, TRANSCRIPT_HEADER, file=b"index,bit,t_s_ps\r\n0,1,5.0\r\n", id="transcript header"),
     rejected(partial(detect_eavesdropping, EMPTY_SIFT, 0.01), "verdict undefined: no receives at all", id="empty sift"),
     rejected(partial(detect_eavesdropping, SIFT, 0.0, 0.11), "anomaly_threshold must be in (0, 1)", id="anomaly 0"),
