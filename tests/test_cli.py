@@ -857,7 +857,51 @@ class TestGoldenOutputs:
         check_outputs(out_dir)
 
 
+class TestTransmitCommand:
+    def test_outputs_and_summary(self, fast_config, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["transmit", "--config", str(fast_config), "--out", str(out_dir)])
+        assert code == EXIT_OK
+        for run_index in range(3):
+            assert (out_dir / f"transcript_run{run_index:03d}.csv").is_file()
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert summary["runs"] == 3
+        assert summary["source_bit"] == "random"
+        assert summary["qber_mean"] == 0.0
+        assert summary["anomaly_fraction"] == 0.0
+        assert summary["matched_total"] > 0
+        assert summary["key_bits_total"] > 0
+        assert "transmit: 3 runs" in capsys.readouterr().out
+
+    def test_byte_identical_reruns(self, fast_config, tmp_path):
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "b"
+        assert main(["transmit", "--config", str(fast_config), "--out", str(out_a)]) == EXIT_OK
+        assert main(["transmit", "--config", str(fast_config), "--out", str(out_b)]) == EXIT_OK
+        assert tree_digest(out_a) == tree_digest(out_b)
+
+
 class TestFringeScanCommand:
+    def test_scans_both_sources_by_default(self, fast_config, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main(["fringe-scan", "--config", str(fast_config), "--out", str(out_dir)])
+        assert code == EXIT_OK
+        for bit in (0, 1):
+            assert (out_dir / f"fringe_s{bit}.csv").is_file()
+            report = json.loads((out_dir / f"fringe_fit_s{bit}.json").read_text(encoding="utf-8"))
+            assert report["visibility_d0"] == pytest.approx(1.0, abs=0.05)
+            assert report["visibility_d1"] == pytest.approx(1.0, abs=0.05)
+            assert report["phase_difference_rad"] == pytest.approx(math.pi, abs=0.1)
+        out = capsys.readouterr().out
+        assert "fringe s0:" in out and "fringe s1:" in out
+
+    def test_byte_identical_reruns(self, fast_config, tmp_path):
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "b"
+        assert main(["fringe-scan", "--config", str(fast_config), "--out", str(out_a)]) == EXIT_OK
+        assert main(["fringe-scan", "--config", str(fast_config), "--out", str(out_b)]) == EXIT_OK
+        assert tree_digest(out_a) == tree_digest(out_b)
+
     def test_fit_report_keys(self):
         fit = FringeFit(visibility=0.89, phase_offset_rad=0.0, mean_rate=1000.0, residual_rms=1.0)
         fit1 = FringeFit(visibility=0.82, phase_offset_rad=math.pi, mean_rate=1000.0, residual_rms=1.0)
@@ -865,6 +909,57 @@ class TestFringeScanCommand:
         assert list(report)[:3] == ["visibility_d0", "visibility_d1", "phase_offset_rad"]
         assert report["visibility_d0"] == 0.89
         assert report["phase_difference_rad"] == pytest.approx(math.pi)
+
+
+class TestAttackDemoCommand:
+    def run(self, fast_config, out_dir, attack, *extra):
+        return main(
+            ["attack-demo", "--config", str(fast_config), "--out", str(out_dir), "--attack", attack, *extra]
+        )
+
+    def test_clean_link_passes(self, fast_config, tmp_path):
+        out_dir = tmp_path / "out"
+        code = self.run(fast_config, out_dir, "none", "--fail-on-alarm")
+        assert code == EXIT_OK
+        report = json.loads((out_dir / "verdict.json").read_text(encoding="utf-8"))
+        assert list(report) == [
+            "qber",
+            "qber_sigma",
+            "anomaly_fraction",
+            "decision",
+            "strategy",
+            "eve_information_bits",
+            "matched",
+            "anomalies",
+            "key_bits",
+        ]
+        assert report["decision"] == "Clean"
+        assert report["qber"] == 0.0
+        assert report["anomaly_fraction"] == 0.0
+        assert report["eve_information_bits"] == 0.0
+
+    def test_which_path_raises_qber_alarm(self, fast_config, tmp_path):
+        out_dir = tmp_path / "out"
+        code = self.run(fast_config, out_dir, "which-path", "--fail-on-alarm")
+        assert code == EXIT_ALARM
+        report = json.loads((out_dir / "verdict.json").read_text(encoding="utf-8"))
+        assert report["decision"] == "QberAlarm"
+        assert report["qber"] == pytest.approx(0.5, abs=0.1)
+        assert report["anomaly_fraction"] == 0.0
+
+    def test_store_forward_raises_timing_alarm(self, fast_config, tmp_path):
+        out_dir = tmp_path / "out"
+        code = self.run(fast_config, out_dir, "store-forward", "--fail-on-alarm")
+        assert code == EXIT_ALARM
+        report = json.loads((out_dir / "verdict.json").read_text(encoding="utf-8"))
+        assert report["decision"] == "TimingAlarm"
+        assert report["anomaly_fraction"] == 1.0
+        assert report["eve_information_bits"] == pytest.approx(1.0, abs=0.01)
+        assert (out_dir / "transcript.csv").is_file()
+
+    def test_alarm_without_flag_still_exits_zero(self, fast_config, tmp_path):
+        code = self.run(fast_config, tmp_path / "out", "store-forward")
+        assert code == EXIT_OK
 
 
 class TestExitCodes:
