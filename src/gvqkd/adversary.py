@@ -110,6 +110,8 @@ def eve_information(guesses: np.ndarray, alice_bits: np.ndarray) -> float:
         raise ValueError("guesses must be 0, 1 or NO_GUESS")
     if not np.all(np.isin(alice_bits, (0, 1))):
         raise ValueError("alice_bits must be 0 or 1")
+    # a whole float such as 1.0 passes the guards; bincount takes integers only
+    guesses, alice_bits = guesses.astype(np.int64), alice_bits.astype(np.int64)
     guessed = guesses != NO_GUESS
     joint = np.bincount(2 * guesses[guessed] + alice_bits[guessed], minlength=4).reshape(2, 2).astype(float)
     total = joint.sum()

@@ -237,15 +237,18 @@ def run_session(
 def timing_test(t_s: np.ndarray, t_r: np.ndarray, config: SessionConfig) -> Match:
     """Match receives to sends at the nominal delay; the rest are anomalies.
 
-    t_s and t_r must be finite and sorted (else ValueError), as run_session
-    returns them. Taking receives in time order, each claims the send nearest to
-    t_r - (tau + T) among its two neighbours in t_s, the earlier one on a
-    tie. The claim matches when the deviation is within the accept window
-    and no earlier receive matched that send; otherwise the receive is an
-    anomaly and does not fall back to the other neighbour. One-to-one.
+    t_s and t_r must be one-dimensional, finite and sorted (else ValueError),
+    as run_session returns them. Taking receives in time order, each claims
+    the send nearest to t_r - (tau + T) among its two neighbours in t_s, the
+    earlier one on a tie. The claim matches when the deviation is within the
+    accept window and no earlier receive matched that send; otherwise the
+    receive is an anomaly and does not fall back to the other neighbour.
+    One-to-one.
     """
     t_s, t_r = np.asarray(t_s), np.asarray(t_r)
     for name, t in (("t_s", t_s), ("t_r", t_r)):
+        if t.ndim != 1:
+            raise ValueError(f"{name} must be one-dimensional")
         # a NaN compares False both ways, so the sort rule alone would pass it
         if not np.all(np.isfinite(t)):
             raise ValueError(f"{name} must be finite")
@@ -275,16 +278,19 @@ def sift_and_qber(
     """Sacrifice a random fraction of the matched pairs to estimate the QBER.
 
     alice_bits and bob_bits are the sent bit and the firing detector of each
-    matched pair. Disclosed pairs are consumed: the key is built from the
-    remainder only. The QBER is wrong/(right + wrong) over the disclosed
-    subset with a binomial standard error; both are None if nothing was
-    disclosed. anomalies is the timing test's count of unmatched receives;
-    it has no default, because a count left out would read as a clean link.
+    matched pair, as two aligned one-dimensional arrays. Disclosed pairs are
+    consumed: the key is built from the remainder only. The QBER is
+    wrong/(right + wrong) over the disclosed subset with a binomial standard
+    error; both are None if nothing was disclosed. anomalies is the timing
+    test's count of unmatched receives; it has no default, because a count
+    left out would read as a clean link.
     """
     if not 0.0 < disclosure_fraction < 1.0:
         raise ValueError("disclosure_fraction must be in (0, 1)")
     alice_bits = np.asarray(alice_bits)
     bob_bits = np.asarray(bob_bits)
+    if alice_bits.ndim != 1 or bob_bits.ndim != 1:
+        raise ValueError("alice_bits and bob_bits must be one-dimensional")
     if alice_bits.shape != bob_bits.shape:
         raise ValueError("alice_bits and bob_bits must be aligned")
     n = alice_bits.size

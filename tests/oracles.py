@@ -14,9 +14,8 @@ density instead of erfc, the timing test as a scalar loop over receives
 instead of array searches, the transcript CSV through csv.writer one row
 at a time instead of joined column chunks, and the fringe scan as one
 scalar binomial draw per detector per step instead of one draw over the
-whole table. The inner product of two states and the textbook visibility
-from fringe extremes are kept here as spec: the simulator itself never
-needs them.
+whole table. The inner product of two states is kept here as spec: the
+simulator itself never needs it.
 """
 
 import cmath
@@ -122,15 +121,6 @@ def hadamard_apply(amp_a: complex, amp_b: complex) -> tuple[complex, complex]:
 def overlap(state_x, state_y) -> complex:
     """Inner product <x|y> of two PathStates."""
     return state_x.amp_a.conjugate() * state_y.amp_a + state_x.amp_b.conjugate() * state_y.amp_b
-
-
-def visibility_from_extremes(n_max: float, n_min: float) -> float:
-    """Textbook fringe visibility (n_max - n_min) / (n_max + n_min)."""
-    if n_min < 0 or n_max < n_min:
-        raise ValueError("need n_max >= n_min >= 0")
-    if n_max == 0:
-        raise ValueError("visibility undefined for all-zero counts")
-    return (n_max - n_min) / (n_max + n_min)
 
 
 def born_probabilities(amp_a: complex, amp_b: complex, visibility: float) -> tuple[float, float]:

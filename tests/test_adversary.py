@@ -1,7 +1,12 @@
 """Attack models and their detection signatures."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from gvqkd.adversary import (
     NO_ATTACK,
@@ -10,7 +15,6 @@ from gvqkd.adversary import (
     apply_attack,
     eve_information,
 )
-from gvqkd.analysis import Decision, default_anomaly_threshold, detect_eavesdropping
 from gvqkd.optics import STATE_MODE_A, STATE_MODE_B
 from gvqkd.protocol import run_session
 
@@ -80,25 +84,6 @@ class TestWhichPathInterceptResend:
         out_state, *_ = apply_attack(AttackStrategy("which-path"), *photons(state), 1000.0, rng)
         assert out_state.tolist() == state
 
-    def test_qber_jumps_to_one_half(self):
-        config = ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=42)
-        _, match, sift = run_and_sift(config, AttackStrategy("which-path"))
-        assert match.anomalies.size == 0
-        n = sum(sift.disclosed_mask)
-        assert abs(sift.qber - 0.5) <= 4.0 * binomial_sigma(0.5, n)
-
-    def test_guess_carries_no_information(self):
-        config = ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=43)
-        transcript = run_session(config, AttackStrategy("which-path"))
-        info = eve_information(transcript.eve_guess, transcript.bit)
-        assert info < 0.01
-
-    def test_verdict_is_qber_alarm(self):
-        config = ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=44)
-        _, _, sift = run_and_sift(config, AttackStrategy("which-path"))
-        verdict = detect_eavesdropping(sift, default_anomaly_threshold(config))
-        assert verdict.decision is Decision.QBER_ALARM
-
 
 class TestStoreMeasureForward:
     def test_learns_bit_exactly_and_delays_both_packets(self):
@@ -112,14 +97,6 @@ class TestStoreMeasureForward:
         # the recombination, at packet b's arrival, is late by exactly tau + extra_delay
         assert set(arrival.tolist()) == {3000.0 + 2500.0}
 
-    def test_every_receive_is_anomalous_at_default_window(self):
-        config = ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=45)
-        transcript, match, sift = run_and_sift(config, AttackStrategy("store-forward"))
-        assert match.send.size == 0
-        assert match.anomalies.size == transcript.t_r.size
-        assert transcript.t_r.size == run_session(config, AttackStrategy("store-forward")).t_r.size
-        assert sift.qber is None
-
     def test_matched_bits_are_never_altered(self):
         # widen the accept window so the delayed photons still match: the
         # QBER test alone cannot see this attack; the rate stays low so
@@ -132,20 +109,6 @@ class TestStoreMeasureForward:
         np.testing.assert_array_equal(transcript.bit[match.send], transcript.detector[match.receive])
         # exact one-to-one check, independent of the matching heuristic
         np.testing.assert_array_equal(transcript.detector, transcript.bit)
-
-    def test_eve_learns_one_bit(self):
-        config = ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=47)
-        transcript = run_session(config, AttackStrategy("store-forward"))
-        np.testing.assert_array_equal(transcript.eve_guess, transcript.bit)
-        info = eve_information(transcript.eve_guess, transcript.bit)
-        assert info == pytest.approx(1.0, abs=0.01)
-
-    def test_verdict_is_timing_alarm(self):
-        config = ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=48)
-        _, _, sift = run_and_sift(config, AttackStrategy("store-forward"))
-        verdict = detect_eavesdropping(sift, default_anomaly_threshold(config))
-        assert verdict.anomaly_fraction == 1.0
-        assert verdict.decision is Decision.TIMING_ALARM
 
 
 class TestEveInformation:
@@ -161,18 +124,21 @@ class TestEveInformation:
     def test_photons_without_a_guess_are_skipped(self):
         assert eve_information([0, NO_GUESS, 1, NO_GUESS], [0, 0, 1, 1]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_whole_floats_are_bits(self):
+        # 1.0 passes the guards as a bit; bincount took only integers
+        assert eve_information([1.0, 0.0], [1, 0]) == eve_information([1, 0], [1, 0])
+        assert eve_information([1, 0], [1.0, 0.0]) == eve_information([1, 0], [1, 0])
 
-class TestSecurityDichotomy:
-    def test_information_implies_disturbance(self):
-        # any strategy that learns anything must trip at least one public
-        # test: at 1e4 photons with ideal hardware, information > 0.1 bits
-        # forces anomaly fraction > 0.9 or QBER > 0.3
-        for kind in ("none", "which-path", "store-forward"):
-            config = ideal_config(pair_rate_hz=2100.0, duration_s=5.0, seed=49)
-            transcript, match, sift = run_and_sift(config, AttackStrategy(kind))
-            info = eve_information(transcript.eve_guess, transcript.bit)
-            if info > 0.1:
-                total = match.send.size + match.anomalies.size
-                anomaly_fraction = match.anomalies.size / total
-                qber = sift.qber if sift.qber is not None else 0.0
-                assert anomaly_fraction > 0.9 or qber > 0.3, kind
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0, 1, NO_GUESS]), st.sampled_from([0, 1])), min_size=1, max_size=40))
+    def test_equals_the_entropy_oracle(self, pairs):
+        # H(G) + H(B) - H(G, B) over the photons Eve took a guess on
+        guessed = [pair for pair in pairs if pair[0] != NO_GUESS]
+
+        def entropy(items):
+            return stats.entropy(list(Counter(items).values()), base=2)
+
+        expected = 0.0
+        if guessed:
+            expected = entropy(g for g, _ in guessed) + entropy(b for _, b in guessed) - entropy(guessed)
+        assert eve_information(*zip(*pairs)) == pytest.approx(expected, abs=1e-12)

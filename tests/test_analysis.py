@@ -1,6 +1,8 @@
 """Fringe scans, fits, visibility/QBER relations, verdict logic."""
 
 import math
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +18,15 @@ from gvqkd.analysis import (
     read_fringe_csv,
     write_fringe_csv,
 )
+from gvqkd.config import load_config
 from gvqkd.protocol import SessionConfig, SiftResult
 from gvqkd.streams import stream
 
 from helpers import ideal_config, run_and_sift
-from oracles import binomial_sigma, reference_fringe_scan, visibility_from_extremes
+from oracles import binomial_sigma, reference_fringe_scan
 
 WAVELENGTH = 812.0
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def synthetic_scan(amplitude, visibility_d0, visibility_d1, phase_offset, n_steps=33, span=(0.0, 2.0 * WAVELENGTH)):
@@ -71,13 +75,6 @@ class TestFringeScan:
         assert np.issubdtype(counts.dtype, np.integer)
         assert ((0 <= counts) & (counts <= 500)).all()
 
-    def test_deterministic_for_seed(self):
-        config = table_config()
-        a = fringe_scan(config, 0, (0.0, 1624.0), 11, 200, np.random.default_rng(5))
-        b = fringe_scan(config, 0, (0.0, 1624.0), 11, 200, np.random.default_rng(5))
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
     def test_one_binomial_call(self):
         class CountingRng:
             def __init__(self, rng):
@@ -93,17 +90,38 @@ class TestFringeScan:
         assert rng.calls == 1
 
 
+def shipped_scan(name, bit):
+    """The scan fringe-scan runs on a shipped config for one source, on the config's own stream."""
+    experiment = load_config(CONFIGS_DIR / f"{name}.cfg")
+    session = experiment.session
+    scan = (session, bit, (0.0, experiment.scan_span_nm), experiment.scan_steps, experiment.shots_per_step)
+    return pytest.param(scan, partial(stream, session.seed, "fringe", bit), id=f"{name}-{bit}")
+
+
+# each case: fringe_scan's arguments before the generator, and a maker of fresh generators all in one state
+FRINGE_SCANS = [
+    *(shipped_scan(name, bit) for name in ("attack_demo", "ideal", "measured_s0", "measured_s1") for bit in (0, 1)),
+    # two periods in 41 steps at the measured and the ideal detector pair, over seeds
+    *(
+        pytest.param(
+            (SessionConfig(visibility_d0=d0, visibility_d1=d1), bit, (0.0, 1624.0), 41, 5000),
+            partial(np.random.default_rng, seed),
+            id=f"{seed}-pair{i}-{bit}",
+        )
+        for seed in (0, 5, 61, 2010)
+        for i, (d0, d1) in enumerate([(0.89, 0.82), (1.0, 1.0)])
+        for bit in (0, 1)
+    ),
+]
+
+
 class TestFringeScanAgainstReference:
-    @pytest.mark.parametrize("source_bit", [0, 1])
-    @pytest.mark.parametrize("pair", [(0.89, 0.82), (1.0, 1.0)])
-    @pytest.mark.parametrize("seed", [0, 5, 61, 2010])
-    def test_equals_the_per_step_loop(self, source_bit, pair, seed):
+    @pytest.mark.parametrize("scan, make_rng", FRINGE_SCANS)
+    def test_equals_the_per_step_loop(self, scan, make_rng):
         # same steps, same counts, and the generator left in the same state
-        config = SessionConfig(visibility_d0=pair[0], visibility_d1=pair[1])
-        scan_rng = np.random.default_rng(seed)
-        reference_rng = np.random.default_rng(seed)
-        delta_l, counts = fringe_scan(config, source_bit, (0.0, 1624.0), 41, 5000, scan_rng)
-        ref_delta_l, ref_counts = reference_fringe_scan(config, source_bit, (0.0, 1624.0), 41, 5000, reference_rng)
+        scan_rng, reference_rng = make_rng(), make_rng()
+        delta_l, counts = fringe_scan(*scan, scan_rng)
+        ref_delta_l, ref_counts = reference_fringe_scan(*scan, reference_rng)
         assert delta_l.tolist() == ref_delta_l
         assert [tuple(row) for row in counts.tolist()] == ref_counts
         assert scan_rng.random() == reference_rng.random()
@@ -111,7 +129,7 @@ class TestFringeScanAgainstReference:
 
 class TestFitFringe:
     def test_exact_recovery_on_noiseless_data(self):
-        for visibility in (0.3, 0.82, 1.0):
+        for visibility in (0.3, 0.82, 0.86, 1.0):
             for phase in (0.0, 0.8, math.pi, 4.0):
                 fit_d0, fit_d1 = fit_fringe(*synthetic_scan(1000.0, visibility, visibility, phase), WAVELENGTH)
                 assert fit_d0.visibility == pytest.approx(visibility, abs=1e-10)
@@ -135,32 +153,6 @@ class TestFitFringe:
         fit_d0, fit_d1 = fit_fringe(delta_l, counts, WAVELENGTH)
         assert fit_d0.visibility == pytest.approx(0.89, abs=0.02)
         assert fit_d1.visibility == pytest.approx(0.82, abs=0.02)
-
-
-class TestVisibilityFromExtremes:
-    def test_spec_point(self):
-        assert visibility_from_extremes(945.0, 55.0) == pytest.approx(0.89, abs=1e-12)
-
-    def test_full_contrast(self):
-        assert visibility_from_extremes(1000.0, 0.0) == 1.0
-
-    def test_flat_fringe(self):
-        assert visibility_from_extremes(500.0, 500.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            visibility_from_extremes(10.0, 20.0)
-        with pytest.raises(ValueError):
-            visibility_from_extremes(10.0, -1.0)
-        with pytest.raises(ValueError):
-            visibility_from_extremes(0.0, 0.0)
-
-    def test_agrees_with_fit_on_noiseless_scan(self):
-        # grid hits the exact extremes: steps of lambda/8 over two periods
-        delta_l, counts = synthetic_scan(1000.0, 0.86, 0.86, 0.0, n_steps=17)
-        fit_d0, _ = fit_fringe(delta_l, counts, WAVELENGTH)
-        extremes = visibility_from_extremes(counts[:, 0].max(), counts[:, 0].min())
-        assert abs(extremes - fit_d0.visibility) < 0.01
 
 
 class TestQberFromVisibility:

@@ -19,13 +19,6 @@ from oracles import binomial_sigma
 
 
 class TestGenerateEmissions:
-    def test_count_near_rate_times_duration(self):
-        rng = np.random.default_rng(42)
-        params = SourceParams(pair_rate_hz=10_000.0)
-        times = generate_emissions(params, 5.0, rng)
-        mean = 10_000.0 * 5.0
-        assert abs(times.size - mean) <= 4.0 * math.sqrt(mean)
-
     def test_sorted_and_in_window(self):
         rng = np.random.default_rng(43)
         times = generate_emissions(SourceParams(pair_rate_hz=2000.0), 1.0, rng)
@@ -36,12 +29,6 @@ class TestGenerateEmissions:
     def test_zero_rate_gives_empty(self):
         rng = np.random.default_rng(44)
         assert generate_emissions(SourceParams(pair_rate_hz=0.0), 5.0, rng).size == 0
-
-    def test_deterministic_for_seed(self):
-        params = SourceParams(pair_rate_hz=5000.0)
-        a = generate_emissions(params, 2.0, np.random.default_rng(46))
-        b = generate_emissions(params, 2.0, np.random.default_rng(46))
-        assert np.array_equal(a, b)
 
     def test_interarrival_gaps_are_exponential(self):
         # KS against Expon(1/rate) on ~1e4 gaps, significance 0.01
@@ -117,16 +104,6 @@ class TestDetectorClick:
         clicks = int(hit.sum())
         assert t_click.size == clicks
         assert abs(clicks / n - 0.7) <= 4.0 * binomial_sigma(0.7, n)
-
-    def test_jitter_moments(self):
-        rng = np.random.default_rng(63)
-        sigma = 300.0
-        params = DetectorParams(efficiency=1.0, jitter_sigma_ps=sigma)
-        n = 20_000
-        _, offsets = detector_click(np.zeros(n), params, rng)
-        assert offsets.size == n
-        assert abs(offsets.mean()) <= 4.0 * sigma / math.sqrt(n)
-        assert abs(offsets.std() - sigma) <= 0.05 * sigma
 
     def test_jitter_follows_its_own_photon(self):
         # losses thin the arrivals without reordering them

@@ -2,14 +2,11 @@
 
 import cmath
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gvqkd.adversary import STORE_FORWARD_P0, WHICH_PATH_P_A
-from gvqkd.analysis import fringe_scan
-from gvqkd.config import load_config
 from gvqkd.optics import (
     LINK_STATES,
     STATE_MODE_A,
@@ -18,7 +15,6 @@ from gvqkd.optics import (
     detection_p0,
     phase_from_path_length,
 )
-from gvqkd.streams import stream
 
 from oracles import (
     PathState,
@@ -30,12 +26,9 @@ from oracles import (
     link_states,
     make_state,
     overlap,
-    reference_fringe_scan,
 )
 
 TOL = 1e-12
-
-CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def random_states(count: int, seed: int = 123) -> list[PathState]:
@@ -83,10 +76,6 @@ class TestMakeState:
     def test_states_are_orthogonal(self):
         assert abs(overlap(make_state(0), make_state(1))) == pytest.approx(0.0, abs=TOL)
 
-    def test_states_are_normalized(self):
-        for bit in (0, 1):
-            assert make_state(bit).norm_squared() == pytest.approx(1.0, abs=TOL)
-
     def test_rejects_non_bit(self):
         for bad in (2, -1, 0.5, None):
             with pytest.raises(ValueError):
@@ -113,11 +102,6 @@ class TestBeamSplitter:
             assert out.amp_a == pytest.approx(expected_a, abs=TOL)
             assert out.amp_b == pytest.approx(expected_b, abs=TOL)
 
-    def test_preserves_norm_on_random_states(self):
-        # unitarity sweep, tolerance 1e-12
-        for state in random_states(1000):
-            assert beam_splitter(state).norm_squared() == pytest.approx(1.0, abs=TOL)
-
     def test_self_inverse(self):
         for state in random_states(50, seed=5):
             twice = beam_splitter(beam_splitter(state))
@@ -126,11 +110,6 @@ class TestBeamSplitter:
 
 
 class TestApplyPhase:
-    def test_preserves_norm(self):
-        for state in random_states(200, seed=9):
-            shifted = apply_phase(state, 1.234)
-            assert shifted.norm_squared() == pytest.approx(1.0, abs=TOL)
-
     def test_pi_maps_bit0_onto_bit1(self):
         shifted = apply_phase(make_state(0), math.pi)
         # equal up to global phase: unit overlap with the other code state
@@ -176,7 +155,7 @@ class TestDetectionProbabilities:
     def test_localized_state_is_fifty_fifty(self):
         for visibility in (0.0, 0.5, 1.0):
             for localized in (PathState(1.0, 0.0), PathState(0.0, 1.0)):
-                assert detection_probabilities(localized, visibility) == pytest.approx((0.5, 0.5), abs=TOL)
+                assert detection_probabilities(localized, visibility) == (0.5, 0.5)
 
     def test_zero_visibility_kills_interference(self):
         for bit in (0, 1):
@@ -222,7 +201,7 @@ class TestArraysAgainstTheSpec:
 
     @pytest.mark.parametrize("visibility", [0.0, 0.3, 0.855, 1.0])
     def test_detection_p0_equals_the_scalar_rule_bit_for_bit(self, visibility):
-        states = random_states(1000)
+        states = [*link_states(), *random_states(1000)]
         expected = [detection_probabilities(s, visibility)[0] for s in states]
         assert detection_p0(*amplitudes(states), visibility).tolist() == expected
 
@@ -237,18 +216,3 @@ class TestArraysAgainstTheSpec:
         # Eve's draws compare against these, so a last-bit change would move them
         assert STORE_FORWARD_P0.tolist() == [abs(beam_splitter(s).amp_a) ** 2 for s in link_states()]
         assert WHICH_PATH_P_A.tolist() == [abs(s.amp_a) ** 2 for s in link_states()]
-
-    @pytest.mark.parametrize("source_bit", [0, 1])
-    @pytest.mark.parametrize("name", ["attack_demo", "ideal", "measured_s0", "measured_s1"])
-    def test_fringe_scan_equals_the_per_step_spec_on_shipped_configs(self, name, source_bit):
-        # the scan fringe-scan runs on this config: same steps, same counts, same generator state after
-        experiment = load_config(CONFIGS_DIR / f"{name}.cfg")
-        session = experiment.session
-        scan = (session, source_bit, (0.0, experiment.scan_span_nm), experiment.scan_steps, experiment.shots_per_step)
-        scan_rng = stream(session.seed, "fringe", run_index=source_bit)
-        reference_rng = stream(session.seed, "fringe", run_index=source_bit)
-        delta_l, counts = fringe_scan(*scan, scan_rng)
-        ref_delta_l, ref_counts = reference_fringe_scan(*scan, reference_rng)
-        assert delta_l.tolist() == ref_delta_l
-        assert [tuple(row) for row in counts.tolist()] == ref_counts
-        assert scan_rng.random() == reference_rng.random()

@@ -187,12 +187,21 @@ LIBRARY_REJECTED = [
     rejected(partial(timing_test, [0.0, nan, 5.0], [3000.0], ideal_config()), "t_s must be finite", id="t_s nan"),
     rejected(partial(timing_test, [nan], [3000.0], ideal_config()), "t_s must be finite", id="t_s only nan"),
     rejected(partial(timing_test, [0.0], [nan, 3000.0], ideal_config()), "t_r must be finite", id="t_r nan"),
+    # a table in place of a column raised numpy's ValueError from concatenate, or its IndexError
+    rejected(partial(timing_test, [[0.0]], [3000.0], ideal_config()), "t_s must be one-dimensional", id="t_s 2-d"),
+    rejected(partial(timing_test, [0.0], [[3000.0]], ideal_config()), "t_r must be one-dimensional", id="t_r 2-d"),
     # a left-out anomaly count would read as a clean link and silence the timing alarm
     rejected(partial(sift_and_qber, *PAIRS, 0.5, RNG), NO_COUNT, TypeError, prefix=True, id="sift, no count"),
     rejected(partial(sift_and_qber, *PAIRS, 0.5, RNG, 3), POSITIONAL_COUNT, TypeError, prefix=True, id="sift, 5 args"),
     *(rejected(partial(sift_and_qber, *PAIRS, f, RNG, anomalies=0), DISCLOSURE, id=f"f {f}") for f in (0.0, 1.0, -0.5)),
     # 10 bits against 4 raised numpy's IndexError from the disclosed mask
     rejected(partial(sift_and_qber, PAIRS[0], PAIRS[1][:4], 0.5, RNG, anomalies=0), ALIGNED, id="sift, 10 and 4 bits"),
+    # two aligned (2, 5) tables raised numpy's IndexError from the disclosed mask
+    rejected(
+        partial(sift_and_qber, *(bits.reshape(2, 5) for bits in PAIRS), 0.5, RNG, anomalies=0),
+        "alice_bits and bob_bits must be one-dimensional",
+        id="sift, 2-d bits",
+    ),
     rejected(read_transcript_csv, TRANSCRIPT_HEADER, file=b"index,bit,t_s_ps\r\n0,1,5.0\r\n", id="transcript header"),
     rejected(partial(detect_eavesdropping, EMPTY_SIFT, 0.01), "verdict undefined: no receives at all", id="empty sift"),
     rejected(partial(detect_eavesdropping, SIFT, 0.0, 0.11), "anomaly_threshold must be in (0, 1)", id="anomaly 0"),
