@@ -72,6 +72,8 @@ def apply_attack(
     packet a: every strategy delays both packets or neither. The guess is
     NO_GUESS where Eve took none.
     """
+    if not np.shape(state) == np.shape(launch_a_ps) == np.shape(launch_b_ps):
+        raise ValueError("state, launch_a_ps and launch_b_ps must be aligned")
     n = state.size
     arrival = launch_b_ps + travel_time_ps
     if strategy.kind == KIND_NONE:

@@ -112,10 +112,12 @@ def _fit_single(design: np.ndarray, counts: np.ndarray, detector: int) -> Fringe
 
 def fit_fringe(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float) -> tuple[FringeFit, FringeFit]:
     """Fit both detectors' fringes (the columns of counts); fringe_design decides which scans it can use."""
-    counts = np.asarray(counts, dtype=float)
+    delta_l_nm, counts = np.asarray(delta_l_nm, dtype=float), np.asarray(counts, dtype=float)
+    if counts.shape != (delta_l_nm.size, 2):
+        raise ValueError(f"counts must be an (n, 2) table aligned with delta_l_nm, got shape {counts.shape}")
     if not np.isfinite(counts).all():
         raise ValueError("fringe fit needs finite counts")
-    design = fringe_design(np.asarray(delta_l_nm, dtype=float), wavelength_nm)
+    design = fringe_design(delta_l_nm, wavelength_nm)
     counts_d0, counts_d1 = counts.T
     return _fit_single(design, counts_d0, 0), _fit_single(design, counts_d1, 1)
 
@@ -147,10 +149,8 @@ def detect_eavesdropping(
     for name, threshold in (("anomaly_threshold", anomaly_threshold), ("qber_threshold", qber_threshold)):
         if not 0.0 < threshold < 1.0:
             raise ValueError(f"{name} must be in (0, 1)")
-    total = sift.anomalies + sift.matched
-    if total == 0:
+    if (anomaly_fraction := sift.anomaly_fraction) is None:
         raise ValueError("verdict undefined: no receives at all")
-    anomaly_fraction = sift.anomalies / total
     timing_alarm = anomaly_fraction > anomaly_threshold
     qber_alarm = sift.qber is not None and (sift.qber - 2.0 * sift.qber_sigma) > qber_threshold
     if timing_alarm and qber_alarm:

@@ -24,7 +24,7 @@ from gvqkd.adversary import KINDS, NO_ATTACK, eve_information
 from gvqkd.analysis import Decision, FringeFit, detect_eavesdropping, fit_fringe, fringe_scan, write_fringe_csv
 from gvqkd.config import ConfigError, ExperimentConfig, load_config
 from gvqkd.optics import canonical_phase
-from gvqkd.protocol import run_session, sift_transcript, write_transcript_csv
+from gvqkd.protocol import SiftResult, run_session, sift_transcript, write_transcript_csv
 from gvqkd.streams import stream
 
 EXIT_OK = 0
@@ -64,31 +64,27 @@ def _session(session, strategy, run_index, source_bit, path):
 
 def run_transmit(experiment: ExperimentConfig, args: argparse.Namespace, out_dir: Path) -> int:
     """Run the configured number of clean sessions; one transcript CSV each plus a summary."""
-    qbers: list[float] = []
-    qber_sigmas: list[float] = []
-    matched_total = 0
-    anomaly_total = 0
-    key_bits_total = 0
+    sifts = []
     for run_index in range(experiment.runs):
         path = out_dir / f"transcript_run{run_index:03d}.csv"
-        _, sift = _session(experiment.session, NO_ATTACK, run_index, experiment.source_bit, path)
-        if sift.qber is not None:
-            qbers.append(sift.qber)
-            qber_sigmas.append(sift.qber_sigma)
-        matched_total += sift.matched
-        anomaly_total += sift.anomalies
-        key_bits_total += sift.key_bits
-
+        sifts.append(_session(experiment.session, NO_ATTACK, run_index, experiment.source_bit, path)[1])
+    pooled = SiftResult(
+        matched=sum(sift.matched for sift in sifts),
+        anomalies=sum(sift.anomalies for sift in sifts),
+        errors=sum(sift.errors for sift in sifts),
+        disclosed_mask=np.concatenate([sift.disclosed_mask for sift in sifts]),
+    )
+    qbers = [s.qber for s in sifts if s.qber is not None]
     summary = {
         "runs": experiment.runs,
         "source_bit": "random" if experiment.source_bit is None else experiment.source_bit,
         "qber_mean": float(np.mean(qbers)) if qbers else None,
         "qber_std": float(np.std(qbers, ddof=1)) if len(qbers) > 1 else None,
-        "qber_sigma_mean": float(np.mean(qber_sigmas)) if qber_sigmas else None,
-        "anomaly_fraction": anomaly_total / (matched_total + anomaly_total) if matched_total + anomaly_total else None,
-        "matched_total": matched_total,
-        "anomaly_total": anomaly_total,
-        "key_bits_total": key_bits_total,
+        "qber_sigma_mean": float(np.mean([s.qber_sigma for s in sifts if s.qber is not None])) if qbers else None,
+        "anomaly_fraction": pooled.anomaly_fraction,
+        "matched_total": pooled.matched,
+        "anomaly_total": pooled.anomalies,
+        "key_bits_total": pooled.key_bits,
     }
     _write_json(out_dir / "summary.json", summary)
     qber = summary["qber_mean"]

@@ -141,24 +141,46 @@ class Match(NamedTuple):
     anomalies: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class SiftResult:
-    """Outcome of the public comparison over one transcript.
+    """Outcome of the public comparison over one transcript: its counts and the disclosed mask.
 
-    qber and qber_sigma are None when no pairs were disclosed (undefined
-    estimate); disclosed_mask marks which matched pairs were sacrificed.
+    Every rate is derived on each read, and is None where undefined: no pair disclosed, or nothing received.
     """
 
     matched: int
     anomalies: int
-    qber: float | None
-    qber_sigma: float | None
+    errors: int
     disclosed_mask: np.ndarray
+
+    def __post_init__(self):
+        if self.anomalies < 0:
+            raise ValueError("anomalies must be >= 0")
+        if not 0 <= self.errors <= self.disclosed:
+            raise ValueError("errors must be in [0, disclosed]")
+
+    @property
+    def disclosed(self) -> int:
+        return int(np.count_nonzero(self.disclosed_mask))
 
     @property
     def key_bits(self) -> int:
         """Length of the sifted key: the matched pairs that were not disclosed."""
-        return self.matched - int(np.count_nonzero(self.disclosed_mask))
+        return self.matched - self.disclosed
+
+    @property
+    def qber(self) -> float | None:
+        """wrong / (right + wrong) over the disclosed pairs; qber_sigma is its binomial (Wald) standard error."""
+        return self.errors / n if (n := self.disclosed) else None
+
+    @property
+    def qber_sigma(self) -> float | None:
+        return None if (qber := self.qber) is None else math.sqrt(qber * (1.0 - qber) / self.disclosed)
+
+    @property
+    def anomaly_fraction(self) -> float | None:
+        """Share of the receives that the timing test left unmatched."""
+        return self.anomalies / total if (total := self.matched + self.anomalies) else None
 
 
 def bob_receive(
@@ -278,12 +300,10 @@ def sift_and_qber(
     """Sacrifice a random fraction of the matched pairs to estimate the QBER.
 
     alice_bits and bob_bits are the sent bit and the firing detector of each
-    matched pair, as two aligned one-dimensional arrays. Disclosed pairs are
-    consumed: the key is built from the remainder only. The QBER is
-    wrong/(right + wrong) over the disclosed subset with a binomial standard
-    error; both are None if nothing was disclosed. anomalies is the timing
-    test's count of unmatched receives; it has no default, because a count
-    left out would read as a clean link.
+    matched pair, as two aligned one-dimensional arrays of 0s and 1s. Disclosed
+    pairs are consumed: the key is built from the remainder only. anomalies is
+    the timing test's count of unmatched receives; it has no default, because
+    a count left out would read as a clean link.
     """
     if not 0.0 < disclosure_fraction < 1.0:
         raise ValueError("disclosure_fraction must be in (0, 1)")
@@ -293,21 +313,15 @@ def sift_and_qber(
         raise ValueError("alice_bits and bob_bits must be one-dimensional")
     if alice_bits.shape != bob_bits.shape:
         raise ValueError("alice_bits and bob_bits must be aligned")
+    if not all(np.all((bits == 0) | (bits == 1)) for bits in (alice_bits, bob_bits)):
+        raise ValueError("alice_bits and bob_bits must be 0 or 1")
     n = alice_bits.size
     n_disclosed = int(round(n * disclosure_fraction))
     disclosed_mask = np.zeros(n, dtype=bool)
-    qber = qber_sigma = None
     if n_disclosed > 0:
         disclosed_mask[rng.choice(n, size=n_disclosed, replace=False)] = True
-        qber = int(np.count_nonzero(alice_bits[disclosed_mask] != bob_bits[disclosed_mask])) / n_disclosed
-        qber_sigma = math.sqrt(qber * (1.0 - qber) / n_disclosed)
-    return SiftResult(
-        matched=n,
-        anomalies=anomalies,
-        qber=qber,
-        qber_sigma=qber_sigma,
-        disclosed_mask=disclosed_mask,
-    )
+    errors = int(np.count_nonzero(alice_bits[disclosed_mask] != bob_bits[disclosed_mask]))
+    return SiftResult(matched=n, anomalies=anomalies, errors=errors, disclosed_mask=disclosed_mask)
 
 
 def sift_transcript(transcript: Transcript, config: SessionConfig, run_index: int = 0) -> tuple[Match, SiftResult]:

@@ -175,21 +175,16 @@ class TestQberFromVisibility:
 
 
 class TestVerdicts:
-    def _sift(self, n_matched=1000, qber=0.0, qber_sigma=0.001, anomalies=0):
-        return SiftResult(
-            matched=n_matched,
-            anomalies=anomalies,
-            qber=qber,
-            qber_sigma=qber_sigma,
-            disclosed_mask=np.arange(n_matched) % 2 == 0,
-        )
+    def _sift(self, n_matched=1000, errors=0, anomalies=0):
+        """Every other matched pair disclosed: errors of ceil(n_matched / 2)."""
+        return SiftResult(n_matched, anomalies, errors, disclosed_mask=np.arange(n_matched) % 2 == 0)
 
     def test_clean(self):
-        verdict = detect_eavesdropping(self._sift(qber=0.02), 0.01, 0.11)
+        verdict = detect_eavesdropping(self._sift(errors=10), 0.01, 0.11)
         assert verdict.decision is Decision.CLEAN
 
     def test_qber_alarm(self):
-        verdict = detect_eavesdropping(self._sift(qber=0.5, qber_sigma=0.007), 0.01, 0.11)
+        verdict = detect_eavesdropping(self._sift(errors=250), 0.01, 0.11)
         assert verdict.decision is Decision.QBER_ALARM
 
     def test_timing_alarm(self):
@@ -198,19 +193,20 @@ class TestVerdicts:
         assert verdict.anomaly_fraction == 0.99
 
     def test_both_alarms(self):
-        verdict = detect_eavesdropping(self._sift(n_matched=100, qber=0.4, qber_sigma=0.01, anomalies=900), 0.01, 0.11)
+        verdict = detect_eavesdropping(self._sift(n_matched=100, errors=20, anomalies=900), 0.01, 0.11)
         assert verdict.decision is Decision.BOTH_ALARMS
 
     def test_guard_band_suppresses_marginal_qber(self):
-        # qber - 2 sigma must exceed the threshold: 0.12 with sigma 0.01
-        # stays below 0.11 + guard
-        verdict = detect_eavesdropping(self._sift(qber=0.12, qber_sigma=0.01), 0.01, 0.11)
+        # qber - 2 sigma must exceed the threshold: 120 errors of 1000 disclosed,
+        # 0.12 with sigma 0.0103, stays below 0.11 + guard
+        sift = self._sift(n_matched=2000, errors=120)
+        assert sift.qber == 0.12 and sift.qber_sigma == pytest.approx(0.0103, abs=1e-4)
+        verdict = detect_eavesdropping(sift, 0.01, 0.11)
         assert verdict.decision is Decision.CLEAN
 
     def test_undefined_qber_cannot_fire_qber_alarm(self):
         sift = self._sift(n_matched=0, anomalies=100)
-        sift.qber = None
-        sift.qber_sigma = None
+        assert sift.qber is None
         verdict = detect_eavesdropping(sift, 0.01, 0.11)
         assert verdict.decision is Decision.TIMING_ALARM
 

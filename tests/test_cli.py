@@ -16,6 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -608,6 +609,7 @@ class TestReadme:
         namespace: dict = {}
         exec(compile(code, "README.md", "exec"), namespace)
         assert 0.4 <= namespace["sift"].qber <= 0.6
+        assert namespace["verdict"].anomaly_fraction == namespace["sift"].anomaly_fraction
         assert namespace["verdict"].decision == Decision.QBER_ALARM
         assert "QBER_ALARM" in capsys.readouterr().out
 
@@ -672,9 +674,11 @@ def no_constant(name: str):
 
 
 def check_outputs(out_dir: Path) -> None:
-    """Every file parses; per transcript, matched + anomalies = receives, disclosed <= matched, errors <= disclosed."""
-    reports, matched, anomalies = {}, 0, 0
-    for path in sorted(out_dir.iterdir()):
+    """Every file parses; per transcript, matched + anomalies = receives, disclosed <= matched, errors <= disclosed.
+    The JSON reports' counts and rates are the transcripts': each run's QBER is errors / disclosed (None with nothing
+    disclosed), its key bits are matched - disclosed, and transmit's totals, mean and std are over its runs in order."""
+    reports, runs = {}, {}
+    for path in out_dir.iterdir():
         if path.suffix == ".json":
             reports[path.name] = json.loads(path.read_text(encoding="utf-8"), parse_constant=no_constant)
         elif path.name.startswith("fringe_s"):
@@ -686,11 +690,21 @@ def check_outputs(out_dir: Path) -> None:
                 receives = sum(row["t_r_ps"] != "" for row in csv.DictReader(fh))
             assert len(matches) + len(unmatched) == receives
             assert disclosed <= matches.keys() and errors <= disclosed
-            matched, anomalies = matched + len(matches), anomalies + len(unmatched)
+            # transcript_run{NNN}.csv by its run number (names sort out of run order from run 1000), transcript.csv 0
+            run = int(path.stem.removeprefix("transcript").removeprefix("_run") or 0)
+            runs[run] = (len(matches), len(unmatched), len(disclosed), len(errors))
+    counts = [runs[run] for run in sorted(runs)]
+    matched, anomalies, disclosed, errors = map(sum, zip(*counts)) if counts else (0, 0, 0, 0)
+    qbers = [e / d for _, _, d, e in counts if d]
+    fraction = anomalies / (matched + anomalies) if matched + anomalies else None
     if summary := reports.get("summary.json"):
         assert (summary["matched_total"], summary["anomaly_total"]) == (matched, anomalies)
+        assert (summary["key_bits_total"], summary["anomaly_fraction"]) == (matched - disclosed, fraction)
+        assert summary["qber_mean"] == (float(np.mean(qbers)) if qbers else None)
+        assert summary["qber_std"] == (float(np.std(qbers, ddof=1)) if len(qbers) > 1 else None)
     if verdict := reports.get("verdict.json"):
-        assert (verdict["matched"], verdict["anomalies"]) == (matched, anomalies)
+        assert (verdict["matched"], verdict["anomalies"], verdict["key_bits"]) == (matched, anomalies, matched - disclosed)
+        assert (verdict["qber"], verdict["anomaly_fraction"]) == (errors / disclosed if disclosed else None, fraction)
 
 
 def scenario_file(tmp_path: Path, scenario: Path | str) -> Path:

@@ -320,6 +320,7 @@ class TestSiftAndQber:
             1 for a, b, disclosed in zip(alice, bob, sift.disclosed_mask) if disclosed and a != b
         )
         n_disclosed = sum(sift.disclosed_mask)
+        assert (sift.errors, sift.disclosed) == (disclosed_wrong, n_disclosed)
         assert sift.qber == pytest.approx(disclosed_wrong / n_disclosed)
         assert sift.qber_sigma == pytest.approx(
             math.sqrt(sift.qber * (1.0 - sift.qber) / n_disclosed)
@@ -360,13 +361,8 @@ def whole_ps_session():
         eve_guess=np.full(t_s.size, -1),
     )
     disclosed = np.array([True, False, True, True, False, True, True])
-    sift = SiftResult(
-        matched=send.size,
-        anomalies=anomalies.size,
-        qber=None,
-        qber_sigma=None,
-        disclosed_mask=disclosed,
-    )
+    errors = np.count_nonzero((transcript.bit[send] != transcript.detector[receive])[disclosed])
+    sift = SiftResult(matched=send.size, anomalies=anomalies.size, errors=errors, disclosed_mask=disclosed)
     return transcript, Match(send=send, receive=receive, anomalies=anomalies), sift
 
 
@@ -384,7 +380,7 @@ def mixed_chunk_session():
         eve_guess=np.full(t_s.size, -1),
     )
     disclosed = np.array([False, True, True, True])
-    sift = SiftResult(matched=4, anomalies=5, qber=None, qber_sigma=None, disclosed_mask=disclosed)
+    sift = SiftResult(matched=4, anomalies=5, errors=1, disclosed_mask=disclosed)
     return transcript, Match(send=send, receive=receive, anomalies=np.array([1, 3, 6, 7, 8])), sift
 
 

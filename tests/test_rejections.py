@@ -12,7 +12,7 @@ from math import inf, nan
 import numpy as np
 import pytest
 
-from gvqkd.adversary import NO_GUESS, AttackStrategy, eve_information
+from gvqkd.adversary import NO_GUESS, AttackStrategy, apply_attack, eve_information
 from gvqkd.analysis import detect_eavesdropping, fit_fringe, fringe_scan, qber_from_visibility, read_fringe_csv
 from gvqkd.config import KEYS, ExperimentConfig, _parse
 from gvqkd.devices import DetectorParams, SourceParams, dark_clicks, generate_emissions
@@ -29,8 +29,9 @@ NO_JITTER = dict(source=SourceParams(herald_jitter_sigma_ps=0.0), signal_detecto
 # no row draws: every guard runs before the first draw
 RNG = np.random.default_rng(6)
 PAIRS = (np.arange(10) % 2, np.arange(10) % 2)
-SIFT = SiftResult(1000, 0, 0.0, 0.001, np.arange(1000) % 2 == 0)
-EMPTY_SIFT = SiftResult(0, 0, None, None, np.zeros(0, dtype=bool))
+MISALIGNED = (np.zeros(2, dtype=np.int64), np.zeros(3), np.zeros(3))
+SIFT = SiftResult(1000, 0, 0, np.arange(1000) % 2 == 0)
+EMPTY_SIFT = SiftResult(0, 0, 0, np.zeros(0, dtype=bool))
 FRINGE_HEADER = b"delta_l_nm,counts_d0,counts_d1\r\n"
 BELOW_T = "tau_ps must be > travel time T = 1000.0 ps, got "
 JITTER_RULE = "tau_ps must be >= 3*combined jitter = 1272.8 ps, got "
@@ -42,7 +43,11 @@ DELAY = "extra_delay_ps must be in (0, 2**52)"
 VISIBILITY = "visibility must be in [0, 1]"
 DURATION = "duration_s must be positive"
 DISCLOSURE = "disclosure_fraction must be in (0, 1)"
+BITS = "alice_bits and bob_bits must be 0 or 1"
+ERRORS = "errors must be in [0, disclosed]"
 ALIGNED = "alice_bits and bob_bits must be aligned"
+PHOTONS = "state, launch_a_ps and launch_b_ps must be aligned"
+FRINGE_SHAPE = "counts must be an (n, 2) table aligned with delta_l_nm, got shape "
 DEGENERATE = "degenerate fringe fit: condition number "
 FRINGE_VALUES = "line {}: values must be finite and counts non-negative, got {}"
 NOT_NUMBERS = "line {}: values must be numbers, got {}"
@@ -126,6 +131,11 @@ LIBRARY_REJECTED = [
     rejected(partial(AttackStrategy, "store-forward", extra_delay_ps=0.0), DELAY, id="store-forward 0"),
     rejected(partial(AttackStrategy, "store-forward", extra_delay_ps=2.0**52), DELAY, id="store-forward 2**52"),
     rejected(partial(AttackStrategy, "store-forward", extra_delay_ps=nan), "extra_delay_ps must be finite", id="nan"),
+    # under every kind, 2 states against 3 launch times returned columns of 2, 3 and 2 entries
+    *(
+        rejected(partial(apply_attack, AttackStrategy(kind), *MISALIGNED, 1000.0, RNG), PHOTONS, id=f"{kind}, 2 of 3")
+        for kind in ("none", "which-path")
+    ),
     rejected(partial(eve_information, [], []), "eve_information undefined on empty input", id="Eve, no photons"),
     rejected(partial(eve_information, [NO_GUESS], [0, 1]), "guesses and alice_bits must be aligned", id="Eve, 1 of 2"),
     # values outside the two bits reached numpy's reshape or bincount, which named no argument
@@ -159,6 +169,10 @@ LIBRARY_REJECTED = [
             ("inf count", flat_scan(entry=(2, 5, inf)), "fringe fit needs finite counts"),
             ("nan delta_l", flat_scan(entry=(0, 2, nan)), "phase must be finite"),
             ("past 1e308 nm", flat_scan(5, 1e308), "phase must be finite"),
+            # a badly shaped table raised "too many values to unpack" or numpy's LinAlgError, naming no argument
+            ("1-d counts", (flat_scan()[0], flat_scan()[1][:, 0]), f"{FRINGE_SHAPE}(33,)"),
+            ("3 columns", (flat_scan()[0], np.full((33, 3), 100.0)), f"{FRINGE_SHAPE}(33, 3)"),
+            ("30 rows, 33 steps", (flat_scan()[0], flat_scan(30)[1]), f"{FRINGE_SHAPE}(30, 2)"),
         ]
     ),
     # only full-wavelength steps: cos is constant, sin is zero
@@ -202,6 +216,11 @@ LIBRARY_REJECTED = [
         "alice_bits and bob_bits must be one-dimensional",
         id="sift, 2-d bits",
     ),
+    # a negative count made a Clean verdict with anomaly fraction -0.0101, and bits of 2 a QBER of 0; no pair, no draw
+    rejected(partial(sift_and_qber, [], [], 0.5, RNG, anomalies=-1), "anomalies must be >= 0", id="sift, -1 anomalies"),
+    rejected(partial(sift_and_qber, [2] * 100, [2] * 100, 0.5, RNG, anomalies=0), BITS, id="sift, bits 2"),
+    # a record built directly holds its counts to the same rules
+    rejected(partial(SiftResult, 4, 0, 3, np.array([True, True, False, False])), ERRORS, id="3 errors of 2 disclosed"),
     rejected(read_transcript_csv, TRANSCRIPT_HEADER, file=b"index,bit,t_s_ps\r\n0,1,5.0\r\n", id="transcript header"),
     rejected(partial(detect_eavesdropping, EMPTY_SIFT, 0.01), "verdict undefined: no receives at all", id="empty sift"),
     rejected(partial(detect_eavesdropping, SIFT, 0.0, 0.11), "anomaly_threshold must be in (0, 1)", id="anomaly 0"),
