@@ -13,6 +13,7 @@ was raised and --fail-on-alarm was given.
 """
 
 import argparse
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -193,7 +194,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    gc.freeze()  # so the interpreter's shutdown collections skip every object that importing numpy and gvqkd left
+    sys.exit(code)
 
 
 if __name__ == "__main__":

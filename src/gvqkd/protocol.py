@@ -154,6 +154,10 @@ class SiftResult:
     disclosed_mask: np.ndarray
 
     def __post_init__(self):
+        if self.matched < 0:
+            raise ValueError("matched must be >= 0")
+        if np.shape(self.disclosed_mask) != (self.matched,):
+            raise ValueError("disclosed_mask must have one entry per matched pair")
         if self.anomalies < 0:
             raise ValueError("anomalies must be >= 0")
         if not 0 <= self.errors <= self.disclosed:

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import gc
 import hashlib
 import importlib
 import io
@@ -1033,13 +1034,13 @@ class TestWholePicosecondStamps:
 
 
 class TestFreshProcesses:
-    """The commands across a real process boundary: python -m gvqkd.cli ends in the console script's entry()."""
+    """The commands across a real process boundary, each ending in the console script's entry()."""
 
     @staticmethod
-    def spawn(cwd: Path, hash_seed: int, *argv: str) -> subprocess.Popen:
+    def spawn(cwd: Path, hash_seed: int, *argv: str, launch: tuple[str, ...] = ("-m", "gvqkd.cli")) -> subprocess.Popen:
         python_path = os.pathsep.join(filter(None, [str(REPO_DIR / "src"), os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": python_path, "PYTHONHASHSEED": str(hash_seed)}
-        command = [sys.executable, "-m", "gvqkd.cli", *argv]
+        command = [sys.executable, *launch, *argv]
         return subprocess.Popen(command, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
     def test_transmit_writes_the_pinned_bytes_in_every_process(self, tmp_path):
@@ -1060,12 +1061,27 @@ class TestFreshProcesses:
                 read_transcript_csv(path)
 
     def test_an_alarm_exits_3(self, tmp_path):
-        scenario, argv, _, digest, _ = PINNED["attack-demo"]
+        # the child calls entry() itself, with the row's command line as python -c's sys.argv[1:]; entry() freezes the
+        # heap once main has returned, and the exit still flushes stdout and runs atexit handlers
+        scenario, argv, _, digest, stdout = PINNED["attack-demo"]
         cfg, out_dir = scenario_file(tmp_path, scenario), tmp_path / "out"
-        proc = self.spawn(tmp_path, 0, *argv, "--fail-on-alarm", "--config", str(cfg), "--out", str(out_dir))
-        assert proc.communicate(timeout=60)[1] == ""
+        child = (
+            "import atexit, gc, gvqkd.cli\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "gvqkd.cli.entry()\n"
+        )
+        argv = (*argv, "--fail-on-alarm", "--config", str(cfg), "--out", str(out_dir))
+        proc = self.spawn(tmp_path, 0, *argv, launch=("-c", child))
+        assert proc.communicate(timeout=60) == (stdout + "True\n", "")
         assert proc.returncode == EXIT_ALARM
         assert tree_digest(out_dir) == digest
+
+    def test_main_leaves_the_heap_unfrozen(self, tmp_path):
+        # only entry() freezes: tests, library callers and in-process benchmarks keep a collectable heap
+        scenario, argv, code, _, _ = PINNED["attack-demo"]
+        before = gc.get_freeze_count()
+        assert main([*argv, "--config", str(scenario_file(tmp_path, scenario)), "--out", str(tmp_path / "out")]) == code
+        assert gc.get_freeze_count() == before
 
     def test_an_invalid_scenario_exits_2(self, tmp_path):
         cfg = tmp_path / "invalid.cfg"
@@ -1078,6 +1094,9 @@ class TestFreshProcesses:
 
 
 SMALL_SESSION = {"pair_rate": "100.0", "duration": "1.0", "runs": "1"}
+# three runs at V = 0.7 that disclose 2 errors of 47, 3 of 44 and 5 of 52: check_outputs' QBER mean and std then see
+# unequal nonzero QBERs, which the drawn scenarios almost never give
+ERRORED_RUNS = {**SMALL_SESSION, "visibility": "0.7", "runs": "3", "seed": "3"}
 # the sparse fringe scan that leaves a detector's fit without a mean rate at seeds 2 and 8
 SPARSE_SCAN = {"shots_per_step": "1", "scan_steps": "4", "scan_span": "1624.0"}
 # the upper end of each drawn value where the key's declared range has one
@@ -1087,6 +1106,10 @@ RULE_TOPS = {"in [0, 1]": 1.0, "in (0, 1)": 1.0, "in (0, 2**52)": STAMP_HALF_RAN
 DRAW_TOPS = {"seed": 2**32, "pair_rate": 200.0, "dark_rate": 200.0, "duration": 1.0, "runs": 2, "scan_steps": 41}
 # keys whose defaults make sessions large, so each draw sets them
 SIZE_KEYS = ("pair_rate", "duration", "runs")
+
+
+def scenario_text(values: dict[str, str]) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
 
 
 def drawn_value(key: str) -> st.SearchStrategy[str]:
@@ -1111,12 +1134,13 @@ class TestAcceptedScenarios:
     @example({**SMALL_SESSION, "accept_window": "410.0"})
     @example({**SMALL_SESSION, "seed": "2", **SPARSE_SCAN})
     @example({**SMALL_SESSION, "seed": "8", **SPARSE_SCAN})
+    @example(ERRORED_RUNS)
     @given(SCENARIOS)
     def test_no_scenario_ends_in_a_traceback(self, values):
         # each command exits 0, 2 or 3, and whatever it wrote parses, on exit 2 too
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "drawn.cfg"
-            cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()), encoding="utf-8")
+            cfg.write_text(scenario_text(values), encoding="utf-8")
             for i, command in enumerate(COMMANDS):
                 out_dir = Path(tmp) / str(i)
                 stderr = io.StringIO()
@@ -1127,3 +1151,15 @@ class TestAcceptedScenarios:
                     assert re.fullmatch(r"config error: [^\n]+\n", stderr.getvalue()), command
                 if out_dir.exists():
                     check_outputs(out_dir)
+
+    def test_the_errored_example_discloses_unequal_qbers(self, tmp_path):
+        # keeps ERRORED_RUNS from going stale: at least two runs disclose errors, at different QBERs
+        cfg = scenario_file(tmp_path, scenario_text(ERRORED_RUNS))
+        with redirect_stdout(io.StringIO()):
+            assert main(["transmit", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+        qbers = set()
+        for path in (tmp_path / "out").glob("transcript_run*.csv"):
+            _, _, disclosed, errors, _ = read_transcript_csv(path)
+            if errors:
+                qbers.add(len(errors) / len(disclosed))
+        assert len(qbers) >= 2

@@ -221,6 +221,13 @@ LIBRARY_REJECTED = [
     rejected(partial(sift_and_qber, [2] * 100, [2] * 100, 0.5, RNG, anomalies=0), BITS, id="sift, bits 2"),
     # a record built directly holds its counts to the same rules
     rejected(partial(SiftResult, 4, 0, 3, np.array([True, True, False, False])), ERRORS, id="3 errors of 2 disclosed"),
+    # -5 matched beside 10 anomalies gave an anomaly fraction of 2.0, and 2 matched beside a 5-entry mask -3 key bits
+    rejected(partial(SiftResult, -5, 10, 0, np.zeros(0, dtype=bool)), "matched must be >= 0", id="-5 matched"),
+    rejected(
+        partial(SiftResult, 2, 0, 0, np.ones(5, dtype=bool)),
+        "disclosed_mask must have one entry per matched pair",
+        id="mask of 5, 2 matched",
+    ),
     rejected(read_transcript_csv, TRANSCRIPT_HEADER, file=b"index,bit,t_s_ps\r\n0,1,5.0\r\n", id="transcript header"),
     rejected(partial(detect_eavesdropping, EMPTY_SIFT, 0.01), "verdict undefined: no receives at all", id="empty sift"),
     rejected(partial(detect_eavesdropping, SIFT, 0.0, 0.11), "anomaly_threshold must be in (0, 1)", id="anomaly 0"),
