@@ -70,7 +70,6 @@ def run_transmit(experiment: ExperimentConfig, args: argparse.Namespace, out_dir
         path = out_dir / f"transcript_run{run_index:03d}.csv"
         sifts.append(_session(experiment.session, NO_ATTACK, run_index, experiment.source_bit, path)[1])
     pooled = SiftResult(
-        matched=sum(sift.matched for sift in sifts),
         anomalies=sum(sift.anomalies for sift in sifts),
         errors=sum(sift.errors for sift in sifts),
         disclosed_mask=np.concatenate([sift.disclosed_mask for sift in sifts]),

@@ -28,7 +28,7 @@ RANGE_RULES = {
 
 
 def ranged(default, rule: str):
-    """A dataclass field with its default and its RANGE_RULES rule, which Ranged enforces."""
+    """A dataclass field with its default (MISSING for none) and its RANGE_RULES rule, which Ranged enforces."""
     return field(default=default, metadata={"range": rule})
 
 
@@ -46,7 +46,7 @@ def check_range(f: Field, value) -> None:
 
 
 class Ranged:
-    """Config dataclass base: checks each ranged field in order, before any cross-field rule."""
+    """Base of the configs and SiftResult: checks each ranged field in order, before any cross-field rule."""
 
     def __post_init__(self):
         for f in fields(self):

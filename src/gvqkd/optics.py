@@ -57,6 +57,8 @@ def phase_from_path_length(delta_l_nm: float | np.ndarray, wavelength_nm: float)
 
 def canonical_phase(phi_rad: float) -> float:
     """Reduce an angle to its canonical representative in [0, 2 pi)."""
+    if not math.isfinite(phi_rad):
+        raise ValueError("phase must be finite")
     two_pi = 2.0 * math.pi
     phi = phi_rad % two_pi
     # fp edge: x % 2pi can return 2pi itself for tiny negative x

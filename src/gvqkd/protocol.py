@@ -19,7 +19,7 @@ matched bits must show a low error rate (QBER test).
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -142,26 +142,27 @@ class Match(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SiftResult:
-    """Outcome of the public comparison over one transcript: its counts and the disclosed mask.
+class SiftResult(Ranged):
+    """Outcome of the public comparison over one transcript: its counts and the disclosed mask, one per matched pair.
 
-    Every rate is derived on each read, and is None where undefined: no pair disclosed, or nothing received.
+    Every other count and rate is derived on each read; a rate is None where undefined: no pair disclosed, no receive.
     """
 
-    matched: int
-    anomalies: int
-    errors: int
+    # no default: a count left out would read as a clean link
+    anomalies: int = ranged(MISSING, ">= 0")
+    errors: int = ranged(MISSING, ">= 0")
     disclosed_mask: np.ndarray
 
     def __post_init__(self):
-        if self.matched < 0:
-            raise ValueError("matched must be >= 0")
-        if np.shape(self.disclosed_mask) != (self.matched,):
-            raise ValueError("disclosed_mask must have one entry per matched pair")
-        if self.anomalies < 0:
-            raise ValueError("anomalies must be >= 0")
-        if not 0 <= self.errors <= self.disclosed:
+        super().__post_init__()
+        if not (isinstance(mask := self.disclosed_mask, np.ndarray) and mask.ndim == 1 and mask.dtype == bool):
+            raise ValueError("disclosed_mask must be a one-dimensional boolean array")
+        if self.errors > self.disclosed:
             raise ValueError("errors must be in [0, disclosed]")
+
+    @property
+    def matched(self) -> int:
+        return self.disclosed_mask.size
 
     @property
     def disclosed(self) -> int:
@@ -322,10 +323,9 @@ def sift_and_qber(
     n = alice_bits.size
     n_disclosed = int(round(n * disclosure_fraction))
     disclosed_mask = np.zeros(n, dtype=bool)
-    if n_disclosed > 0:
-        disclosed_mask[rng.choice(n, size=n_disclosed, replace=False)] = True
+    disclosed_mask[rng.choice(n, size=n_disclosed, replace=False)] = True
     errors = int(np.count_nonzero(alice_bits[disclosed_mask] != bob_bits[disclosed_mask]))
-    return SiftResult(matched=n, anomalies=anomalies, errors=errors, disclosed_mask=disclosed_mask)
+    return SiftResult(anomalies=anomalies, errors=errors, disclosed_mask=disclosed_mask)
 
 
 def sift_transcript(transcript: Transcript, config: SessionConfig, run_index: int = 0) -> tuple[Match, SiftResult]:

@@ -23,6 +23,9 @@ _STREAM_IDS = {
 
 def stream(seed: int, name: str, run_index: int = 0) -> np.random.Generator:
     """Independent generator for one named randomness role of one run."""
+    for arg, value in (("seed", seed), ("run_index", run_index)):
+        if not (isinstance(value, (int, np.integer)) and value >= 0):
+            raise ValueError(f"{arg} must be an integer >= 0")
     try:
         stream_id = _STREAM_IDS[name]
     except KeyError:

@@ -177,7 +177,7 @@ class TestQberFromVisibility:
 class TestVerdicts:
     def _sift(self, n_matched=1000, errors=0, anomalies=0):
         """Every other matched pair disclosed: errors of ceil(n_matched / 2)."""
-        return SiftResult(n_matched, anomalies, errors, disclosed_mask=np.arange(n_matched) % 2 == 0)
+        return SiftResult(anomalies, errors, disclosed_mask=np.arange(n_matched) % 2 == 0)
 
     def test_clean(self):
         verdict = detect_eavesdropping(self._sift(errors=10), 0.01, 0.11)

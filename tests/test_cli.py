@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -732,6 +733,8 @@ PROBE = "seed = 17\njitter = 300\npair_rate = 2000\nduration = 5\n"
 
 # Every CLI run whose outputs are pinned, each run through main and checked by check_outputs. A change to an RNG draw
 # order, the engine's arithmetic or a file format shows here; a deliberate one edits the row's digest and stdout.
+# The digests were made on PINNED_ON; numpy 2.3 and later need Python 3.11, so on 3.10 a digest may move with numpy.
+PINNED_ON = "Python 3.11.7, numpy 2.4.6"
 # fmt: off
 RUNS = [
     pinned(FAST_SCENARIO, "transmit", EXIT_OK,
@@ -866,7 +869,8 @@ class TestGoldenOutputs:
         out_dir = tmp_path / "out"
         assert main([*argv, "--config", str(scenario_file(tmp_path, scenario)), "--out", str(out_dir)]) == code
         assert capsys.readouterr() == (stdout, "")
-        assert tree_digest(out_dir) == digest
+        ran_on = f"Python {platform.python_version()}, numpy {np.__version__}"
+        assert tree_digest(out_dir) == digest, f"output digest moved on {ran_on}; the pins were made on {PINNED_ON}"
         check_outputs(out_dir)
 
 

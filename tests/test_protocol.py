@@ -335,6 +335,12 @@ class TestSiftAndQber:
         assert sift.matched == 0
         assert sift.key_bits == 0
 
+    def test_matched_pairs_with_none_disclosed(self):
+        # round(1 * 0.3) = 0: the draw takes no pair, and the one pair is key
+        sift = sift_and_qber(*self._pairs(1), 0.3, np.random.default_rng(29), anomalies=0)
+        assert sift.disclosed_mask.tolist() == [False]
+        assert (sift.matched, sift.key_bits, sift.qber) == (1, 1, None)
+
     def test_one_choice_call_on_the_sift_stream(self):
         # the disclosed subset is exactly one rng.choice(n, round(n f)) draw
         alice, bob = self._pairs(101)
@@ -362,7 +368,7 @@ def whole_ps_session():
     )
     disclosed = np.array([True, False, True, True, False, True, True])
     errors = np.count_nonzero((transcript.bit[send] != transcript.detector[receive])[disclosed])
-    sift = SiftResult(matched=send.size, anomalies=anomalies.size, errors=errors, disclosed_mask=disclosed)
+    sift = SiftResult(anomalies=anomalies.size, errors=errors, disclosed_mask=disclosed)
     return transcript, Match(send=send, receive=receive, anomalies=anomalies), sift
 
 
@@ -380,7 +386,7 @@ def mixed_chunk_session():
         eve_guess=np.full(t_s.size, -1),
     )
     disclosed = np.array([False, True, True, True])
-    sift = SiftResult(matched=4, anomalies=5, errors=1, disclosed_mask=disclosed)
+    sift = SiftResult(anomalies=5, errors=1, disclosed_mask=disclosed)
     return transcript, Match(send=send, receive=receive, anomalies=np.array([1, 3, 6, 7, 8])), sift
 
 

@@ -16,7 +16,7 @@ from gvqkd.adversary import NO_GUESS, AttackStrategy, apply_attack, eve_informat
 from gvqkd.analysis import detect_eavesdropping, fit_fringe, fringe_scan, qber_from_visibility, read_fringe_csv
 from gvqkd.config import KEYS, ExperimentConfig, _parse
 from gvqkd.devices import DetectorParams, SourceParams, dark_clicks, generate_emissions
-from gvqkd.optics import LINK_STATES, detection_p0, phase_from_path_length
+from gvqkd.optics import LINK_STATES, canonical_phase, detection_p0, phase_from_path_length
 from gvqkd.protocol import SessionConfig, SiftResult, read_transcript_csv, run_session, sift_and_qber, timing_test
 from gvqkd.streams import stream
 
@@ -30,8 +30,9 @@ NO_JITTER = dict(source=SourceParams(herald_jitter_sigma_ps=0.0), signal_detecto
 RNG = np.random.default_rng(6)
 PAIRS = (np.arange(10) % 2, np.arange(10) % 2)
 MISALIGNED = (np.zeros(2, dtype=np.int64), np.zeros(3), np.zeros(3))
-SIFT = SiftResult(1000, 0, 0, np.arange(1000) % 2 == 0)
-EMPTY_SIFT = SiftResult(0, 0, 0, np.zeros(0, dtype=bool))
+SIFT = SiftResult(0, 0, np.arange(1000) % 2 == 0)
+EMPTY_SIFT = SiftResult(0, 0, np.zeros(0, dtype=bool))
+TWO_OF_FOUR = np.array([True, True, False, False])
 FRINGE_HEADER = b"delta_l_nm,counts_d0,counts_d1\r\n"
 BELOW_T = "tau_ps must be > travel time T = 1000.0 ps, got "
 JITTER_RULE = "tau_ps must be >= 3*combined jitter = 1272.8 ps, got "
@@ -45,6 +46,8 @@ DURATION = "duration_s must be positive"
 DISCLOSURE = "disclosure_fraction must be in (0, 1)"
 BITS = "alice_bits and bob_bits must be 0 or 1"
 ERRORS = "errors must be in [0, disclosed]"
+MASK = "disclosed_mask must be a one-dimensional boolean array"
+STREAM_RUN = "run_index must be an integer >= 0"
 ALIGNED = "alice_bits and bob_bits must be aligned"
 PHOTONS = "state, launch_a_ps and launch_b_ps must be aligned"
 FRINGE_SHAPE = "counts must be an (n, 2) table aligned with delta_l_nm, got shape "
@@ -219,15 +222,13 @@ LIBRARY_REJECTED = [
     # a negative count made a Clean verdict with anomaly fraction -0.0101, and bits of 2 a QBER of 0; no pair, no draw
     rejected(partial(sift_and_qber, [], [], 0.5, RNG, anomalies=-1), "anomalies must be >= 0", id="sift, -1 anomalies"),
     rejected(partial(sift_and_qber, [2] * 100, [2] * 100, 0.5, RNG, anomalies=0), BITS, id="sift, bits 2"),
-    # a record built directly holds its counts to the same rules
-    rejected(partial(SiftResult, 4, 0, 3, np.array([True, True, False, False])), ERRORS, id="3 errors of 2 disclosed"),
-    # -5 matched beside 10 anomalies gave an anomaly fraction of 2.0, and 2 matched beside a 5-entry mask -3 key bits
-    rejected(partial(SiftResult, -5, 10, 0, np.zeros(0, dtype=bool)), "matched must be >= 0", id="-5 matched"),
-    rejected(
-        partial(SiftResult, 2, 0, 0, np.ones(5, dtype=bool)),
-        "disclosed_mask must have one entry per matched pair",
-        id="mask of 5, 2 matched",
-    ),
+    # a record built directly holds its counts to the same rules; 1.5 errors of 2 disclosed read as a QBER of 0.75
+    rejected(partial(SiftResult, 0, 3, TWO_OF_FOUR), ERRORS, id="3 errors of 2 disclosed"),
+    rejected(partial(SiftResult, 0.5, 0, TWO_OF_FOUR), "anomalies must be an integer", id="0.5 anomalies"),
+    rejected(partial(SiftResult, 0, 1.5, TWO_OF_FOUR), "errors must be an integer", id="1.5 errors"),
+    # an integer mask counted 1 disclosed pair of [0, 1, 0], while the transcript writer disclosed sends 0 and 1
+    rejected(partial(SiftResult, 0, 0, np.array([0, 1, 0])), MASK, id="integer mask"),
+    rejected(partial(SiftResult, 0, 0, np.ones((2, 2), dtype=bool)), MASK, id="2-d mask"),
     rejected(read_transcript_csv, TRANSCRIPT_HEADER, file=b"index,bit,t_s_ps\r\n0,1,5.0\r\n", id="transcript header"),
     rejected(partial(detect_eavesdropping, EMPTY_SIFT, 0.01), "verdict undefined: no receives at all", id="empty sift"),
     rejected(partial(detect_eavesdropping, SIFT, 0.0, 0.11), "anomaly_threshold must be in (0, 1)", id="anomaly 0"),
@@ -235,6 +236,12 @@ LIBRARY_REJECTED = [
     rejected(partial(detect_eavesdropping, SIFT, 0.01, 0.0), "qber_threshold must be in (0, 1)", id="qber 0"),
     rejected(partial(detect_eavesdropping, SIFT, 0.01, 1.5), "qber_threshold must be in (0, 1)", id="qber 1.5"),
     rejected(partial(stream, 0, "nope"), "unknown stream name 'nope'", id="stream nope"),
+    # numpy's "expected non-negative integer" and "seed must be integer" named neither argument
+    rejected(partial(run_session, ideal_config(), run_index=-1), STREAM_RUN, id="session run -1"),
+    rejected(partial(run_session, ideal_config(), run_index=1.5), STREAM_RUN, id="session run 1.5"),
+    rejected(partial(stream, -1, "fringe"), "seed must be an integer >= 0", id="stream seed -1"),
+    # nan and inf came back as nan
+    rejected(partial(canonical_phase, nan), "phase must be finite", id="canonical phase nan"),
 ]
 
 
