@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from gvqkd.devices import check_range
 from gvqkd.optics import LINK_STATES, canonical_phase, detection_p0, phase_from_path_length
 from gvqkd.protocol import SessionConfig, SiftResult
 
@@ -69,10 +70,8 @@ def fringe_scan(
     lo, hi = delta_l_range_nm
     if not hi > lo:
         raise ValueError("delta_l_range_nm must be a nonempty (lo, hi) interval")
-    if n_steps < 2:
-        raise ValueError("n_steps must be >= 2")
-    if shots_per_step < 1:
-        raise ValueError("shots_per_step must be >= 1")
+    check_range("n_steps", n_steps, ">= 2", integer=True)
+    check_range("shots_per_step", shots_per_step, ">= 1", integer=True)
     if source_bit not in (0, 1):
         raise ValueError(f"source_bit must be 0 or 1, got {source_bit!r}")
     delta_l_nm = np.linspace(lo, hi, n_steps)
@@ -124,8 +123,7 @@ def fit_fringe(delta_l_nm: np.ndarray, counts: np.ndarray, wavelength_nm: float)
 
 def qber_from_visibility(visibility: float) -> float:
     """Expected sifted error rate of an interferometer at visibility V: (1 - V) / 2."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must be in [0, 1]")
+    check_range("visibility", visibility, "in [0, 1]")
     return (1.0 - visibility) / 2.0
 
 
@@ -146,9 +144,8 @@ def detect_eavesdropping(
     threshold (the guard band suppresses alarms from estimator noise). An
     undefined QBER (nothing disclosed) cannot fire the QBER alarm.
     """
-    for name, threshold in (("anomaly_threshold", anomaly_threshold), ("qber_threshold", qber_threshold)):
-        if not 0.0 < threshold < 1.0:
-            raise ValueError(f"{name} must be in (0, 1)")
+    check_range("anomaly_threshold", anomaly_threshold, "in (0, 1)")
+    check_range("qber_threshold", qber_threshold, "in (0, 1)")
     if (anomaly_fraction := sift.anomaly_fraction) is None:
         raise ValueError("verdict undefined: no receives at all")
     timing_alarm = anomaly_fraction > anomaly_threshold

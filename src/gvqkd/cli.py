@@ -181,6 +181,8 @@ def main(argv=None) -> int:
         experiment = load_config(args.config)
         if args.seed is not None:
             experiment = experiment.with_seed(args.seed)
+        if not args.out:  # Path("") is the current directory
+            raise ConfigError("--out: must name a directory, not an empty path")
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -156,13 +156,13 @@ def _parse(key: str, raw: str) -> int | float | str | None:
 
 
 @contextmanager
-def _reported_by_key(key_of_field=_KEY_OF_FIELD):
-    """Re-raise a dataclass's "<field> <rule>" ValueError as ConfigError("<key>: <rule>")."""
+def _reported_by_key():
+    """Re-raise a "<field or shared key> <rule>" ValueError as ConfigError("<key>: <rule>")."""
     try:
         yield
     except ValueError as exc:
         name, _, rule = str(exc).partition(" ")
-        raise ConfigError(f"{key_of_field.get(name, name)}: {rule}") from None
+        raise ConfigError(f"{_KEY_OF_FIELD.get(name, name)}: {rule}") from None
 
 
 def _build(cls, given: dict[str, object], **parts):
@@ -184,16 +184,15 @@ def build_experiment(values: dict[str, str]) -> ExperimentConfig:
         if key not in KEYS:
             raise ConfigError(f"unknown config key {key}")
     parsed = {key: _parse(key, values[key]) for key in KEYS if key in values}
-    for key, value in parsed.items():
-        if isinstance(KEYS[key], tuple):
-            # checked under its own name against each field it sets, also when every one is given
-            with _reported_by_key(dict.fromkeys(KEYS[key], key)):
-                for f in _FIELDS_OF[key]:
-                    check_range(f, value)
     # in KEYS order, so a field's own key overrides its shared key
     given = {f.name: value for key, value in parsed.items() for f in _FIELDS_OF[key]}
 
     with _reported_by_key():
+        for key, value in parsed.items():
+            if isinstance(KEYS[key], tuple):
+                # checked under its own name against each field it sets, also when every one is given
+                for f in _FIELDS_OF[key]:
+                    check_range(key, value, f.metadata["range"], f.type is int)
         source = _build(SourceParams, given)
         detector = _build(DetectorParams, given)
         session = _build(SessionConfig, given, source=source, signal_detector=detector)

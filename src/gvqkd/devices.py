@@ -7,7 +7,7 @@ its transcript's stamps to whole ps and stores them as int64.
 """
 
 import math
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,6 +19,7 @@ RANGE_RULES = {
     "positive": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 1)": lambda v: 0 < v < 1,
     "in (0, 2**52)": lambda v: 0 < v < STAMP_HALF_RANGE_PS,
@@ -32,25 +33,27 @@ def ranged(default, rule: str):
     return field(default=default, metadata={"range": rule})
 
 
-def check_range(f: Field, value) -> None:
-    """Raise "<field> must be ..." unless value meets f's declared range (no rule, or None: not given, passes)."""
-    if (rule := f.metadata.get("range")) is None or value is None:
-        return
+def check_range(name: str, value, rule: str, integer: bool = False) -> None:
+    """Raise "<name> must be ..." at the first failure of: a number (an int, a float or a numpy one; None is not, but
+    Ranged skips a None default: "not given"), finite, an integer (if integer; not a whole float), RANGE_RULES[rule]."""
     is_int = isinstance(value, (int, np.integer))  # finite, and may be too large for math.isfinite's float
+    if not (is_int or isinstance(value, (float, np.floating))):
+        raise ValueError(f"{name} must be a number")
     if not (is_int or math.isfinite(value)):
-        raise ValueError(f"{f.name} must be finite")
-    if f.type is int and not is_int:
-        raise ValueError(f"{f.name} must be an integer")
+        raise ValueError(f"{name} must be finite")
+    if integer and not is_int:
+        raise ValueError(f"{name} must be an integer")
     if not RANGE_RULES[rule](value):
-        raise ValueError(f"{f.name} must be {rule}")
+        raise ValueError(f"{name} must be {rule}")
 
 
 class Ranged:
-    """Base of the configs and SiftResult: checks each ranged field in order, before any cross-field rule."""
+    """Base of the configs and SiftResult: checks each ranged field in order; a None default means "not given"."""
 
     def __post_init__(self):
         for f in fields(self):
-            check_range(f, getattr(self, f.name))
+            if "range" in f.metadata and not (f.default is None and getattr(self, f.name) is None):
+                check_range(f.name, getattr(self, f.name), f.metadata["range"], f.type is int)
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,7 @@ class DetectorParams(Ranged):
 
 def _poisson_times(rate_hz: float, duration_s: float, rng: np.random.Generator) -> np.ndarray:
     """Sorted event times (ps) of a homogeneous Poisson process on [0, duration)."""
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    check_range("duration_s", duration_s, "positive")
     count = rng.poisson(rate_hz * duration_s)
     times = rng.uniform(0.0, duration_s * PS_PER_S, size=count)
     times.sort()

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from gvqkd.devices import check_range
+
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 # Every state a photon can carry through the link, as (amp_a, amp_b) rows:
@@ -34,8 +36,7 @@ def detection_p0(amp_a: np.ndarray, amp_b: np.ndarray, visibility: float) -> np.
     the Born rule on the splitter's port a at V = 1; V < 1 scales only the
     interference cross term, leaving a which-path mixture at V = 0.
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {visibility!r}")
+    check_range("visibility", visibility, "in [0, 1]")
     # |z| as hypot and Re(a conj(b)) written out, as Python's complex abs and product compute them;
     # numpy's complex abs and multiply can differ from those in the last bit
     norm_sq = np.hypot(amp_a.real, amp_a.imag) ** 2 + np.hypot(amp_b.real, amp_b.imag) ** 2
@@ -46,8 +47,7 @@ def detection_p0(amp_a: np.ndarray, amp_b: np.ndarray, visibility: float) -> np.
 
 def phase_from_path_length(delta_l_nm: float | np.ndarray, wavelength_nm: float) -> float | np.ndarray:
     """Interferometric phase of a path-length difference, elementwise over an array: 2 pi delta_l / lambda."""
-    if wavelength_nm <= 0:
-        raise ValueError("wavelength must be positive")
+    check_range("wavelength", wavelength_nm, "positive")
     with np.errstate(over="ignore"):  # an overflowed phase is rejected below, before a caller's exp or cos sees it
         phase = 2.0 * math.pi * delta_l_nm / wavelength_nm
     if not np.isfinite(phase).all():

@@ -31,6 +31,7 @@ from gvqkd.devices import (
     DetectorParams,
     Ranged,
     SourceParams,
+    check_range,
     dark_clicks,
     detector_click,
     generate_emissions,
@@ -310,8 +311,7 @@ def sift_and_qber(
     the timing test's count of unmatched receives; it has no default, because
     a count left out would read as a clean link.
     """
-    if not 0.0 < disclosure_fraction < 1.0:
-        raise ValueError("disclosure_fraction must be in (0, 1)")
+    check_range("disclosure_fraction", disclosure_fraction, "in (0, 1)")
     alice_bits = np.asarray(alice_bits)
     bob_bits = np.asarray(bob_bits)
     if alice_bits.ndim != 1 or bob_bits.ndim != 1:

@@ -9,6 +9,8 @@ protocol draws the session roles; the fringe scan draws "fringe".
 
 import numpy as np
 
+from gvqkd.devices import check_range
+
 _STREAM_IDS = {
     "source": 1,
     "herald": 2,
@@ -23,9 +25,8 @@ _STREAM_IDS = {
 
 def stream(seed: int, name: str, run_index: int = 0) -> np.random.Generator:
     """Independent generator for one named randomness role of one run."""
-    for arg, value in (("seed", seed), ("run_index", run_index)):
-        if not (isinstance(value, (int, np.integer)) and value >= 0):
-            raise ValueError(f"{arg} must be an integer >= 0")
+    check_range("seed", seed, ">= 0", integer=True)
+    check_range("run_index", run_index, ">= 0", integer=True)
     try:
         stream_id = _STREAM_IDS[name]
     except KeyError:

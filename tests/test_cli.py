@@ -464,8 +464,18 @@ class TestLibraryConstruction:
         assert ExperimentConfig(SessionConfig()) == load_config(None)
 
     def test_declared_rules_are_the_rule_table(self):
-        # every declared wording has a test, and the table has no unused wording
-        assert {f.metadata["range"] for _, f in RANGED_FIELDS} == set(RANGE_RULES)
+        # every wording a field declares or an argument guard spells (a literal check_range rule) has a test, and the
+        # table has no unused wording
+        guarded = {
+            node.args[2].value
+            for path in sorted((REPO_DIR / "src" / "gvqkd").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_range"
+            and len(node.args) > 2 and isinstance(node.args[2], ast.Constant)
+        }
+        declared = {f.metadata["range"] for _, f in RANGED_FIELDS}
+        assert ">= 2" in guarded - declared  # fringe_scan's n_steps: the scan sees the argument guards
+        assert declared | guarded == set(RANGE_RULES)
 
 
 class TestDetectorPairRule:
@@ -988,6 +998,16 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith(f"config error: --out: cannot create directory {taken}: ")
         assert taken.read_text(encoding="utf-8") == "keep\n"
+
+    def test_empty_out_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # Path("") is the current directory, where the outputs would land
+        monkeypatch.chdir(tmp_path)
+        argv = ["attack-demo", "--config", str(CONFIGS_DIR / "attack_demo.cfg"), "--attack", "none", "--out", ""]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: --out: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_write_failure_after_mkdir_is_not_a_usage_error(self, fast_config, tmp_path):
         # only creating --out is a usage error; a failing write later propagates

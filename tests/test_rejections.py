@@ -47,7 +47,6 @@ DISCLOSURE = "disclosure_fraction must be in (0, 1)"
 BITS = "alice_bits and bob_bits must be 0 or 1"
 ERRORS = "errors must be in [0, disclosed]"
 MASK = "disclosed_mask must be a one-dimensional boolean array"
-STREAM_RUN = "run_index must be an integer >= 0"
 ALIGNED = "alice_bits and bob_bits must be aligned"
 PHOTONS = "state, launch_a_ps and launch_b_ps must be aligned"
 FRINGE_SHAPE = "counts must be an (n, 2) table aligned with delta_l_nm, got shape "
@@ -91,6 +90,13 @@ LIBRARY_REJECTED = [
     # named before its range; range(runs) and the seeded streams need a true integer, so a whole float is refused too
     *(field_row(f.name, value, f"{f.name} must be finite") for _, f in RANGED_FIELDS for value in (nan, inf, -inf)),
     *(field_row(name, value, f"{name} must be an integer") for name in INT_FIELDS for value in (4.5, 4.0)),
+    # None is "not given" only where it is the declared default; elsewhere it, and a number's text, is not a number
+    *(
+        field_row(f.name, value, f"{f.name} must be a number", label=repr(value))
+        for _, f in RANGED_FIELDS
+        if f.default is not None
+        for value in (None, str(f.default))
+    ),
     # each key's bad value, as the loader parses it, given to the field the key sets
     *(
         field_row(KEYS[key], _parse(key, bad), f"{KEYS[key]} {rule}", label=bad)
@@ -115,6 +121,12 @@ LIBRARY_REJECTED = [
     rejected(partial(generate_emissions, SourceParams(100.0), 0.0, RNG), DURATION, id="emissions over 0 s"),
     rejected(partial(generate_emissions, SourceParams(100.0), -1.0, RNG), DURATION, id="emissions over -1 s"),
     rejected(partial(dark_clicks, DetectorParams(dark_rate_hz=10.0), 0.0, RNG), DURATION, id="dark counts over 0 s"),
+    # numpy's poisson raised "lam < 0 or lam is NaN"
+    rejected(
+        partial(generate_emissions, SourceParams(100.0), nan, RNG), "duration_s must be finite", id="emissions over nan s"
+    ),
+    # math.isfinite raised a TypeError on the text
+    rejected(partial(SessionConfig, tau_ps="2000"), "tau_ps must be a number", id="tau '2000'"),
     # tau = 500 ps is inside the timing noise at 300 ps jitters, but below T = 1000 ps tau > T is what rejects it;
     # T < tau < 3 sigma: the timing test could not tell a held packet from ordinary jitter
     rejected(partial(SessionConfig, tau_ps=500.0), f"{BELOW_T}500.0", id="tau 500"),
@@ -146,9 +158,9 @@ LIBRARY_REJECTED = [
     rejected(partial(eve_information, [0, 1], [0, 3]), "alice_bits must be 0 or 1", id="Eve, bit 3"),
     rejected(partial(eve_information, [0], [-1]), "alice_bits must be 0 or 1", id="Eve, bit -1"),
     rejected(partial(phase_from_path_length, 100.0, 0.0), "wavelength must be positive", id="wavelength 0"),
-    rejected(partial(detection_p0, *LINK_STATES.T, -0.1), f"{VISIBILITY}, got -0.1", id="V -0.1"),
-    rejected(partial(detection_p0, *LINK_STATES.T, 1.1), f"{VISIBILITY}, got 1.1", id="V 1.1"),
-    rejected(partial(detection_p0, *LINK_STATES.T, nan), f"{VISIBILITY}, got nan", id="V nan"),
+    rejected(partial(detection_p0, *LINK_STATES.T, -0.1), VISIBILITY, id="V -0.1"),
+    rejected(partial(detection_p0, *LINK_STATES.T, 1.1), VISIBILITY, id="V 1.1"),
+    rejected(partial(detection_p0, *LINK_STATES.T, nan), "visibility must be finite", id="V nan"),
     *(rejected(partial(qber_from_visibility, v), VISIBILITY, id=f"QBER at V {v}") for v in (-0.1, 1.0001)),
     # fringe scan; the link-state table has rows past the two encodings, and a scan must not index them
     *(
@@ -157,6 +169,9 @@ LIBRARY_REJECTED = [
             (0, ((100.0, 100.0), 5, 100), "delta_l_range_nm must be a nonempty (lo, hi) interval"),
             (0, ((0.0, 1624.0), 1, 100), "n_steps must be >= 2"),
             (0, ((0.0, 1624.0), 5, 0), "shots_per_step must be >= 1"),
+            # 2.5 shots a step scanned 2; numpy's linspace refused 5.5 steps with a TypeError
+            (0, ((0.0, 1624.0), 5, 2.5), "shots_per_step must be an integer"),
+            (0, ((0.0, 1624.0), 5.5, 100), "n_steps must be an integer"),
             (0, ((0.0, 1e308), 5, 100), "phase must be finite"),
             (0, ((1e307, 1e308), 5, 100), "phase must be finite"),
             *((bit, ((0.0, 1624.0), 5, 100), f"source_bit must be 0 or 1, got {bit}") for bit in (2, 3, -1, None)),
@@ -211,6 +226,9 @@ LIBRARY_REJECTED = [
     rejected(partial(sift_and_qber, *PAIRS, 0.5, RNG), NO_COUNT, TypeError, prefix=True, id="sift, no count"),
     rejected(partial(sift_and_qber, *PAIRS, 0.5, RNG, 3), POSITIONAL_COUNT, TypeError, prefix=True, id="sift, 5 args"),
     *(rejected(partial(sift_and_qber, *PAIRS, f, RNG, anomalies=0), DISCLOSURE, id=f"f {f}") for f in (0.0, 1.0, -0.5)),
+    rejected(
+        partial(sift_and_qber, *PAIRS, None, RNG, anomalies=0), "disclosure_fraction must be a number", id="f None"
+    ),
     # 10 bits against 4 raised numpy's IndexError from the disclosed mask
     rejected(partial(sift_and_qber, PAIRS[0], PAIRS[1][:4], 0.5, RNG, anomalies=0), ALIGNED, id="sift, 10 and 4 bits"),
     # two aligned (2, 5) tables raised numpy's IndexError from the disclosed mask
@@ -226,6 +244,8 @@ LIBRARY_REJECTED = [
     rejected(partial(SiftResult, 0, 3, TWO_OF_FOUR), ERRORS, id="3 errors of 2 disclosed"),
     rejected(partial(SiftResult, 0.5, 0, TWO_OF_FOUR), "anomalies must be an integer", id="0.5 anomalies"),
     rejected(partial(SiftResult, 0, 1.5, TWO_OF_FOUR), "errors must be an integer", id="1.5 errors"),
+    # None read as a count built a record whose anomaly_fraction raised a TypeError
+    rejected(partial(SiftResult, None, 0, np.zeros(3, dtype=bool)), "anomalies must be a number", id="None anomalies"),
     # an integer mask counted 1 disclosed pair of [0, 1, 0], while the transcript writer disclosed sends 0 and 1
     rejected(partial(SiftResult, 0, 0, np.array([0, 1, 0])), MASK, id="integer mask"),
     rejected(partial(SiftResult, 0, 0, np.ones((2, 2), dtype=bool)), MASK, id="2-d mask"),
@@ -237,9 +257,9 @@ LIBRARY_REJECTED = [
     rejected(partial(detect_eavesdropping, SIFT, 0.01, 1.5), "qber_threshold must be in (0, 1)", id="qber 1.5"),
     rejected(partial(stream, 0, "nope"), "unknown stream name 'nope'", id="stream nope"),
     # numpy's "expected non-negative integer" and "seed must be integer" named neither argument
-    rejected(partial(run_session, ideal_config(), run_index=-1), STREAM_RUN, id="session run -1"),
-    rejected(partial(run_session, ideal_config(), run_index=1.5), STREAM_RUN, id="session run 1.5"),
-    rejected(partial(stream, -1, "fringe"), "seed must be an integer >= 0", id="stream seed -1"),
+    rejected(partial(run_session, ideal_config(), run_index=-1), "run_index must be >= 0", id="session run -1"),
+    rejected(partial(run_session, ideal_config(), run_index=1.5), "run_index must be an integer", id="session run 1.5"),
+    rejected(partial(stream, -1, "fringe"), "seed must be >= 0", id="stream seed -1"),
     # nan and inf came back as nan
     rejected(partial(canonical_phase, nan), "phase must be finite", id="canonical phase nan"),
 ]
@@ -265,6 +285,9 @@ def test_raises_its_message(tmp_path, call, file, error, message, prefix):
         (AttackStrategy, {"kind": "store-forward", "extra_delay_ps": 2.0**52 - 1.0}),
         # numpy integers are integers
         *((OWNER_OF[name], {name: np.int64(7)}) for name in INT_FIELDS),
+        # None is the declared default of these two: not given, the window and the threshold derived
+        (SessionConfig, {"accept_window_given_ps": None}),
+        (ExperimentConfig, {"anomaly_threshold": None}),
     ],
 )
 def test_accepts_at_the_edge(owner, values):
