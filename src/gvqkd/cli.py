@@ -9,13 +9,18 @@ keys. Exit codes: 0 success, 2 configuration or usage error (also an
 attack-demo session with no sends or no receives: its transcript.csv is
 written, no verdict.json; and a fringe-scan source whose fit finds a
 non-positive mean rate: its fringe CSV is written, no fit JSON), 3 an alarm
-was raised and --fail-on-alarm was given.
+was raised and --fail-on-alarm was given. An output file that exists is
+unlinked and written anew, never written through.
 """
 
 import argparse
 import gc
 import json
+import os
+import pickle
+import signal
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,8 +38,14 @@ EXIT_CONFIG = 2
 EXIT_ALARM = 3
 
 
+def _fresh(path: Path) -> Path:
+    """path, with whatever was there unlinked: truncating an existing file costs a disk flush on ext4."""
+    path.unlink(missing_ok=True)
+    return path
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_fresh(path), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -59,21 +70,51 @@ def _session(session, strategy, run_index, source_bit, path):
     """Run one session, sift it and write its transcript CSV; returns (transcript, sift)."""
     transcript = run_session(session, strategy, run_index, source_bit)
     match, sift = sift_transcript(transcript, session, run_index)
-    write_transcript_csv(path, transcript, match, sift)
+    write_transcript_csv(_fresh(path), transcript, match, sift)
     return transcript, sift
 
 
+def _forked(call, *args):
+    """Run call(*args) in a forked child that never prints; returns its pid and a pipe pickling its result or error."""
+    read_fd, write_fd = os.pipe()
+    sys.stdout.flush()  # the child leaves through os._exit, and must not inherit unwritten output
+    if (pid := os.fork()) == 0:
+        try:
+            with open(write_fd, "wb") as pipe:
+                try:
+                    outcome = call(*args)
+                except BaseException as exc:
+                    outcome = exc
+                pickle.dump(outcome, pipe)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
 def run_transmit(experiment: ExperimentConfig, args: argparse.Namespace, out_dir: Path) -> int:
-    """Run the configured number of clean sessions; one transcript CSV each plus a summary."""
-    sifts = []
-    for run_index in range(experiment.runs):
-        path = out_dir / f"transcript_run{run_index:03d}.csv"
-        sifts.append(_session(experiment.session, NO_ATTACK, run_index, experiment.source_bit, path)[1])
-    pooled = SiftResult(
-        anomalies=sum(sift.anomalies for sift in sifts),
-        errors=sum(sift.errors for sift in sifts),
-        disclosed_mask=np.concatenate([sift.disclosed_mask for sift in sifts]),
-    )
+    """Run the configured clean sessions in min(args.cpus, runs) processes; one transcript CSV each plus a summary."""
+
+    def sifts_of(block: list[int]) -> list[SiftResult]:
+        session, bit = experiment.session, experiment.source_bit
+        return [_session(session, NO_ATTACK, i, bit, out_dir / f"transcript_run{i:03d}.csv")[1] for i in block]
+
+    first, *rest = (b.tolist() for b in np.array_split(range(experiment.runs), min(args.cpus, experiment.runs)))
+    children = []
+    try:
+        children.extend(_forked(sifts_of, block) for block in rest)  # appended one at a time, so all get reaped
+        sifts = sifts_of(first)
+        for _, pipe in children:  # in run order, so the first failing run is the one raised
+            if isinstance(value := pickle.load(pipe), BaseException):
+                raise value
+            sifts += value
+    finally:
+        for pid, pipe in children:  # a child whose sifts were read has only os._exit left
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    counts = (sum(sift.anomalies for sift in sifts), sum(sift.errors for sift in sifts))
+    pooled = SiftResult(*counts, np.concatenate([sift.disclosed_mask for sift in sifts]))
     qbers = [s.qber for s in sifts if s.qber is not None]
     summary = {
         "runs": experiment.runs,
@@ -105,7 +146,7 @@ def run_fringe_scan(experiment: ExperimentConfig, args: argparse.Namespace, out_
         delta_l_nm, counts = fringe_scan(
             session, source_bit, (0.0, experiment.scan_span_nm), experiment.scan_steps, experiment.shots_per_step, rng
         )
-        write_fringe_csv(out_dir / f"fringe_s{source_bit}.csv", delta_l_nm, counts)
+        write_fringe_csv(_fresh(out_dir / f"fringe_s{source_bit}.csv"), delta_l_nm, counts)
         try:
             fits = fit_fringe(delta_l_nm, counts, session.wavelength_nm)
         except ValueError as exc:  # the scan itself passed the loader: only the counts can fail the fit
@@ -175,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def main(argv=None, cpus: int = 1) -> int:
+    args = build_parser().parse_args(argv, argparse.Namespace(cpus=cpus))
     try:
         experiment = load_config(args.config)
         if args.seed is not None:
@@ -195,7 +236,9 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    code = main()
+    # 3.12+ warns of forking beside threads: OpenBLAS stops its pool at a fork, and the children call no BLAS
+    warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+    code = main(cpus=len(os.sched_getaffinity(0)) if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
     gc.freeze()  # so the interpreter's shutdown collections skip every object that importing numpy and gvqkd left
     sys.exit(code)
 

@@ -7,7 +7,7 @@ its transcript's stamps to whole ps and stores them as int64.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -34,10 +34,11 @@ def ranged(default, rule: str):
 
 
 def check_range(name: str, value, rule: str, integer: bool = False) -> None:
-    """Raise "<name> must be ..." at the first failure of: a number (an int, a float or a numpy one; None is not, but
-    Ranged skips a None default: "not given"), finite, an integer (if integer; not a whole float), RANGE_RULES[rule]."""
+    """Raise "<name> must be ..." at the first failure of: a number (an int but no bool, a float or a numpy one; None is
+    not, but Ranged skips a None default: "not given"), finite, an integer (if integer; not a whole float),
+    RANGE_RULES[rule]."""
     is_int = isinstance(value, (int, np.integer))  # finite, and may be too large for math.isfinite's float
-    if not (is_int or isinstance(value, (float, np.floating))):
+    if isinstance(value, bool) or not (is_int or isinstance(value, (float, np.floating))):  # np.bool_ is neither kind
         raise ValueError(f"{name} must be a number")
     if not (is_int or math.isfinite(value)):
         raise ValueError(f"{name} must be finite")
@@ -48,10 +49,12 @@ def check_range(name: str, value, rule: str, integer: bool = False) -> None:
 
 
 class Ranged:
-    """Base of the configs and SiftResult: checks each ranged field in order; a None default means "not given"."""
+    """Base of configs and SiftResult: checks each field's range or dataclass type in order; a None default is unset."""
 
     def __post_init__(self):
         for f in fields(self):
+            if is_dataclass(f.type) and not isinstance(getattr(self, f.name), f.type):
+                raise ValueError(f"{f.name} must be {'an' if f.type.__name__[0] in 'AEIOU' else 'a'} {f.type.__name__}")
             if "range" in f.metadata and not (f.default is None and getattr(self, f.name) is None):
                 check_range(f.name, getattr(self, f.name), f.metadata["range"], f.type is int)
 

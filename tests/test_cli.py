@@ -908,6 +908,25 @@ class TestTransmitCommand:
         assert tree_digest(out_a) == tree_digest(out_b)
 
 
+class TestRerunIntoTheSameOut:
+    @pytest.mark.parametrize("row", ["transmit", "fringe-scan", "attack-demo"])
+    def test_each_output_file_is_replaced_not_written_through(self, tmp_path, row):
+        # a hard link kept to each first-run file is made stale; the rerun must leave the link's bytes alone
+        scenario, argv, code, digest, _ = PINNED[row]
+        out_dir, kept = tmp_path / "out", tmp_path / "kept"
+        argv = [*argv, "--config", str(scenario_file(tmp_path, scenario)), "--out", str(out_dir)]
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == code
+            kept.mkdir()
+            for path in out_dir.iterdir():
+                os.link(path, kept / path.name)
+                (kept / path.name).write_bytes(b"stale\n")
+            assert main(argv) == code
+        assert tree_digest(out_dir) == digest
+        assert sorted(path.name for path in kept.iterdir()) == sorted(path.name for path in out_dir.iterdir())
+        assert {path.read_bytes() for path in kept.iterdir()} == {b"stale\n"}
+
+
 class TestFringeScanCommand:
     def test_scans_both_sources_by_default(self, fast_config, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -1061,11 +1080,60 @@ class TestFreshProcesses:
     """The commands across a real process boundary, each ending in the console script's entry()."""
 
     @staticmethod
-    def spawn(cwd: Path, hash_seed: int, *argv: str, launch: tuple[str, ...] = ("-m", "gvqkd.cli")) -> subprocess.Popen:
+    def spawn(
+        cwd: Path, hash_seed: int, *argv: str, launch: tuple[str, ...] = ("-m", "gvqkd.cli"), **popen
+    ) -> subprocess.Popen:
         python_path = os.pathsep.join(filter(None, [str(REPO_DIR / "src"), os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": python_path, "PYTHONHASHSEED": str(hash_seed)}
         command = [sys.executable, *launch, *argv]
-        return subprocess.Popen(command, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        pipes = dict(stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        return subprocess.Popen(command, cwd=cwd, env=env, **pipes, **popen)
+
+    @staticmethod
+    def assert_no_process_left(proc: subprocess.Popen) -> None:
+        # proc led a new session, so its group held it and every child it forked; a child left unreaped stays in it
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    @pytest.mark.parametrize("one_cpu", [True, False], ids=["on one CPU", "on every CPU"])
+    def test_transmit_writes_the_pinned_bytes_on_any_number_of_cpus(self, tmp_path, one_cpu):
+        # on one CPU the script runs every session itself; on more, a forked child runs each later block of the 3
+        # runs. The child calls entry() with the row's command line and prints, at exit, how many forks it made
+        scenario, argv, _, digest, stdout = PINNED["transmit"]
+        cpus = 1 if one_cpu else len(os.sched_getaffinity(0))
+        pin = (lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) if one_cpu else None
+        out_dir = tmp_path / "out"
+        child = (
+            "import atexit, os, gvqkd.cli\n"
+            "forks = []\n"
+            "os.register_at_fork(after_in_parent=lambda: forks.append(1))\n"
+            "atexit.register(lambda: print(len(forks)))\n"
+            "gvqkd.cli.entry()\n"
+        )
+        argv = (*argv, "--config", str(scenario_file(tmp_path, scenario)), "--out", str(out_dir))
+        proc = self.spawn(tmp_path, 0, *argv, launch=("-c", child), preexec_fn=pin, start_new_session=True)
+        assert proc.communicate(timeout=60) == (stdout + f"{min(cpus, 3) - 1}\n", "")
+        assert proc.returncode == EXIT_OK
+        assert tree_digest(out_dir) == digest
+        self.assert_no_process_left(proc)
+
+    @pytest.mark.parametrize("failing_run", [0, 2], ids=["in the script's own block", "in a child's block"])
+    def test_a_failing_run_exits_1_with_the_error_main_raises(self, tmp_path, failing_run):
+        # on two CPUs or more, run 0 of the three is the script's own and run 2 a forked child's
+        scenario, argv, _, _, _ = PINNED["transmit"]
+        out_dir = tmp_path / "out"
+        (out_dir / f"transcript_run{failing_run:03d}.csv").mkdir(parents=True)
+        argv = [*argv, "--config", str(scenario_file(tmp_path, scenario)), "--out", str(out_dir)]
+        proc = self.spawn(tmp_path, 0, *argv, start_new_session=True)
+        stdout, stderr = proc.communicate(timeout=60)
+        with pytest.raises(IsADirectoryError) as caught:
+            main(argv)
+        assert (proc.returncode, stdout) == (1, "")
+        assert stderr.splitlines()[-1] == f"IsADirectoryError: {caught.value}"
+        assert f"transcript_run{failing_run:03d}.csv" in str(caught.value)
+        assert not (out_dir / "summary.json").exists()
+        self.assert_no_process_left(proc)
 
     def test_transmit_writes_the_pinned_bytes_in_every_process(self, tmp_path):
         # the second process hashes strings differently and is given --seed at the scenario's own seed

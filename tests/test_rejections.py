@@ -12,7 +12,7 @@ from math import inf, nan
 import numpy as np
 import pytest
 
-from gvqkd.adversary import NO_GUESS, AttackStrategy, apply_attack, eve_information
+from gvqkd.adversary import NO_ATTACK, NO_GUESS, AttackStrategy, apply_attack, eve_information
 from gvqkd.analysis import detect_eavesdropping, fit_fringe, fringe_scan, qber_from_visibility, read_fringe_csv
 from gvqkd.config import KEYS, ExperimentConfig, _parse
 from gvqkd.devices import DetectorParams, SourceParams, dark_clicks, generate_emissions
@@ -30,6 +30,7 @@ NO_JITTER = dict(source=SourceParams(herald_jitter_sigma_ps=0.0), signal_detecto
 RNG = np.random.default_rng(6)
 PAIRS = (np.arange(10) % 2, np.arange(10) % 2)
 MISALIGNED = (np.zeros(2, dtype=np.int64), np.zeros(3), np.zeros(3))
+TWO_PHOTONS = (np.array([0, 1]), np.array([0.0, 1.0]), np.array([2000.0, 2001.0]))
 SIFT = SiftResult(0, 0, np.arange(1000) % 2 == 0)
 EMPTY_SIFT = SiftResult(0, 0, np.zeros(0, dtype=bool))
 TWO_OF_FOUR = np.array([True, True, False, False])
@@ -118,6 +119,15 @@ LIBRARY_REJECTED = [
     field_row("shots_per_step", 10**400, "shots_per_step must be in [1, 2**63)", "10**400"),
     field_row("qber_threshold", 1.0, "qber_threshold must be in (0, 1)"),
     field_row("anomaly_threshold", 0.0, "anomaly_threshold must be in (0, 1)"),
+    # a Python bool is an int and built one run, or a seed of True; numpy's bool was already refused
+    field_row("seed", True, "seed must be a number"),
+    field_row("runs", True, "runs must be a number"),
+    field_row("seed", np.True_, "seed must be a number", "np.True_"),
+    # a nested field of the wrong type raised an AttributeError from a derived property, naming no argument
+    field_row("source", None, "source must be a SourceParams"),
+    field_row("signal_detector", SourceParams(), "signal_detector must be a DetectorParams", "SourceParams()"),
+    rejected(partial(ExperimentConfig, None), "session must be a SessionConfig", id="session = None"),
+    field_row("attack", "store-forward", "attack must be an AttackStrategy", "'store-forward'"),
     rejected(partial(generate_emissions, SourceParams(100.0), 0.0, RNG), DURATION, id="emissions over 0 s"),
     rejected(partial(generate_emissions, SourceParams(100.0), -1.0, RNG), DURATION, id="emissions over -1 s"),
     rejected(partial(dark_clicks, DetectorParams(dark_rate_hz=10.0), 0.0, RNG), DURATION, id="dark counts over 0 s"),
@@ -151,6 +161,9 @@ LIBRARY_REJECTED = [
         rejected(partial(apply_attack, AttackStrategy(kind), *MISALIGNED, 1000.0, RNG), PHOTONS, id=f"{kind}, 2 of 3")
         for kind in ("none", "which-path")
     ),
+    # a NaN travel time came back as arrivals [nan nan]
+    rejected(partial(apply_attack, NO_ATTACK, *TWO_PHOTONS, nan, RNG), "travel_time_ps must be finite", id="T nan"),
+    rejected(partial(apply_attack, NO_ATTACK, *TWO_PHOTONS, -1.0, RNG), "travel_time_ps must be positive", id="T -1"),
     rejected(partial(eve_information, [], []), "eve_information undefined on empty input", id="Eve, no photons"),
     rejected(partial(eve_information, [NO_GUESS], [0, 1]), "guesses and alice_bits must be aligned", id="Eve, 1 of 2"),
     # values outside the two bits reached numpy's reshape or bincount, which named no argument
