@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gvqkd.devices import Ranged, check_range, ranged
-from gvqkd.optics import LINK_STATES, SQRT1_2, STATE_MODE_A, STATE_MODE_B
+from gvqkd.optics import LINK_STATES, SQRT1_2, STATE_MODE_A, STATE_MODE_B, check_states
 
 KIND_NONE = "none"
 KIND_WHICH_PATH = "which-path"
@@ -74,6 +74,7 @@ def apply_attack(
     """
     if not np.shape(state) == np.shape(launch_a_ps) == np.shape(launch_b_ps):
         raise ValueError("state, launch_a_ps and launch_b_ps must be aligned")
+    check_states(state)
     check_range("travel_time_ps", travel_time_ps, "positive")
     n = state.size
     arrival = launch_b_ps + travel_time_ps

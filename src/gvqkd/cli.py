@@ -75,17 +75,13 @@ def _session(session, strategy, run_index, source_bit, path):
 
 
 def _forked(call, *args):
-    """Run call(*args) in a forked child that never prints; returns its pid and a pipe pickling its result or error."""
+    """Run call(*args) in a child that never prints; returns its pid and a pipe pickling the result or ending short."""
     read_fd, write_fd = os.pipe()
     sys.stdout.flush()  # the child leaves through os._exit, and must not inherit unwritten output
     if (pid := os.fork()) == 0:
         try:
             with open(write_fd, "wb") as pipe:
-                try:
-                    outcome = call(*args)
-                except BaseException as exc:
-                    outcome = exc
-                pickle.dump(outcome, pipe)
+                pickle.dump(call(*args), pipe)
         finally:
             os._exit(0)
     os.close(write_fd)
@@ -95,21 +91,23 @@ def _forked(call, *args):
 def run_transmit(experiment: ExperimentConfig, args: argparse.Namespace, out_dir: Path) -> int:
     """Run the configured clean sessions in min(args.cpus, runs) processes; one transcript CSV each plus a summary."""
 
-    def sifts_of(block: list[int]) -> list[SiftResult]:
+    def sifts_of(block: range) -> list[SiftResult]:
         session, bit = experiment.session, experiment.source_bit
         return [_session(session, NO_ATTACK, i, bit, out_dir / f"transcript_run{i:03d}.csv")[1] for i in block]
 
-    first, *rest = (b.tolist() for b in np.array_split(range(experiment.runs), min(args.cpus, experiment.runs)))
+    runs, k = experiment.runs, min(args.cpus, experiment.runs)
+    first, *rest = (range(runs * j // k, runs * (j + 1) // k) for j in range(k))
     children = []
     try:
-        children.extend(_forked(sifts_of, block) for block in rest)  # appended one at a time, so all get reaped
+        children.extend((block, *_forked(sifts_of, block)) for block in rest)  # appended one at a time: all get reaped
         sifts = sifts_of(first)
-        for _, pipe in children:  # in run order, so the first failing run is the one raised
-            if isinstance(value := pickle.load(pipe), BaseException):
-                raise value
-            sifts += value
+        for block, _, pipe in children:  # in run order, so the first failing run is the one raised
+            try:
+                sifts += pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child raised or died: its runs give the same bytes here
+                sifts += sifts_of(block)
     finally:
-        for pid, pipe in children:  # a child whose sifts were read has only os._exit left
+        for _, pid, pipe in children:  # a child whose sifts were read has only os._exit left
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -29,6 +29,12 @@ STATE_MODE_A = 2
 STATE_MODE_B = 3
 
 
+def check_states(state) -> None:
+    """Refuse all but an integer array of LINK_STATES rows: numpy would read -1 as row 3."""
+    if not (isinstance(state, np.ndarray) and state.dtype.kind in "iu" and ((0 <= state) & (state < 4)).all()):
+        raise ValueError("state must hold link-state indices 0 to 3")
+
+
 def detection_p0(amp_a: np.ndarray, amp_b: np.ndarray, visibility: float) -> np.ndarray:
     """P(D0) after recombination at effective visibility V, elementwise over amplitude arrays.
 

@@ -38,7 +38,7 @@ from gvqkd.devices import (
     herald,
     ranged,
 )
-from gvqkd.optics import LINK_STATES, detection_p0
+from gvqkd.optics import LINK_STATES, check_states, detection_p0
 from gvqkd.streams import stream
 
 WAVELENGTH_NM = 812.0
@@ -199,6 +199,7 @@ def bob_receive(
     visibility. Draws one detector choice per photon, then the detector's
     efficiency and jitter draws.
     """
+    check_states(state)
     p0 = detection_p0(LINK_STATES[:, 0], LINK_STATES[:, 1], config.visibility)[state]
     detector = (rng.random(state.size) >= p0).astype(np.int64)
     hit, t_click = detector_click(arrival_ps, config.signal_detector, rng)

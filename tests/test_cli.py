@@ -14,6 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, replace
 from pathlib import Path
@@ -907,6 +908,21 @@ class TestTransmitCommand:
         assert main(["transmit", "--config", str(fast_config), "--out", str(out_b)]) == EXIT_OK
         assert tree_digest(out_a) == tree_digest(out_b)
 
+    def test_a_million_runs_cost_no_memory_before_the_first(self, tmp_path):
+        # the run blocks are ranges: run 0's write fails before any list of the million run indices is built
+        cfg = tmp_path / "million.cfg"
+        cfg.write_text("pair_rate = 100\nduration = 1\nruns = 1000000\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        (out_dir / "transcript_run000.csv").mkdir(parents=True)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IsADirectoryError):
+                main(["transmit", "--config", str(cfg), "--out", str(out_dir)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestRerunIntoTheSameOut:
     @pytest.mark.parametrize("row", ["transmit", "fringe-scan", "attack-demo"])
@@ -1096,24 +1112,34 @@ class TestFreshProcesses:
             os.killpg(proc.pid, 0)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
-    @pytest.mark.parametrize("one_cpu", [True, False], ids=["on one CPU", "on every CPU"])
-    def test_transmit_writes_the_pinned_bytes_on_any_number_of_cpus(self, tmp_path, one_cpu):
+    @pytest.mark.parametrize(
+        "one_cpu, killed",
+        [(True, False), (False, False), (False, True)],
+        ids=["on one CPU", "on every CPU", "on every CPU with each child killed at fork"],
+    )
+    def test_transmit_writes_the_pinned_bytes_on_any_number_of_cpus(self, tmp_path, one_cpu, killed):
         # on one CPU the script runs every session itself; on more, a forked child runs each later block of the 3
-        # runs. The child calls entry() with the row's command line and prints, at exit, how many forks it made
+        # runs, and the script runs the block of a child that sent nothing. The child calls entry() with the row's
+        # command line and prints, at exit, how many forks it made and how many sessions ran in its own process
         scenario, argv, _, digest, stdout = PINNED["transmit"]
         cpus = 1 if one_cpu else len(os.sched_getaffinity(0))
+        if killed and cpus < 2:
+            pytest.skip("needs 2 usable CPUs")
         pin = (lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})) if one_cpu else None
         out_dir = tmp_path / "out"
         child = (
-            "import atexit, os, gvqkd.cli\n"
-            "forks = []\n"
+            "import atexit, os, signal, gvqkd.cli\n"
+            "forks, sessions, session = [], [], gvqkd.cli._session\n"
+            "gvqkd.cli._session = lambda *args: sessions.append(1) or session(*args)\n"
             "os.register_at_fork(after_in_parent=lambda: forks.append(1))\n"
-            "atexit.register(lambda: print(len(forks)))\n"
+            + ("os.register_at_fork(after_in_child=lambda: os.kill(os.getpid(), signal.SIGKILL))\n" if killed else "")
+            + "atexit.register(lambda: print(len(forks), len(sessions)))\n"
             "gvqkd.cli.entry()\n"
         )
         argv = (*argv, "--config", str(scenario_file(tmp_path, scenario)), "--out", str(out_dir))
         proc = self.spawn(tmp_path, 0, *argv, launch=("-c", child), preexec_fn=pin, start_new_session=True)
-        assert proc.communicate(timeout=60) == (stdout + f"{min(cpus, 3) - 1}\n", "")
+        sessions = 3 if cpus == 1 or killed else 1
+        assert proc.communicate(timeout=60) == (stdout + f"{min(cpus, 3) - 1} {sessions}\n", "")
         assert proc.returncode == EXIT_OK
         assert tree_digest(out_dir) == digest
         self.assert_no_process_left(proc)

@@ -17,7 +17,15 @@ from gvqkd.analysis import detect_eavesdropping, fit_fringe, fringe_scan, qber_f
 from gvqkd.config import KEYS, ExperimentConfig, _parse
 from gvqkd.devices import DetectorParams, SourceParams, dark_clicks, generate_emissions
 from gvqkd.optics import LINK_STATES, canonical_phase, detection_p0, phase_from_path_length
-from gvqkd.protocol import SessionConfig, SiftResult, read_transcript_csv, run_session, sift_and_qber, timing_test
+from gvqkd.protocol import (
+    SessionConfig,
+    SiftResult,
+    bob_receive,
+    read_transcript_csv,
+    run_session,
+    sift_and_qber,
+    timing_test,
+)
 from gvqkd.streams import stream
 
 from helpers import BAD_VALUES, CONFIG_CLASSES, RANGED_FIELDS, ideal_config
@@ -50,6 +58,7 @@ ERRORS = "errors must be in [0, disclosed]"
 MASK = "disclosed_mask must be a one-dimensional boolean array"
 ALIGNED = "alice_bits and bob_bits must be aligned"
 PHOTONS = "state, launch_a_ps and launch_b_ps must be aligned"
+STATES = "state must hold link-state indices 0 to 3"
 FRINGE_SHAPE = "counts must be an (n, 2) table aligned with delta_l_nm, got shape "
 DEGENERATE = "degenerate fringe fit: condition number "
 FRINGE_VALUES = "line {}: values must be finite and counts non-negative, got {}"
@@ -164,6 +173,24 @@ LIBRARY_REJECTED = [
     # a NaN travel time came back as arrivals [nan nan]
     rejected(partial(apply_attack, NO_ATTACK, *TWO_PHOTONS, nan, RNG), "travel_time_ps must be finite", id="T nan"),
     rejected(partial(apply_attack, NO_ATTACK, *TWO_PHOTONS, -1.0, RNG), "travel_time_ps must be positive", id="T -1"),
+    # numpy read a state of -1 as row 3: which-path turned [-1, 0] into [3, 2], and the receiver clicked as if the
+    # photon were in mode b; 4 and 0.5 raised numpy's IndexError, which named no argument
+    *(
+        row
+        for state in (-1, 4, 0.5)
+        for row in (
+            rejected(
+                partial(apply_attack, AttackStrategy("which-path"), np.array([state, 0]), *TWO_PHOTONS[1:], 1e3, RNG),
+                STATES,
+                id=f"which-path, state {state}",
+            ),
+            rejected(
+                partial(bob_receive, np.array([state, 0]), TWO_PHOTONS[2], ideal_config(), RNG),
+                STATES,
+                id=f"receive, state {state}",
+            ),
+        )
+    ),
     rejected(partial(eve_information, [], []), "eve_information undefined on empty input", id="Eve, no photons"),
     rejected(partial(eve_information, [NO_GUESS], [0, 1]), "guesses and alice_bits must be aligned", id="Eve, 1 of 2"),
     # values outside the two bits reached numpy's reshape or bincount, which named no argument
